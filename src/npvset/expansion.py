@@ -47,11 +47,16 @@ from .puiseux import (
     LeadingData,
     ParamSeries,
     ROOT_WINDOW,
+    SupportPoint,
     branch_from_prefix,
+    envelope_value,
+    envelope_zeros,
     is_refinement,
     leading_data,
+    leading_data_from_points,
     prefix_expansion,
     refine_to_exponent,
+    support_points,
     window_at,
 )
 
@@ -252,15 +257,6 @@ def roots_in_field(h: UniPoly) -> List[Tuple[Scalar, int]]:
 
 
 @dataclass(frozen=True)
-class SupportPoint:
-    """One z-degree of an expansion with its top x-exponent and coefficient."""
-
-    j: int
-    top: Fraction
-    lead: Scalar
-
-
-@dataclass(frozen=True)
 class PolygonEdge:
     """An edge of the upper Newton hull: slope and characteristic polynomial."""
 
@@ -268,14 +264,6 @@ class PolygonEdge:
     j_lo: int
     j_hi: int
     chi: UniPoly  # coefficient of c^(j - j_lo) indexes the on-edge points
-
-
-def support_points(expansion: Dict[int, Dict[Fraction, Scalar]]) -> List[SupportPoint]:
-    pts = []
-    for j in sorted(expansion):
-        top = max(expansion[j])
-        pts.append(SupportPoint(j, top, expansion[j][top]))
-    return pts
 
 
 def upper_hull(pts: Sequence[SupportPoint]) -> List[SupportPoint]:
@@ -313,27 +301,6 @@ def hull_edges(pts: Sequence[SupportPoint]) -> List[PolygonEdge]:
                 coeffs[p.j - a.j] = p.lead
         edges.append(PolygonEdge(slope, a.j, b.j, UniPoly.make(coeffs)))
     return edges
-
-
-def envelope_value(pts: Sequence[SupportPoint], e: Fraction) -> Fraction:
-    """max_j (top_j + e*j): the x-exponent of the expansion at parameter slope e."""
-    return max(p.top + e * p.j for p in pts)
-
-
-def envelope_zero(pts: Sequence[SupportPoint], below: Fraction) -> Optional[Fraction]:
-    """Largest e < below where the envelope value is exactly zero, if any."""
-    cands = set()
-    for p in pts:
-        if p.j > 0:
-            cands.add(-p.top / Fraction(p.j))
-    for edge in hull_edges(pts):
-        cands.add(edge.slope)
-    best = None
-    for e in cands:
-        if e < below and envelope_value(pts, e) == 0:
-            if best is None or e > best:
-                best = e
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +441,7 @@ def _coord_events(g: BiPoly, prefix, e_cur: Fraction) -> CoordEvents:
     expansion = prefix_expansion(g, prefix)
     pts = tuple(support_points(expansion))
     edges = tuple(ed.slope for ed in hull_edges(pts) if ed.slope < e_cur)
-    zero = envelope_zero(pts, e_cur)
+    zero = next((e for e in envelope_zeros(pts) if e < e_cur), None)
     frozen = False
     if pts[0].j == 0:
         r0 = pts[0].top
@@ -487,43 +454,31 @@ def _coord_events(g: BiPoly, prefix, e_cur: Fraction) -> CoordEvents:
 
 def next_event_exponent(
     f: MapPair, parent: ParamSeries, c: Scalar
-) -> Optional[Fraction]:
+) -> Tuple[Optional[Fraction], CoordEvents, CoordEvents]:
     """Largest exponent below the parent slot where the leading data of either
     component changes shape (polygon edge) or its exponent crosses zero.
 
     Directions that can never reach a window with both exponents at most
     zero are cut: a component frozen at a positive exponent blocks every
     descendant, and once both exponents have gone negative nothing can fire
-    again (leading exponents only decrease under refinement).
+    again (leading exponents only decrease under refinement).  Both
+    components' events come back with the exponent: their support points
+    are the expansions around the fixed steps of any child in this direction.
     """
     prefix = parent.fix_param(c)
     e_cur = parent.param_exponent
     ev_p = _coord_events(f.p, prefix, e_cur)
     ev_q = _coord_events(f.q, prefix, e_cur)
-    if ev_p.frozen and ev_q.frozen:
-        return None
-    if ev_p.frozen or ev_q.frozen:
-        # only the live component can still produce a horizontal window, and
-        # only while its exponent has not gone negative
-        live = ev_q if ev_p.frozen else ev_p
-        cands = list(live.edges)
-        if live.zero is not None:
-            cands.append(live.zero)
-        cands = [e for e in cands if envelope_value(live.pts, e) >= 0]
-        return max(cands) if cands else None
-    cands = []
-    for ev in (ev_p, ev_q):
-        if ev.zero is not None:
-            cands.append(ev.zero)
-        cands.extend(ev.edges)
-    cands = [
-        e
-        for e in cands
-        if max(envelope_value(ev_p.pts, e), envelope_value(ev_q.pts, e)) >= 0
-    ]
-    if not cands:
-        return None
-    return max(cands)
+    # a frozen component contributes no events: only the live components
+    # can still produce a horizontal window, and only while the exponent of
+    # one of them has not gone negative
+    live = [ev for ev in (ev_p, ev_q) if not ev.frozen]
+    cands = [e for ev in live for e in (*ev.edges, ev.zero) if e is not None]
+    e_next = max(
+        (e for e in cands if max(envelope_value(ev.pts, e) for ev in live) >= 0),
+        default=None,
+    )
+    return e_next, ev_p, ev_q
 
 
 def expansion_tree(f: MapPair, caps: Caps = Caps()) -> ExpansionNode:
@@ -561,12 +516,13 @@ def _expand_node(f: MapPair, node: ExpansionNode, caps: Caps, depth: int) -> Non
     cands.sort(key=lambda s: s.sort_key())
     children = []
     for c in cands:
-        e_next = next_event_exponent(f, node.series, c)
+        e_next, ev_p, ev_q = next_event_exponent(f, node.series, c)
         synthetic = e_next is None
         if synthetic:
             e_next = node.series.param_exponent - 1
         child_series = refine_to_exponent(node.series, c, e_next)
-        child_lead = leading_data(f, child_series)
+        # the child's fixed steps are the prefix just expanded for P and Q
+        child_lead = leading_data_from_points(f, child_series, ev_p.pts, ev_q.pts)
         child = ExpansionNode(child_series, child_lead, c, STATUS_OPEN)
         n_index = child_series.param_index
         if child_series.mult > caps.max_mult or n_index > caps.max_k:
@@ -603,6 +559,9 @@ class SequenceLevel:
 @dataclass
 class AssociatedSequence:
     levels: List[SequenceLevel]
+    # roots of both components, deep enough to match against the final window
+    p_roots: List[ConcreteBranch] = field(default_factory=list)
+    q_roots: List[ConcreteBranch] = field(default_factory=list)
 
     @property
     def K(self) -> int:
@@ -668,12 +627,12 @@ def associated_sequence(
     ok, c_top, _ = is_refinement(psi, phi)
     if not ok:
         raise NotARefinement("second series does not refine the first")
+    p_roots, q_roots = _branches_for_matching(f, phi)
     if psi == phi:
         lv = _make_level(f, phi, None)
-        return AssociatedSequence([lv])
+        return AssociatedSequence([lv], p_roots, q_roots)
 
-    p_roots, q_roots = _branches_for_matching(f, phi)
-    roots = list(p_roots) + list(q_roots)
+    roots = p_roots + q_roots
     departures = []
     for u in roots:
         d, known = _branch_departure(u, phi)
@@ -725,7 +684,7 @@ def associated_sequence(
         lv.s3_ok = _segment_is_quiet(
             f, levels[idx].series, levels[idx].c, exps[idx + 1]
         )
-    return AssociatedSequence(levels)
+    return AssociatedSequence(levels, p_roots, q_roots)
 
 
 def _has_nonzero_root(p: UniPoly) -> bool:
@@ -739,14 +698,11 @@ def _segment_is_quiet(
     if c is None:
         return True
     prefix = upper.fix_param(c)
-    for g in (f.p, f.q):
-        expansion = prefix_expansion(g, prefix)
-        if not expansion:
-            continue
-        for edge in hull_edges(support_points(expansion)):
-            if e_next < edge.slope < upper.param_exponent:
-                return False
-    return True
+    return not any(
+        e_next < slope
+        for g in (f.p, f.q)
+        for slope in _coord_events(g, prefix, upper.param_exponent).edges
+    )
 
 
 def _make_level(f: MapPair, w: ParamSeries, c: Optional[Scalar]) -> SequenceLevel:
@@ -775,7 +731,6 @@ class LevelIndexData:
 @dataclass
 class RootIndexData:
     levels: List[LevelIndexData]
-    inferred: bool = False  # True when branch lists were unavailable
 
 
 def root_index_data(seq: AssociatedSequence, f: MapPair) -> RootIndexData:
@@ -784,29 +739,13 @@ def root_index_data(seq: AssociatedSequence, f: MapPair) -> RootIndexData:
     For each level the matching roots of each component are collected with
     their coefficient at the level slot; the leading polynomial must equal
     lead_coeff * (s - c_i)^(count at c_i) * prod (s - other coefficients),
-    which is asserted exactly.  When branch enumeration needs a field
-    extension the data degrades to cardinalities inferred from degrees.
+    which is asserted exactly.  The roots are the ones the sequence was
+    built from.
     """
-    phi = seq.levels[-1].series
-    try:
-        p_roots, q_roots = _branches_for_matching(f, phi)
-    except ExtensionRequired:
-        levels = []
-        for lv in seq.levels:
-            levels.append(
-                LevelIndexData(
-                    [], [], 0, 0,
-                    lv.lead.p_lead.lcoeff(), lv.lead.q_lead.lcoeff(),
-                    UniPoly.const(ONE), UniPoly.const(ONE), True,
-                )
-            )
-        return RootIndexData(levels, inferred=True)
-
     out = []
     for lv in seq.levels:
-        e = lv.series.param_exponent
-        s_members = _matching_coeffs(p_roots, lv.series)
-        t_members = _matching_coeffs(q_roots, lv.series)
+        s_members = _matching_coeffs(seq.p_roots, lv.series)
+        t_members = _matching_coeffs(seq.q_roots, lv.series)
         c = lv.c
         s0 = sum(1 for a in s_members if c is not None and a == c)
         t0 = sum(1 for b in t_members if c is not None and b == c)

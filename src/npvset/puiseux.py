@@ -1,13 +1,17 @@
-"""Parametric fractional-power series at infinity and exact substitution.
+"""Parametric fractional-power series at infinity and leading data along them.
 
 A parametric series describes a window of curve branches at x -> infinity:
 
     phi(x, s) = sum_k a_k * x^(1 - k/m)  +  s * x^(1 - n/m)
 
-with finitely many fixed terms and a trailing parameter term.  Substituting
-phi into a bivariate polynomial is exact polynomial algebra in s and x^(1/m),
-and the highest surviving x-exponent carries the leading coefficient
-polynomial used everywhere else in the engine.
+with finitely many fixed terms and a trailing parameter term.  Leading data
+is read off one exact expansion, f(x, prefix + z) = sum_j c_j(x) z^j around
+the fixed terms: putting z = s * x^e for the parameter exponent e, the
+z-degree j contributes top_j + e*j as its highest x-exponent, so the lead
+exponent is the envelope max_j (top_j + e*j) and the lead polynomial collects
+lead_j * s^j over the j on that envelope.  Distinct j carry distinct powers
+of s, so nothing on the envelope cancels.  The same support points drive the
+Newton polygon steps of the expansion tree and of the curve branches.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import BiPoly, MapPair, ONE, Scalar, UniPoly, ZERO, I
-from .errors import NotARefinement, PreconditionFailed
+from .errors import PreconditionFailed
 
 
 @dataclass(frozen=True)
@@ -225,65 +229,93 @@ class LeadingData:
 
 
 # ---------------------------------------------------------------------------
-# Exact substitution
+# Support points and leading data
 # ---------------------------------------------------------------------------
 
 
-def full_expansion(f: BiPoly, phi: ParamSeries) -> Dict[int, UniPoly]:
-    """Exact expansion of f(x, phi(x, s)) as {r: c_r(s)} with x-exponent r/mult.
+@dataclass(frozen=True)
+class SupportPoint:
+    """One z-degree of an expansion with its top x-exponent and coefficient."""
 
-    The series has finitely many terms, so this is plain polynomial algebra
-    in s and x^(1/mult); nothing is truncated.
+    j: int
+    top: Fraction
+    lead: Scalar
+
+
+def support_points(expansion: Dict[int, Dict[Fraction, Scalar]]) -> List[SupportPoint]:
+    pts = []
+    for j in sorted(expansion):
+        top = max(expansion[j])
+        pts.append(SupportPoint(j, top, expansion[j][top]))
+    return pts
+
+
+def envelope_value(pts: Sequence[SupportPoint], e: Fraction) -> Fraction:
+    """max_j (top_j + e*j): the x-exponent of the expansion at parameter slope e."""
+    return max(p.top + e * p.j for p in pts)
+
+
+def envelope_lead(pts: Sequence[SupportPoint], e: Fraction) -> Tuple[UniPoly, Fraction]:
+    """Leading coefficient in s and x-exponent of the expansion at z = s*x^e."""
+    top = envelope_value(pts, e)
+    coeffs = [ZERO] * (pts[-1].j + 1)
+    for p in pts:
+        if p.top + e * p.j == top:
+            coeffs[p.j] = p.lead
+    return UniPoly.make(coeffs), top
+
+
+def envelope_zeros(pts: Sequence[SupportPoint]) -> List[Fraction]:
+    """Exponents e where a z-degree j > 0 attains envelope value zero, descending.
+
+    These include every polygon vertex at height zero: both lines meeting
+    at a vertex are maximal there and one of them has j > 0, so the hull
+    needs no separate scan.
     """
+    cands = {-p.top / p.j for p in pts if p.j > 0}
+    return sorted((e for e in cands if envelope_value(pts, e) == 0), reverse=True)
+
+
+def _window_lead(pts: Sequence[SupportPoint], phi: ParamSeries) -> Tuple[UniPoly, int]:
+    lead, top = envelope_lead(pts, phi.param_exponent)
+    return lead, int(top * phi.mult)
+
+
+def _window_points(f: BiPoly, phi: ParamSeries) -> List[SupportPoint]:
     if f.is_zero():
         raise PreconditionFailed("cannot expand the zero polynomial")
-    m = phi.mult
-    # phi as an element of Q(i)[s][X^{+-1}], X = x^(1/m)
-    y_elem: Dict[int, UniPoly] = {}
-    for k, c in phi.steps:
-        y_elem[m - k] = y_elem.get(m - k, UniPoly.zero()) + UniPoly.const(c)
-    pslot = m - phi.param_index
-    y_elem[pslot] = y_elem.get(pslot, UniPoly.zero()) + UniPoly.xpow(1)
-
-    max_ydeg = f.deg_y
-    powers: List[Dict[int, UniPoly]] = [{0: UniPoly.const(ONE)}]
-    for _ in range(max_ydeg):
-        prev = powers[-1]
-        nxt: Dict[int, UniPoly] = {}
-        for ra, pa in prev.items():
-            for rb, pb in y_elem.items():
-                r = ra + rb
-                nxt[r] = nxt.get(r, UniPoly.zero()) + pa * pb
-        powers.append({r: p for r, p in nxt.items() if not p.is_zero()})
-
-    out: Dict[int, UniPoly] = {}
-    for (dx, dy), c in f.terms.items():
-        shift = dx * m
-        for r, poly in powers[dy].items():
-            key = r + shift
-            out[key] = out.get(key, UniPoly.zero()) + poly.scale(c)
-    return {r: p for r, p in out.items() if not p.is_zero()}
+    return support_points(prefix_expansion(f, phi.step_exponents()))
 
 
 def substitute(f: BiPoly, phi: ParamSeries) -> Tuple[UniPoly, int]:
     """Leading coefficient polynomial of f along the window and its exponent.
 
     Returns (lead, e) with f(x, phi(x, s)) = lead(s) * x^(e/mult) + lower
-    terms in x.
+    terms in x, read off the envelope of f expanded around phi's fixed steps.
     """
-    exp = full_expansion(f, phi)
-    if not exp:
-        raise PreconditionFailed("expansion vanished identically")
-    r = max(exp)
-    return exp[r], r
+    return _window_lead(_window_points(f, phi), phi)
 
 
 def leading_data(f: MapPair, phi: ParamSeries) -> LeadingData:
     """Leading data of both map components and the Jacobian along a window."""
     if f.jac.is_zero():
         raise PreconditionFailed("map has identically vanishing Jacobian")
-    p_lead, p_exp = substitute(f.p, phi)
-    q_lead, q_exp = substitute(f.q, phi)
+    return leading_data_from_points(
+        f, phi, _window_points(f.p, phi), _window_points(f.q, phi)
+    )
+
+
+def leading_data_from_points(
+    f: MapPair,
+    phi: ParamSeries,
+    p_pts: Sequence[SupportPoint],
+    q_pts: Sequence[SupportPoint],
+) -> LeadingData:
+    """Leading data along phi from the support points of both components
+    already expanded around phi's fixed steps; only the Jacobian is expanded
+    here."""
+    p_lead, p_exp = _window_lead(p_pts, phi)
+    q_lead, q_exp = _window_lead(q_pts, phi)
     jac_lead, jac_exp = substitute(f.jac, phi)
     return LeadingData(p_lead, p_exp, q_lead, q_exp, jac_lead, jac_exp, phi.mult)
 

@@ -31,20 +31,19 @@ from .expansion import (
     all_roots,
     associated_sequence,
     curve_branches,
-    envelope_value,
     expansion_tree,
-    hull_edges,
-    prefix_expansion,
     root_index_data,
-    support_points,
 )
 from .puiseux import (
     ConcreteBranch,
     LeadingData,
     ParamSeries,
     ROOT_WINDOW,
+    envelope_zeros,
     is_refinement,
     leading_data,
+    prefix_expansion,
+    support_points,
     window_at,
 )
 
@@ -143,13 +142,16 @@ def nonproper_value_set(f: MapPair, caps: Caps = Caps()) -> ValueSet:
     only when an affine change of parameter transforms one into the other.
     """
     scan = dicritical_series(f, caps)
-    comps = [_component_of(s, lead) for s, lead in scan.found]
+    return ValueSet(_merged_components(scan), scan.unresolved)
+
+
+def _merged_components(scan: DicriticalScan) -> List[ValueSetComponent]:
     merged: List[ValueSetComponent] = []
-    for comp in comps:
-        if any(_same_image(comp, kept) for kept in merged):
-            continue
-        merged.append(comp)
-    return ValueSet(merged, scan.unresolved)
+    for s, lead in scan.found:
+        comp = _component_of(s, lead)
+        if not any(_same_image(comp, kept) for kept in merged):
+            merged.append(comp)
+    return merged
 
 
 def _same_image(c1: ValueSetComponent, c2: ValueSetComponent) -> bool:
@@ -336,28 +338,14 @@ def horizontal_q_prefixes(
     for idx in range(len(boundaries) - 1):
         hi, lo = boundaries[idx], boundaries[idx + 1]
         prefix_end = [(e, c) for e, c in phi.step_exponents() if e > hi]
-        if hi in _exponent_zero_candidates(f.q, prefix_end):
+        if hi in envelope_zeros(support_points(prefix_expansion(f.q, prefix_end))):
             _collect_window(f, phi, hi, out, seen)
         prefix_in = [(e, c) for e, c in phi.step_exponents() if e >= hi]
-        for e in _exponent_zero_candidates(f.q, prefix_in):
+        for e in envelope_zeros(support_points(prefix_expansion(f.q, prefix_in))):
             if lo < e < hi:
                 _collect_window(f, phi, e, out, seen)
     out.sort(key=lambda t: -t[0].param_exponent)
     return out
-
-
-def _exponent_zero_candidates(
-    g: BiPoly, prefix: List[Tuple[Fraction, Scalar]]
-) -> set:
-    expansion = prefix_expansion(g, prefix)
-    pts = support_points(expansion)
-    cands = set()
-    for p in pts:
-        if p.j > 0:
-            cands.add(-p.top / Fraction(p.j))
-    for edge in hull_edges(pts):
-        cands.add(edge.slope)
-    return {e for e in cands if envelope_value(pts, e) == 0}
 
 
 def _collect_window(f, phi, e, out, seen) -> None:
@@ -414,20 +402,12 @@ def check_lemma2(seq: AssociatedSequence, data: RootIndexData) -> CheckReport:
         dprev, dcur = data.levels[i - 1], data.levels[i]
         c_prev = prev.c if prev.c is not None else ZERO
         gap = Fraction(prev.n, prev.m) - Fraction(cur.n, cur.m)
-        if data.inferred:
-            s_count = cur.lead.p_lead.degree
-            t_count = cur.lead.q_lead.degree
-            s0_prev = _root_multiplicity(prev.lead.p_lead, c_prev)
-            t0_prev = _root_multiplicity(prev.lead.q_lead, c_prev)
-            pbar_prev = _off_slot_factor(prev.lead.p_lead, c_prev, s0_prev)
-            qbar_prev = _off_slot_factor(prev.lead.q_lead, c_prev, t0_prev)
-        else:
-            s_count = len(dcur.s_members)
-            t_count = len(dcur.t_members)
-            s0_prev = dprev.s0_count
-            t0_prev = dprev.t0_count
-            pbar_prev = dprev.pbar
-            qbar_prev = dprev.qbar
+        s_count = len(dcur.s_members)
+        t_count = len(dcur.t_members)
+        s0_prev = dprev.s0_count
+        t0_prev = dprev.t0_count
+        pbar_prev = dprev.pbar
+        qbar_prev = dprev.qbar
         ok_a_lead = cur.lead.p_lead.lcoeff() == dprev.a_lead * pbar_prev.evaluate(
             c_prev
         )
@@ -455,27 +435,7 @@ def check_lemma2(seq: AssociatedSequence, data: RootIndexData) -> CheckReport:
                 "exponent_q": ok_b_exp,
             }
         )
-    data_out = {"K": seq.K, "inferred_counts": data.inferred}
-    return CheckReport.combine("lemma2", items, data_out)
-
-
-def _root_multiplicity(p: UniPoly, c: Scalar) -> int:
-    mult = 0
-    factor = UniPoly.make([-c, ONE])
-    while not p.is_zero():
-        quo, rem = p.divmod(factor)
-        if not rem.is_zero():
-            break
-        p = quo
-        mult += 1
-    return mult
-
-
-def _off_slot_factor(p: UniPoly, c: Scalar, mult: int) -> UniPoly:
-    factor = UniPoly.make([-c, ONE])
-    for _ in range(mult):
-        p = p.divmod(factor)[0]
-    return p.scale(p.lcoeff().inverse()) if not p.is_zero() else p
+    return CheckReport.combine("lemma2", items, {"K": seq.K})
 
 
 # ---------------------------------------------------------------------------
@@ -557,19 +517,10 @@ def check_lemma4(seq: AssociatedSequence, data: RootIndexData) -> CheckReport:
     for i, lv in enumerate(seq.levels[:-1]):
         a_i, b_i = lv.lead.p_exp, lv.lead.q_exp
         ok_pos = a_i > 0 and b_i > 0
-        if data.inferred:
-            s_i = lv.lead.p_lead.degree
-            t_i = lv.lead.q_lead.degree
-            c_i = lv.c if lv.c is not None else ZERO
-            s0_i = _root_multiplicity(lv.lead.p_lead, c_i)
-            t0_i = _root_multiplicity(lv.lead.q_lead, c_i)
-            pbar = _off_slot_factor(lv.lead.p_lead, c_i, s0_i)
-            qbar = _off_slot_factor(lv.lead.q_lead, c_i, t0_i)
-        else:
-            dl = data.levels[i]
-            s_i, t_i = len(dl.s_members), len(dl.t_members)
-            s0_i, t0_i = dl.s0_count, dl.t0_count
-            pbar, qbar = dl.pbar, dl.qbar
+        dl = data.levels[i]
+        s_i, t_i = len(dl.s_members), len(dl.t_members)
+        s0_i, t0_i = dl.s0_count, dl.t0_count
+        pbar, qbar = dl.pbar, dl.qbar
         ok_ratio = a_i * e == b_i * d and s_i * e == t_i * d
         ok_slot_ratio = s0_i * e == t0_i * d
         ok_prop = pbar ** e == qbar ** d
@@ -720,7 +671,7 @@ def run_all_checks(
     )
     scan = dicritical_series(f, caps)
     nodes = list(scan.tree.walk())
-    chains: List[Tuple[ParamSeries, AssociatedSequence, Optional[RootIndexData]]] = []
+    chains: List[Tuple[ParamSeries, AssociatedSequence, RootIndexData]] = []
     chain_skips: List[dict] = []
     for s, _lead in scan.found:
         try:
@@ -728,11 +679,7 @@ def run_all_checks(
         except ExtensionRequired as exc:
             chain_skips.append({"series": repr(s), "reason": str(exc)})
             continue
-        try:
-            rid = root_index_data(seq, f)
-        except ExtensionRequired:
-            rid = None
-        chains.append((s, seq, rid))
+        chains.append((s, seq, root_index_data(seq, f)))
 
     checks: List[CheckReport] = []
     for name in wanted:
@@ -768,8 +715,7 @@ def run_all_checks(
                     )
             checks.append(CheckReport.combine("theorem2", items))
         elif name == "lemma2":
-            reports = [check_lemma2(seq, rid) for _s, seq, rid in chains
-                       if rid is not None]
+            reports = [check_lemma2(seq, rid) for _s, seq, rid in chains]
             checks.append(_merge_reports("lemma2", reports, chain_skips))
         elif name == "lemma3":
             items = []
@@ -787,12 +733,7 @@ def run_all_checks(
             vacuous = 0
             for _s, seq, rid in chains:
                 top = seq.levels[0].lead
-                if (
-                    rid is not None
-                    and top.p_exp > 0
-                    and top.q_exp > 0
-                    and top.jac_lead.degree == 0
-                ):
+                if top.p_exp > 0 and top.q_exp > 0 and top.jac_lead.degree == 0:
                     reports.append(check_lemma4(seq, rid))
                 else:
                     vacuous += 1
@@ -801,8 +742,7 @@ def run_all_checks(
             checks.append(merged)
         elif name == "eq4":
             if f.jac.is_constant() and not f.jac.is_zero():
-                comps = nonproper_value_set(f, caps).components
-                checks.append(check_eq4(comps, f))
+                checks.append(check_eq4(_merged_components(scan), f))
             else:
                 checks.append(
                     CheckReport("eq4", "skip", {"reason": "jacobian not constant"})

@@ -1,0 +1,23 @@
+"""The public API is frozen: a change to ``npvset.__all__`` must be deliberate."""
+
+import npvset
+
+PUBLIC_API = [
+    "AssociatedSequence", "BiPoly", "Caps", "ConcreteBranch", "ExpansionNode",
+    "LeadingData", "MapPair", "ParamSeries", "RootIndexData", "SampleReport",
+    "Scalar", "SeriesClass", "Theorem1Certificate", "Theorem2Certificate",
+    "UniPoly", "ValueSetComponent", "algebra", "associated_sequence", "bipoly",
+    "branch_limit_sample", "check_eq4", "check_eq9", "check_lemma2",
+    "check_lemma3", "check_lemma4", "check_newton_factorization",
+    "check_section5_identity", "classify", "curve_branches", "delta",
+    "dicritical_series", "errors", "expansion", "expansion_tree",
+    "is_refinement", "jacobian", "leading_data", "nonproper_value_set",
+    "normalize_monic", "oracle", "properness_probe", "puiseux", "refine",
+    "root_index_data", "run_all_checks", "series", "substitute", "valueset",
+    "verify_theorem1", "verify_theorem2",
+]
+
+
+def test_public_api_is_frozen():
+    assert len(PUBLIC_API) == 50
+    assert sorted(npvset.__all__) == PUBLIC_API

@@ -18,9 +18,16 @@ from npvset.expansion import (
     root_index_data,
     roots_in_field,
 )
-from npvset.puiseux import ROOT_WINDOW, series
+from npvset.parsing import parse_map
+from npvset.puiseux import ROOT_WINDOW, leading_data, series
 
-from conftest import corpus_map, sc
+from conftest import CORPUS_TEXT, corpus_map, sc
+
+STRESS_TEXT = {
+    "M4": "x+y^3+x*y^2; x*y+y^4",
+    "M6": "(x*y-1)^2*y+x; x*y^2-y",
+    "M8": "x^3*y^5+x*y+y; x^2*y^3+x",
+}
 
 
 def up(*coeffs):
@@ -165,6 +172,14 @@ class TestExpansionTree:
         assert len(dic) == 2  # conjugate pair before deduplication
         mults = {n.series.mult for n in dic}
         assert mults == {2}
+
+    @pytest.mark.parametrize("text", [*CORPUS_TEXT.values(), *STRESS_TEXT.values()])
+    def test_node_leads_match_leading_data(self, text):
+        # children read their P and Q leads off the expansions that chose
+        # their exponent; that shortcut must agree with a fresh substitution
+        f = normalize_monic(*parse_map(text))
+        for node in expansion_tree(f, Caps()).walk():
+            assert node.lead == leading_data(f, node.series), node.series
 
     def test_gaussian_coefficient_tree(self):
         f = corpus_map("R6")

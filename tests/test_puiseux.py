@@ -13,9 +13,9 @@ from npvset.errors import PreconditionFailed
 from npvset.puiseux import (
     ParamSeries,
     ROOT_WINDOW,
-    full_expansion,
     is_refinement,
     leading_data,
+    prefix_expansion,
     refine,
     series,
     substitute,
@@ -150,18 +150,22 @@ class TestExpansionProperties:
         ).map(bipoly),
     )
     def test_substitution_additive(self, f, g):
-        # the full expansion is linear in the polynomial being substituted
-        phi = MINUS_X_WINDOW
+        # the expansion around a prefix is linear in the polynomial expanded
+        prefix = MINUS_X_WINDOW.step_exponents()
         if f.is_zero() or g.is_zero() or (f + g).is_zero():
             return
-        left = full_expansion(f + g, phi)
-        a = full_expansion(f, phi)
-        b = full_expansion(g, phi)
-        merged = dict(a)
-        for k, v in b.items():
-            merged[k] = merged.get(k, series_poly([])) + v
-        merged = {k: v for k, v in merged.items() if not v.is_zero()}
-        assert left == merged
+        left = prefix_expansion(f + g, prefix)
+        merged = {}
+        for part in (prefix_expansion(f, prefix), prefix_expansion(g, prefix)):
+            for j, row in part.items():
+                slot = merged.setdefault(j, {})
+                for e, c in row.items():
+                    slot[e] = slot.get(e, sc(0)) + c
+        merged = {
+            j: {e: c for e, c in row.items() if not c.is_zero()}
+            for j, row in merged.items()
+        }
+        assert left == {j: row for j, row in merged.items() if row}
 
     def test_scaling_invariance(self):
         # leading data is unchanged under (m, k, n) -> (tm, tk, tn); the

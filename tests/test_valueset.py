@@ -37,6 +37,9 @@ from npvset.valueset import (
     ValueSetComponent,
 )
 
+import npvset.expansion as expansion_mod
+import npvset.valueset as valueset_mod
+
 from conftest import CORPUS_TEXT, corpus_map, sc
 
 
@@ -406,3 +409,29 @@ class TestRunAllChecks:
         assert lemma3_total >= 3
         assert section5_total >= 2
         assert theorem1_met == 0  # genuinely scarce; synthetic tests cover it
+
+
+class TestSharedWork:
+    # F2 has one chain; R2 has none but a constant Jacobian, so eq4 runs
+    @pytest.mark.parametrize("name", ["F2", "R2"])
+    def test_run_all_checks_builds_tree_and_branches_once(self, monkeypatch, name):
+        calls = {"expansion_tree": 0, "curve_branches": 0}
+
+        def counting(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(valueset_mod, "expansion_tree")
+        counting(valueset_mod, "curve_branches")  # the factorization check
+        counting(expansion_mod, "curve_branches")  # chain matching
+        run = run_all_checks(corpus_map(name))
+        chains = next(c for c in run.checks if c.name == "lemma2").data["chains"]
+        assert calls["expansion_tree"] == 1
+        # one call per component per chain, plus one per component for the
+        # factorization check
+        assert calls["curve_branches"] == 2 * chains + 2
