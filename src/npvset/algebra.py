@@ -1,17 +1,17 @@
 """Exact coefficient and polynomial arithmetic over the Gaussian rationals.
 
-Everything downstream works over Q(i): scalars are pairs of
-``fractions.Fraction`` values, univariate polynomials are dense coefficient
-tuples, bivariate polynomials are sparse exponent maps.  All operations are
-exact; no floating point enters this module.
+Everything downstream works over Q(i): a scalar is an integer triple
+(a, b, d) standing for (a + b*i)/d in lowest terms, univariate polynomials
+are dense coefficient tuples, bivariate polynomials are sparse exponent
+maps.  All operations are exact; no floating point enters this module
+except in the explicit conversions to ``complex``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import PreconditionFailed
 
@@ -23,54 +23,92 @@ RatInput = Union[int, Fraction]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Scalar:
-    """A Gaussian rational a + b*i with both parts in canonical reduced form.
+    """A Gaussian rational (a + b*i)/d held as three normalized ints.
 
-    Fraction keeps numerator/denominator reduced with positive denominator,
-    so structural equality is exact arithmetic equality.
+    Invariant: d > 0 and gcd(a, b, d) == 1, so equal values have equal
+    triples and structural equality is exact arithmetic equality.  ``re``
+    and ``im`` give the parts as reduced Fractions.
     """
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a: int, b: int = 0, d: int = 1):
+        if d <= 0:
+            if not d:
+                raise ZeroDivisionError("scalar with zero denominator")
+            a, b, d = -a, -b, -d
+        g = math.gcd(a, b, d)
+        self.a, self.b, self.d = a // g, b // g, d // g
 
     @staticmethod
     def of(re: RatInput = 0, im: RatInput = 0) -> "Scalar":
-        return Scalar(Fraction(re), Fraction(im))
+        if type(re) is int and type(im) is int:
+            return _triple(re, im, 1)
+        re, im = Fraction(re), Fraction(im)
+        # with both parts reduced, their least common denominator leaves gcd 1
+        dr, di = re.denominator, im.denominator
+        d = dr * di // math.gcd(dr, di)
+        return _triple(re.numerator * (d // dr), im.numerator * (d // di), d)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     def is_rational(self) -> bool:
-        return not self.im
+        return not self.b
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.d))
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _reduced(self.a + other.a, self.b + other.b, d1)
+        return _reduced(
+            self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2
         )
 
+    def __sub__(self, other: "Scalar") -> "Scalar":
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _reduced(self.a - other.a, self.b - other.b, d1)
+        return _reduced(
+            self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2
+        )
+
+    def __neg__(self) -> "Scalar":
+        return _triple(-self.a, -self.b, self.d)
+
+    def __mul__(self, other: "Scalar") -> "Scalar":
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
+
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _triple(self.a, -self.b, self.d)
 
     def norm2(self) -> Fraction:
         """Squared modulus, a non-negative rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def inverse(self) -> "Scalar":
-        n = self.norm2()
+        a, b, d = self.a, self.b, self.d
+        n = a * a + b * b
         if not n:
             raise ZeroDivisionError("inverse of zero scalar")
-        return Scalar(self.re / n, -self.im / n)
+        return _reduced(d * a, -d * b, n)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inverse()
@@ -92,21 +130,53 @@ class Scalar:
         return (self.re, self.im)
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int rounds the exact quotient, as float(Fraction) does
+        return complex(self.a / self.d, self.b / self.d)
 
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if self.im == 1:
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if im == 1:
             imtxt = "i"
-        elif self.im == -1:
+        elif im == -1:
             imtxt = "-i"
         else:
-            imtxt = f"{self.im}i"
-        if not self.re:
+            imtxt = f"{im}i"
+        if not re:
             return imtxt
-        sign = "+" if self.im > 0 else ""
-        return f"{self.re}{sign}{imtxt}"
+        sign = "+" if im > 0 else ""
+        return f"{re}{sign}{imtxt}"
+
+    def __repr__(self) -> str:
+        return f"Scalar({self})"
+
+
+_new = object.__new__
+
+
+def _triple(a: int, b: int, d: int) -> Scalar:
+    """Scalar from a triple that already satisfies the invariant."""
+    s = _new(Scalar)
+    s.a = a
+    s.b = b
+    s.d = d
+    return s
+
+
+def _reduced(a: int, b: int, d: int) -> Scalar:
+    """Scalar (a + b*i)/d for d > 0, divided through by gcd(a, b, d)."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    # built inline rather than through _triple: this runs on every + - *
+    s = _new(Scalar)
+    s.a = a
+    s.b = b
+    s.d = d
+    return s
 
 
 ZERO = Scalar.of(0)
@@ -140,13 +210,13 @@ def sqrt_scalar(w: Scalar) -> Optional[Scalar]:
     c2 = (w.re + n) / 2
     c = _sqrt_fraction(c2)
     if c is not None and c != 0:
-        cand = Scalar(c, w.im / (2 * c))
+        cand = Scalar.of(c, w.im / (2 * c))
         if cand * cand == w:
             return cand
     d2 = (n - w.re) / 2
     d = _sqrt_fraction(d2)
     if d is not None:
-        cand = Scalar(Fraction(0), d)
+        cand = Scalar.of(0, d)
         if cand * cand == w:
             return cand
     return None
@@ -157,7 +227,6 @@ def sqrt_scalar(w: Scalar) -> Optional[Scalar]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class UniPoly:
     """Polynomial in one indeterminate; coeffs[k] is the degree-k coefficient.
 
@@ -165,7 +234,21 @@ class UniPoly:
     the empty tuple and the leading coefficient is always nonzero otherwise.
     """
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple):
+        self.coeffs = coeffs
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, UniPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"UniPoly({self})"
 
     @staticmethod
     def make(coeffs: Iterable[Scalar]) -> "UniPoly":
@@ -517,8 +600,7 @@ def jacobian(p: BiPoly, q: BiPoly) -> BiPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MapPair:
+class MapPair(NamedTuple):
     """A polynomial map of the plane, stored monic in y with its Jacobian.
 
     ``shear`` records the source substitution x -> x + shear*y that produced

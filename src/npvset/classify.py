@@ -9,14 +9,13 @@ polynomial has positive degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import Scalar, UniPoly
 from .puiseux import LeadingData
 
 
-@dataclass(frozen=True)
-class SeriesClass:
+class SeriesClass(NamedTuple):
     horizontal_p: bool
     horizontal_q: bool
     dicritical: bool
@@ -36,8 +35,7 @@ def classify(lead: LeadingData) -> SeriesClass:
     return SeriesClass(hp, hq, dic, sing)
 
 
-@dataclass(frozen=True)
-class DeltaData:
+class DeltaData(NamedTuple):
     """The combination a*p*q' - b*p'*q and its exponent balance.
 
     ``scaled_jac`` is mult times the Jacobian leading polynomial;

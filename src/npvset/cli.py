@@ -1,9 +1,10 @@
 """Command-line surface: parse, run the pipeline, emit deterministic reports.
 
-Exit codes: 0 success, 1 verification counterexample, 2 input error, 3 cap
-exhaustion left unresolved leaves (results are then lower bounds).  JSON
-output is canonical: sorted keys, exact scalars as strings, stable ordering
-everywhere, so identical configurations produce byte-identical reports.
+Exit codes: 0 success, 1 verification counterexample, 2 input error, 3
+unresolved: cap exhaustion left open leaves or a root lies outside Q(i)
+(results are then lower bounds).  JSON output is canonical: sorted keys,
+exact scalars as strings, stable ordering everywhere, so identical
+configurations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -12,12 +13,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import MapPair, Scalar, normalize_monic
 from .classify import classify
-from .errors import EngineError, ParseError, PreconditionFailed
+from .errors import EngineError, ExtensionRequired, ParseError, PreconditionFailed
 from .expansion import Caps, ExpansionNode, curve_branches, expansion_tree
 from .oracle import DEFAULT_RADII, DEFAULT_SEED, DEFAULT_TOL, branch_limit_sample, properness_probe
 from .parsing import (
@@ -55,20 +55,39 @@ VERIFY_CHOICES = [
 ]
 
 
-@dataclass
 class RunConfig:
-    map_text: str
-    command: str
-    series_text: Optional[str] = None
-    which: str = "P"
-    what: str = "all"
-    depth_k: int = 8
-    caps: Caps = field(default_factory=Caps)
-    radii: Tuple[float, ...] = DEFAULT_RADII
-    tol: float = DEFAULT_TOL
-    seed: int = DEFAULT_SEED
-    samples: int = 64
-    fmt: str = "text"
+    __slots__ = (
+        "map_text", "command", "series_text", "which", "what", "depth_k",
+        "caps", "radii", "tol", "seed", "samples", "fmt",
+    )
+
+    def __init__(
+        self,
+        map_text: str,
+        command: str,
+        series_text: Optional[str] = None,
+        which: str = "P",
+        what: str = "all",
+        depth_k: int = 8,
+        caps: Caps = Caps(),
+        radii: Tuple[float, ...] = DEFAULT_RADII,
+        tol: float = DEFAULT_TOL,
+        seed: int = DEFAULT_SEED,
+        samples: int = 64,
+        fmt: str = "text",
+    ):
+        self.map_text = map_text
+        self.command = command
+        self.series_text = series_text
+        self.which = which
+        self.what = what
+        self.depth_k = depth_k
+        self.caps = caps
+        self.radii = radii
+        self.tol = tol
+        self.seed = seed
+        self.samples = samples
+        self.fmt = fmt
 
 
 def _add_shared(ap: argparse.ArgumentParser, suppress: bool) -> None:
@@ -78,9 +97,10 @@ def _add_shared(ap: argparse.ArgumentParser, suppress: bool) -> None:
         return argparse.SUPPRESS if suppress else value
 
     ap.add_argument("--format", choices=["json", "text"], default=dflt("text"))
-    ap.add_argument("--max-mult", type=int, default=dflt(Caps.max_mult))
-    ap.add_argument("--max-k", type=int, default=dflt(Caps.max_k))
-    ap.add_argument("--max-depth", type=int, default=dflt(Caps.max_depth))
+    caps = Caps()
+    ap.add_argument("--max-mult", type=int, default=dflt(caps.max_mult))
+    ap.add_argument("--max-k", type=int, default=dflt(caps.max_k))
+    ap.add_argument("--max-depth", type=int, default=dflt(caps.max_depth))
     ap.add_argument(
         "--radii", default=dflt(",".join(str(r) for r in DEFAULT_RADII))
     )
@@ -293,6 +313,16 @@ def run(config: RunConfig) -> Tuple[int, dict]:
             report["result"] = _run_oracle(f, config)
     except ParseError as exc:
         return EXIT_INPUT, _error_report(config, str(exc))
+    except ExtensionRequired as exc:
+        # a root outside Q(i) is a limit of the engine, not an input error
+        report["unresolved"].append(
+            {
+                "status": "extension_required",
+                "factor": format_unipoly(exc.factor),
+                "context": exc.context,
+            }
+        )
+        return EXIT_UNRESOLVED, report
     return code, report
 
 

@@ -22,9 +22,8 @@ to numerics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import (
     BiPoly,
@@ -128,29 +127,25 @@ def _gaussian_divisors(g: Tuple[int, int]) -> List[Tuple[int, int]]:
             while _gi_divides(pi, rest):
                 primes.append(pi)
                 rest = _gi_exact_div(rest, pi)
-    divisors = [(1, 0)]
+    # canonical representatives among unit multiples, deduplicated after
+    # each prime: a repeated prime adds one divisor, not a doubling
+    divisors = {(1, 0): None}
     for pi in primes:
-        divisors += [_gi_mul(d, pi) for d in divisors]
-    uniq = {}
-    for d in divisors:
-        # canonical representative among unit multiples
-        best = min(
-            [d, (-d[0], -d[1]), (-d[1], d[0]), (d[1], -d[0])]
-        )
-        uniq[best] = best
-    return list(uniq.values())
+        for d in list(divisors):
+            divisors.setdefault(_unit_canonical(_gi_mul(d, pi)))
+    return list(divisors)
+
+
+def _unit_canonical(d: Tuple[int, int]) -> Tuple[int, int]:
+    return min(d, (-d[0], -d[1]), (-d[1], d[0]), (d[1], -d[0]))
 
 
 def _clear_denominators(h: UniPoly) -> List[Tuple[int, int]]:
     """Coefficients as Gaussian integers after multiplying by a common lcm."""
     lcm = 1
     for c in h.coeffs:
-        for q in (c.re, c.im):
-            lcm = lcm * q.denominator // math.gcd(lcm, q.denominator)
-    out = []
-    for c in h.coeffs:
-        out.append((int(c.re * lcm), int(c.im * lcm)))
-    return out
+        lcm = lcm * c.d // math.gcd(lcm, c.d)
+    return [(c.a * (lcm // c.d), c.b * (lcm // c.d)) for c in h.coeffs]
 
 
 def _rational_roots(h: UniPoly) -> List[Scalar]:
@@ -164,16 +159,14 @@ def _rational_roots(h: UniPoly) -> List[Scalar]:
     found = []
     seen = set()
     for r in num_divs:
-        rs = Scalar.of(Fraction(r[0]), Fraction(r[1]))
+        rs = Scalar.of(*r)
         for s in den_divs:
-            ss = Scalar.of(Fraction(s[0]), Fraction(s[1]))
-            base = rs / ss
+            base = rs / Scalar.of(*s)
             for u in units:
                 cand = base * u
-                key = (cand.re, cand.im)
-                if key in seen:
+                if cand in seen:
                     continue
-                seen.add(key)
+                seen.add(cand)
                 if h.evaluate(cand).is_zero():
                     found.append(cand)
     return found
@@ -233,14 +226,10 @@ def all_roots(h: UniPoly) -> Tuple[List[Tuple[Scalar, int]], UniPoly]:
 
 
 def _merge_roots(roots: List[Tuple[Scalar, int]]) -> List[Tuple[Scalar, int]]:
-    acc: Dict[tuple, Tuple[Scalar, int]] = {}
+    acc: Dict[Scalar, int] = {}
     for r, m in roots:
-        key = (r.re, r.im)
-        if key in acc:
-            acc[key] = (r, acc[key][1] + m)
-        else:
-            acc[key] = (r, m)
-    return sorted(acc.values(), key=lambda rm: rm[0].sort_key())
+        acc[r] = acc.get(r, 0) + m
+    return sorted(acc.items(), key=lambda rm: rm[0].sort_key())
 
 
 def roots_in_field(h: UniPoly) -> List[Tuple[Scalar, int]]:
@@ -256,8 +245,7 @@ def roots_in_field(h: UniPoly) -> List[Tuple[Scalar, int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolygonEdge:
+class PolygonEdge(NamedTuple):
     """An edge of the upper Newton hull: slope and characteristic polynomial."""
 
     slope: Fraction
@@ -390,8 +378,7 @@ def _prefix_mult(prefix: Sequence[Tuple[Fraction, Scalar]]) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     """Expansion limits; hitting one is visible in output, never silent."""
 
     max_mult: int = 12
@@ -406,14 +393,24 @@ STATUS_CAPPED = "depth_capped"
 STATUS_EXTENSION = "extension_required"
 
 
-@dataclass
 class ExpansionNode:
-    series: ParamSeries
-    lead: LeadingData
-    chosen_c: Optional[Scalar]
-    status: str
-    children: List["ExpansionNode"] = field(default_factory=list)
-    note: str = ""
+    __slots__ = ("series", "lead", "chosen_c", "status", "children", "note")
+
+    def __init__(
+        self,
+        series: ParamSeries,
+        lead: LeadingData,
+        chosen_c: Optional[Scalar],
+        status: str,
+        children: Optional[List["ExpansionNode"]] = None,
+        note: str = "",
+    ):
+        self.series = series
+        self.lead = lead
+        self.chosen_c = chosen_c
+        self.status = status
+        self.children = [] if children is None else children
+        self.note = note
 
     def walk(self) -> Iterable["ExpansionNode"]:
         yield self
@@ -427,8 +424,7 @@ def _is_dicritical(lead: LeadingData) -> bool:
     return classify(lead).dicritical
 
 
-@dataclass(frozen=True)
-class CoordEvents:
+class CoordEvents(NamedTuple):
     """Per-component polygon data for one direction of refinement."""
 
     edges: Tuple[Fraction, ...]   # edge slopes strictly below the parent slot
@@ -545,23 +541,33 @@ def _expand_node(f: MapPair, node: ExpansionNode, caps: Caps, depth: int) -> Non
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SequenceLevel:
-    series: ParamSeries
-    c: Optional[Scalar]  # coefficient toward the next level; None at the top
-    n: int
-    m: int
-    lead: LeadingData
-    s2_ok: Optional[bool] = None  # None on the final level
-    s3_ok: Optional[bool] = None
+    __slots__ = ("series", "c", "n", "m", "lead", "s2_ok", "s3_ok")
+
+    def __init__(
+        self,
+        series: ParamSeries,
+        c: Optional[Scalar],  # coefficient toward the next level; None at the top
+        n: int,
+        m: int,
+        lead: LeadingData,
+        s2_ok: Optional[bool] = None,  # None on the final level
+        s3_ok: Optional[bool] = None,
+    ):
+        self.series = series
+        self.c = c
+        self.n = n
+        self.m = m
+        self.lead = lead
+        self.s2_ok = s2_ok
+        self.s3_ok = s3_ok
 
 
-@dataclass
-class AssociatedSequence:
+class AssociatedSequence(NamedTuple):
     levels: List[SequenceLevel]
     # roots of both components, deep enough to match against the final window
-    p_roots: List[ConcreteBranch] = field(default_factory=list)
-    q_roots: List[ConcreteBranch] = field(default_factory=list)
+    p_roots: Sequence[ConcreteBranch] = ()
+    q_roots: Sequence[ConcreteBranch] = ()
 
     @property
     def K(self) -> int:
@@ -715,8 +721,7 @@ def _make_level(f: MapPair, w: ParamSeries, c: Optional[Scalar]) -> SequenceLeve
     return SequenceLevel(w, c, n, m, lead)
 
 
-@dataclass
-class LevelIndexData:
+class LevelIndexData(NamedTuple):
     s_members: List[Scalar]  # coefficients a_ik of matching first-component roots
     t_members: List[Scalar]
     s0_count: int
@@ -728,8 +733,7 @@ class LevelIndexData:
     factor_ok: bool
 
 
-@dataclass
-class RootIndexData:
+class RootIndexData(NamedTuple):
     levels: List[LevelIndexData]
 
 

@@ -16,9 +16,8 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import MapPair, Scalar
 from .errors import PreconditionFailed
@@ -29,8 +28,7 @@ DEFAULT_TOL = 1e-6
 DEFAULT_SEED = 20101
 
 
-@dataclass
-class SampleReport:
+class SampleReport(NamedTuple):
     radii: List[float]
     errors: List[float]
     converged: bool
@@ -84,11 +82,10 @@ def branch_limit_sample(
     return SampleReport(list(radii), errors, converged, target)
 
 
-@dataclass
-class ProbeReport:
+class ProbeReport(NamedTuple):
     bounded_fraction: float
     clusters: List[Tuple[complex, complex]]
-    consistent: Optional[bool] = None  # set by callers who know the exact set
+    consistent: Optional[bool] = None  # callers who know the exact set use _replace
 
 
 def properness_probe(

@@ -9,9 +9,8 @@ round-tripping is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .algebra import BiPoly, ONE, Scalar, UniPoly, ZERO
 from .errors import ParseError
@@ -21,8 +20,7 @@ from .puiseux import ConcreteBranch, ParamSeries, series_from_exponents
 _Terms = Dict[Tuple[Fraction, int, int], Scalar]
 
 
-@dataclass
-class _Token:
+class _Token(NamedTuple):
     kind: str  # num | name | op
     text: str
     pos: int

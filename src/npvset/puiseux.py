@@ -17,16 +17,14 @@ Newton polygon steps of the expansion tree and of the curve branches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import BiPoly, MapPair, ONE, Scalar, UniPoly, ZERO, I
 from .errors import PreconditionFailed
 
 
-@dataclass(frozen=True)
-class ParamSeries:
+class ParamSeries(NamedTuple):
     """Window of branches: fixed steps plus a free parameter term.
 
     ``steps`` is an ascending tuple of (k, coeff) pairs, the term coeff *
@@ -139,8 +137,7 @@ def series_from_exponents(
 ROOT_WINDOW = ParamSeries(1, (), 0)  # the series s*x, ancestor of every window
 
 
-@dataclass(frozen=True)
-class ConcreteBranch:
+class ConcreteBranch(NamedTuple):
     """A single Newton-Puiseux root at infinity, possibly truncated.
 
     ``terms`` lists (k, coeff) for the term coeff * x^(1 - k/mult).  A branch
@@ -210,8 +207,7 @@ def branch_from_prefix(
     return ConcreteBranch(m, terms, trunc_k)
 
 
-@dataclass(frozen=True)
-class LeadingData:
+class LeadingData(NamedTuple):
     """Leading coefficient polynomials and x-exponents along a window.
 
     Exponents are integer numerators over the window multiplicity: the first
@@ -233,8 +229,7 @@ class LeadingData:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SupportPoint:
+class SupportPoint(NamedTuple):
     """One z-degree of an expansion with its top x-exponent and coefficient."""
 
     j: int

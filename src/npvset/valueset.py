@@ -13,9 +13,8 @@ reconstruction of a curve from its branches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import BiPoly, MapPair, ONE, Scalar, UniPoly, ZERO, poly_gcd
 from .classify import classify, delta
@@ -51,14 +50,22 @@ SIGMA = 1         # global sign of the delta identity, fixed on the corpus
 SIGMA_PRIME = 1   # global sign of the horizontal-exponent identity
 
 
-@dataclass
 class CheckReport:
     """Outcome of one checker: overall status plus per-instance items."""
 
-    name: str
-    status: str  # pass | fail | vacuous | skip
-    data: dict = field(default_factory=dict)
-    items: List[dict] = field(default_factory=list)
+    __slots__ = ("name", "status", "data", "items")
+
+    def __init__(
+        self,
+        name: str,
+        status: str,  # pass | fail | vacuous | skip
+        data: Optional[dict] = None,
+        items: Optional[List[dict]] = None,
+    ):
+        self.name = name
+        self.status = status
+        self.data = {} if data is None else data
+        self.items = [] if items is None else items
 
     @staticmethod
     def combine(name: str, items: List[dict], data: Optional[dict] = None) -> "CheckReport":
@@ -73,8 +80,7 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DicriticalScan:
+class DicriticalScan(NamedTuple):
     found: List[Tuple[ParamSeries, LeadingData]]
     unresolved: List[dict]  # capped or unsplittable leaves
     tree: ExpansionNode
@@ -102,8 +108,7 @@ def dicritical_series(f: MapPair, caps: Caps = Caps()) -> DicriticalScan:
     return DicriticalScan(found, unresolved, tree)
 
 
-@dataclass
-class ValueSetComponent:
+class ValueSetComponent(NamedTuple):
     """One polynomially parameterized component of the non-proper value set."""
 
     u: UniPoly
@@ -128,8 +133,7 @@ def _component_of(series_: ParamSeries, lead: LeadingData) -> ValueSetComponent:
     return comp
 
 
-@dataclass
-class ValueSet:
+class ValueSet(NamedTuple):
     components: List[ValueSetComponent]
     unresolved: List[dict]  # nonempty means the list is only a lower bound
 
@@ -219,19 +223,37 @@ def _power_roots(g: int, target: Scalar) -> Tuple[List[Scalar], UniPoly]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Theorem1Certificate:
-    psi: Optional[ParamSeries]
-    phi: Optional[ParamSeries]
-    hypothesis_met: bool
-    M: Optional[int] = None
-    d: Optional[int] = None
-    e: Optional[int] = None
-    N: Optional[int] = None
-    D: Optional[int] = None
-    C: Optional[Scalar] = None
-    conclusion_i_ok: Optional[bool] = None
-    conclusion_ii_ok: Optional[bool] = None
+    __slots__ = (
+        "psi", "phi", "hypothesis_met", "M", "d", "e", "N", "D", "C",
+        "conclusion_i_ok", "conclusion_ii_ok",
+    )
+
+    def __init__(
+        self,
+        psi: Optional[ParamSeries],
+        phi: Optional[ParamSeries],
+        hypothesis_met: bool,
+        M: Optional[int] = None,
+        d: Optional[int] = None,
+        e: Optional[int] = None,
+        N: Optional[int] = None,
+        D: Optional[int] = None,
+        C: Optional[Scalar] = None,
+        conclusion_i_ok: Optional[bool] = None,
+        conclusion_ii_ok: Optional[bool] = None,
+    ):
+        self.psi = psi
+        self.phi = phi
+        self.hypothesis_met = hypothesis_met
+        self.M = M
+        self.d = d
+        self.e = e
+        self.N = N
+        self.D = D
+        self.C = C
+        self.conclusion_i_ok = conclusion_i_ok
+        self.conclusion_ii_ok = conclusion_ii_ok
 
     def counterexample(self) -> bool:
         return self.hypothesis_met and not (
@@ -304,8 +326,7 @@ def verify_theorem1(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Theorem2Certificate:
+class Theorem2Certificate(NamedTuple):
     phi: ParamSeries
     phi_singular: bool
     witness_psi: Optional[ParamSeries]
@@ -644,8 +665,7 @@ def _curve_coeff(curve: BiPoly, e: Fraction, s: int) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class VerificationRun:
+class VerificationRun(NamedTuple):
     checks: List[CheckReport]
     signs: Dict[str, int]
     unresolved: List[dict]

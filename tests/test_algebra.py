@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,115 @@ class TestScalar:
             sc(Fraction(3, 2)),
             sc(Fraction(-3, 2)),
         )
+
+
+class _Ref:
+    """Two-Fraction reference for Gaussian rationals: the plain definitions."""
+
+    def __init__(self, re, im):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, o):
+        return _Ref(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return _Ref(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return _Ref(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def norm2(self):
+        return self.re * self.re + self.im * self.im
+
+    def inverse(self):
+        n = self.norm2()
+        return _Ref(self.re / n, -self.im / n)
+
+    def __pow__(self, n):
+        base = self if n >= 0 else self.inverse()
+        out = _Ref(1, 0)
+        for _ in range(abs(n)):
+            out = out * base
+        return out
+
+    def text(self):
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        imtxt = {1: "i", -1: "-i"}.get(im, f"{im}i")
+        if not re:
+            return imtxt
+        return f"{re}{'+' if im > 0 else ''}{imtxt}"
+
+
+fractions = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+pairs = st.tuples(fractions, fractions)
+
+
+def _same(x: Scalar, r: _Ref) -> bool:
+    """x equals the reference value and keeps the triple invariant."""
+    return (
+        x.re == r.re
+        and x.im == r.im
+        and x.d > 0
+        and math.gcd(x.a, x.b, x.d) == 1
+    )
+
+
+class TestScalarAgainstReference:
+    @settings(max_examples=200)
+    @given(pairs, pairs)
+    def test_ring_and_field_ops(self, u, v):
+        x, y = sc(*u), sc(*v)
+        rx, ry = _Ref(*u), _Ref(*v)
+        assert _same(x + y, rx + ry)
+        assert _same(x - y, rx - ry)
+        assert _same(x * y, rx * ry)
+        assert _same(-x, _Ref(-rx.re, -rx.im))
+        assert _same(x.conjugate(), _Ref(rx.re, -rx.im))
+        assert x.norm2() == rx.norm2()
+        assert x.sort_key() == (rx.re, rx.im)
+        assert str(x) == rx.text()
+        assert x.to_complex() == complex(float(rx.re), float(rx.im))
+        if ry.norm2():
+            assert _same(y.inverse(), ry.inverse())
+            assert _same(x / y, rx * ry.inverse())
+        else:
+            with pytest.raises(ZeroDivisionError):
+                y.inverse()
+
+    @settings(max_examples=100)
+    @given(pairs, st.integers(-4, 5))
+    def test_pow(self, u, n):
+        x, rx = sc(*u), _Ref(*u)
+        if n < 0 and not rx.norm2():
+            return
+        assert _same(x ** n, rx ** n)
+
+    @settings(max_examples=200)
+    @given(pairs, pairs, st.integers(1, 30))
+    def test_equality_and_hash_follow_the_value(self, u, v, k):
+        x, y = sc(*u), sc(*v)
+        assert (x == y) == (u == v)
+        if x == y:
+            assert hash(x) == hash(y)
+        # the same value from an unreduced triple
+        w = Scalar(x.a * k, x.b * k, x.d * k)
+        assert w == x and hash(w) == hash(x)
+        assert Scalar(-x.a, -x.b, -x.d) == x
+        assert (x == u) is False
+
+    @settings(max_examples=100)
+    @given(pairs)
+    def test_sqrt(self, u):
+        x = sc(*u)
+        root = sqrt_scalar(x * x)
+        assert root is not None and root in (x, -x)
+        if not x.is_zero():
+            # 2, 3 and i are not squares in Q(i), so neither are their
+            # products with a nonzero square
+            for k in (sc(2), sc(3), sc(0, 1)):
+                assert sqrt_scalar(k * x * x) is None
 
 
 class TestUniPoly:

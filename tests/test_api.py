@@ -1,5 +1,9 @@
 """The public API is frozen: a change to ``npvset.__all__`` must be deliberate."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import npvset
 
 PUBLIC_API = [
@@ -21,3 +25,17 @@ PUBLIC_API = [
 def test_public_api_is_frozen():
     assert len(PUBLIC_API) == 50
     assert sorted(npvset.__all__) == PUBLIC_API
+
+
+def test_import_loads_no_dataclasses():
+    # records are NamedTuples and slotted classes; dataclasses costs memory
+    # and start-up time in every process that imports the package
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import npvset; "
+        "print('dataclasses' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

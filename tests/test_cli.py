@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from npvset.cli import (
     EXIT_OK,
     EXIT_UNRESOLVED,
     config_from_args,
+    main,
     render,
     run,
 )
@@ -108,6 +112,60 @@ class TestExitCodes:
         )
         assert code == EXIT_UNRESOLVED
         assert report["result"]["lower_bound_only"]
+
+    @pytest.mark.parametrize(
+        "map_text, factor",
+        [
+            ("x^2+x*y+y^2+x; y", ["1", "1", "1"]),
+            ("(x*y-1)^2*y+x; x*y^2-y", ["1", "-1", "1"]),
+        ],
+    )
+    def test_root_outside_field_is_unresolved(self, map_text, factor, capsys):
+        args = ["--map", map_text, "branches", "--format", "json"]
+        code, report, _ = run_cli(args)
+        assert code == EXIT_UNRESOLVED
+        assert report["map"] is not None and "error" not in report
+        assert report["unresolved"] == [
+            {
+                "status": "extension_required",
+                "factor": factor,
+                "context": "characteristic polynomial of an edge",
+            }
+        ]
+        assert main(args) == EXIT_UNRESOLVED
+        out = capsys.readouterr()
+        assert json.loads(out.out) == report and out.err == ""
+
+    def test_other_engine_errors_stay_input_errors(self, capsys):
+        # a vanishing Jacobian has no leading data along any window
+        args = ["--map", "x+y; (x+y)^2", "classify", "--series", "s*x"]
+        assert main(args) == EXIT_INPUT
+        assert "Jacobian" in capsys.readouterr().err
+
+
+M9 = "(x*y^2+x+y)^3; x*y+y^2+x^2*y^3"
+
+
+def test_m9_verify_under_memory_ceiling():
+    # 2^21*i appears as a coefficient: divisor enumeration must stay small
+    ceiling = 2 * 2**30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (ceiling, ceiling))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "npvset.cli", "--map", M9, "verify",
+         "--format", "json"],
+        capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    checks = json.loads(proc.stdout)["checks"]
+    assert checks and all(c["status"] != "fail" for c in checks)
 
 
 class TestDeterminism:
