@@ -280,14 +280,18 @@ def hull_edges(pts: Sequence[SupportPoint]) -> List[PolygonEdge]:
     if len(pts) < 2:
         return []
     hull = upper_hull(pts)
+    den = pts[0].den
     edges = []
     for a, b in zip(hull, hull[1:]):
-        slope = (a.top - b.top) / (b.j - a.j)
-        coeffs = [ZERO] * (b.j - a.j + 1)
+        run, rise = b.j - a.j, a.top - b.top
+        coeffs = [ZERO] * (run + 1)
         for p in pts:
-            if a.j <= p.j <= b.j and p.top == a.top - slope * (p.j - a.j):
+            # on the edge line: top_p = top_a - (rise/run) * (j_p - j_a)
+            if a.j <= p.j <= b.j and (a.top - p.top) * run == rise * (p.j - a.j):
                 coeffs[p.j - a.j] = p.lead
-        edges.append(PolygonEdge(slope, a.j, b.j, UniPoly.make(coeffs)))
+        edges.append(
+            PolygonEdge(Fraction(rise, run * den), a.j, b.j, UniPoly.make(coeffs))
+        )
     return edges
 
 
@@ -329,7 +333,7 @@ def _expand_curve(
     out: List[ConcreteBranch],
 ) -> None:
     expansion = prefix_expansion(f, prefix)
-    j0 = min(expansion)
+    j0 = min(expansion.terms)
     if j0 > 0:
         exact = branch_from_prefix(prefix, None)
         out.extend([exact] * j0)
@@ -441,9 +445,11 @@ def _coord_events(g: BiPoly, prefix, e_cur: Fraction) -> CoordEvents:
     frozen = False
     if pts[0].j == 0:
         r0 = pts[0].top
+        a, b, den = e_cur.numerator, e_cur.denominator, pts[0].den
         # terms added below the slot can cancel the constant part's top
-        # monomial only when some z-degree reaches above it at the slot
-        if r0 > 0 and all(p.top + p.j * e_cur <= r0 for p in pts if p.j >= 1):
+        # monomial only when some z-degree reaches above it at the slot:
+        # top_p + j_p*e_cur > r0, compared here times den*b
+        if r0 > 0 and all(p.top * b + p.j * a * den <= r0 * b for p in pts[1:]):
             frozen = True
     return CoordEvents(edges, zero, frozen, pts)
 

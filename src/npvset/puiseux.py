@@ -12,6 +12,12 @@ exponent is the envelope max_j (top_j + e*j) and the lead polynomial collects
 lead_j * s^j over the j on that envelope.  Distinct j carry distinct powers
 of s, so nothing on the envelope cancels.  The same support points drive the
 Newton polygon steps of the expansion tree and of the curve branches.
+
+Inside this layer an x-exponent is an integer numerator over a denominator
+shared by the whole expansion: the least common denominator of the prefix
+exponents, as a series stores its exponents over its multiplicity.  The
+expansion, its support points and the envelope and polygon scans work on
+these integers; a Fraction is built only for an exponent handed out.
 """
 
 from __future__ import annotations
@@ -230,34 +236,52 @@ class LeadingData(NamedTuple):
 
 
 class SupportPoint(NamedTuple):
-    """One z-degree of an expansion with its top x-exponent and coefficient."""
+    """One z-degree of an expansion with its top x-exponent and coefficient.
+
+    The top exponent is the integer ``top`` over ``den``; every point of one
+    expansion shares the expansion's ``den``.
+    """
 
     j: int
-    top: Fraction
+    top: int
     lead: Scalar
+    den: int
 
 
-def support_points(expansion: Dict[int, Dict[Fraction, Scalar]]) -> List[SupportPoint]:
+def support_points(expansion: Expansion) -> List[SupportPoint]:
+    den, terms = expansion
     pts = []
-    for j in sorted(expansion):
-        top = max(expansion[j])
-        pts.append(SupportPoint(j, top, expansion[j][top]))
+    for j in sorted(terms):
+        row = terms[j]
+        top = max(row)
+        pts.append(SupportPoint(j, top, row[top], den))
     return pts
+
+
+def _envelope_numerators(
+    pts: Sequence[SupportPoint], e: Fraction
+) -> Tuple[List[int], int]:
+    """top_j + e*j for every point, as integers over one common denominator."""
+    a, b = e.numerator, e.denominator
+    den = pts[0].den
+    return [p.top * b + a * p.j * den for p in pts], den * b
 
 
 def envelope_value(pts: Sequence[SupportPoint], e: Fraction) -> Fraction:
     """max_j (top_j + e*j): the x-exponent of the expansion at parameter slope e."""
-    return max(p.top + e * p.j for p in pts)
+    nums, scale = _envelope_numerators(pts, e)
+    return Fraction(max(nums), scale)
 
 
 def envelope_lead(pts: Sequence[SupportPoint], e: Fraction) -> Tuple[UniPoly, Fraction]:
     """Leading coefficient in s and x-exponent of the expansion at z = s*x^e."""
-    top = envelope_value(pts, e)
+    nums, scale = _envelope_numerators(pts, e)
+    top = max(nums)
     coeffs = [ZERO] * (pts[-1].j + 1)
-    for p in pts:
-        if p.top + e * p.j == top:
+    for p, num in zip(pts, nums):
+        if num == top:
             coeffs[p.j] = p.lead
-    return UniPoly.make(coeffs), top
+    return UniPoly.make(coeffs), Fraction(top, scale)
 
 
 def envelope_zeros(pts: Sequence[SupportPoint]) -> List[Fraction]:
@@ -265,10 +289,17 @@ def envelope_zeros(pts: Sequence[SupportPoint]) -> List[Fraction]:
 
     These include every polygon vertex at height zero: both lines meeting
     at a vertex are maximal there and one of them has j > 0, so the hull
-    needs no separate scan.
+    needs no separate scan.  At e = -top_j/(den*j) the line of point q has
+    height (top_q*j - top_j*q)/(den*j), so j's line is maximal at zero
+    exactly when no q makes that numerator positive.
     """
-    cands = {-p.top / p.j for p in pts if p.j > 0}
-    return sorted((e for e in cands if envelope_value(pts, e) == 0), reverse=True)
+    den = pts[0].den
+    zeros = {
+        Fraction(-p.top, p.j * den)
+        for p in pts
+        if p.j > 0 and all(q.top * p.j <= p.top * q.j for q in pts)
+    }
+    return sorted(zeros, reverse=True)
 
 
 def _window_lead(pts: Sequence[SupportPoint], phi: ParamSeries) -> Tuple[UniPoly, int]:
@@ -385,44 +416,66 @@ def window_at(phi: ParamSeries, e: Fraction) -> ParamSeries:
 # ---------------------------------------------------------------------------
 
 
+class Expansion(NamedTuple):
+    """f(x, s(x) + z) = sum_j sum_k terms[j][k] * x^(k/den) * z^j.
+
+    x-exponents are integer numerators over ``den``, the least common
+    denominator of the prefix exponents; only nonzero coefficients are kept
+    and only z-degrees with at least one of them.
+    """
+
+    den: int
+    terms: Dict[int, Dict[int, Scalar]]
+
+
 def prefix_expansion(
     f: BiPoly, prefix: Sequence[Tuple[Fraction, Scalar]]
-) -> Dict[int, Dict[Fraction, Scalar]]:
-    """Exact expansion of f(x, s(x) + z) as {z-degree: {x-exponent: coeff}}.
+) -> Expansion:
+    """Exact expansion of f(x, s(x) + z) around a concrete prefix.
 
-    s(x) is the concrete fractional-power sum described by ``prefix``.  The
-    result drives Newton polygon steps: for each z-degree j the inner dict
-    lists all surviving x-exponents with exact coefficients.
+    s(x) is the concrete fractional-power sum described by ``prefix``, a
+    list of (x-exponent, coeff) pairs; a repeated exponent keeps its last
+    nonzero coefficient.  The result drives Newton polygon steps: for each
+    z-degree j, ``terms[j]`` lists all surviving x-exponent numerators with
+    exact coefficients.
     """
-    spowers: List[Dict[Fraction, Scalar]] = [{Fraction(0): ONE}]
     base = {e: c for e, c in prefix if not c.is_zero()}
+    den = 1
+    for e in base:
+        den = den * e.denominator // math.gcd(den, e.denominator)
+    steps = [(e.numerator * (den // e.denominator), c) for e, c in base.items()]
+
+    # spowers[n] = s(x)^n as {exponent numerator: coeff}
+    spowers: List[Dict[int, Scalar]] = [{0: ONE}]
     for _ in range(f.deg_y):
-        prev = spowers[-1]
-        if not base:
-            spowers.append({})
-            continue
-        nxt: Dict[Fraction, Scalar] = {}
-        for ea, ca in prev.items():
-            for eb, cb in base.items():
-                e = ea + eb
-                acc = nxt.get(e, ZERO) + ca * cb
-                if acc.is_zero():
-                    nxt.pop(e, None)
-                else:
-                    nxt[e] = acc
+        nxt: Dict[int, Scalar] = {}
+        for ka, ca in spowers[-1].items():
+            for kb, cb in steps:
+                _accumulate(nxt, ka + kb, ca * cb)
         spowers.append(nxt)
 
-    out: Dict[int, Dict[Fraction, Scalar]] = {}
+    out: Dict[int, Dict[int, Scalar]] = {}
     for (dx, dy), c in f.terms.items():
+        shift = dx * den
         for j in range(dy + 1):
-            binom = Scalar.of(math.comb(dy, j))
-            for e, sc in spowers[dy - j].items():
-                key = e + dx
-                coeff = c * binom * sc
-                slot = out.setdefault(j, {})
-                acc = slot.get(key, ZERO) + coeff
-                if acc.is_zero():
-                    slot.pop(key, None)
-                else:
-                    slot[key] = acc
-    return {j: d for j, d in out.items() if d}
+            power = spowers[dy - j]
+            if not power:
+                continue
+            cb = c * Scalar.of(math.comb(dy, j))
+            slot = out.setdefault(j, {})
+            for k, sc in power.items():
+                _accumulate(slot, k + shift, cb * sc)
+    return Expansion(den, {j: row for j, row in out.items() if row})
+
+
+def _accumulate(row: Dict[int, Scalar], k: int, coeff: Scalar) -> None:
+    """Add a nonzero coeff into row[k], dropping the entry if it cancels."""
+    acc = row.get(k)
+    if acc is None:
+        row[k] = coeff
+        return
+    acc = acc + coeff
+    if acc.is_zero():
+        del row[k]
+    else:
+        row[k] = acc

@@ -27,6 +27,14 @@ CORPUS_TEXT = {
     "R6": "x+i*y; x*y+i*y^2",
 }
 
+# stress maps of degree 6 to 12
+STRESS_TEXT = {
+    "M4": "x+y^3+x*y^2; x*y+y^4",
+    "M6": "(x*y-1)^2*y+x; x*y^2-y",
+    "M8": "x^3*y^5+x*y+y; x^2*y^3+x",
+}
+M9_TEXT = "(x*y^2+x+y)^3; x*y+y^2+x^2*y^3"
+
 
 def corpus_map(name: str) -> MapPair:
     p, q = parse_map(CORPUS_TEXT[name])

@@ -2,26 +2,36 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npvset.algebra import bipoly, normalize_monic
+import npvset.expansion as expansion_mod
+import npvset.puiseux as puiseux_mod
+from npvset.algebra import ONE, ZERO, Scalar, UniPoly, bipoly, normalize_monic
 from npvset.errors import PreconditionFailed
+from npvset.expansion import Caps, PolygonEdge, expansion_tree, hull_edges, upper_hull
+from npvset.parsing import parse_map
 from npvset.puiseux import (
     ParamSeries,
     ROOT_WINDOW,
+    envelope_lead,
+    envelope_value,
+    envelope_zeros,
     is_refinement,
     leading_data,
     prefix_expansion,
     refine,
     series,
     substitute,
+    support_points,
 )
 
-from conftest import sc
+from conftest import STRESS_TEXT, sc
 
 X_PLUS_Y = bipoly({(1, 0): 1, (0, 1): 1})
 XY_PLUS_Y2 = bipoly({(1, 1): 1, (0, 2): 1})
@@ -157,7 +167,8 @@ class TestExpansionProperties:
         left = prefix_expansion(f + g, prefix)
         merged = {}
         for part in (prefix_expansion(f, prefix), prefix_expansion(g, prefix)):
-            for j, row in part.items():
+            assert part.den == left.den  # the exponent grid depends on the prefix only
+            for j, row in part.terms.items():
                 slot = merged.setdefault(j, {})
                 for e, c in row.items():
                     slot[e] = slot.get(e, sc(0)) + c
@@ -165,7 +176,7 @@ class TestExpansionProperties:
             j: {e: c for e, c in row.items() if not c.is_zero()}
             for j, row in merged.items()
         }
-        assert left == {j: row for j, row in merged.items() if row}
+        assert left.terms == {j: row for j, row in merged.items() if row}
 
     def test_scaling_invariance(self):
         # leading data is unchanged under (m, k, n) -> (tm, tk, tn); the
@@ -183,3 +194,178 @@ class TestExpansionProperties:
         conj = w.conjugates()
         assert series(2, [(1, sc(-1))], 4) in conj
         assert len(conj) == 2
+
+
+# ---------------------------------------------------------------------------
+# Integer exponents against a Fraction-keyed reference
+# ---------------------------------------------------------------------------
+
+
+def reference_prefix_expansion(f, prefix):
+    """The Fraction-keyed expansion {z-degree: {x-exponent: coeff}}."""
+    spowers = [{Fraction(0): ONE}]
+    base = {e: c for e, c in prefix if not c.is_zero()}
+    for _ in range(f.deg_y):
+        prev = spowers[-1]
+        if not base:
+            spowers.append({})
+            continue
+        nxt = {}
+        for ea, ca in prev.items():
+            for eb, cb in base.items():
+                e = ea + eb
+                acc = nxt.get(e, ZERO) + ca * cb
+                if acc.is_zero():
+                    nxt.pop(e, None)
+                else:
+                    nxt[e] = acc
+        spowers.append(nxt)
+
+    out = {}
+    for (dx, dy), c in f.terms.items():
+        for j in range(dy + 1):
+            binom = Scalar.of(math.comb(dy, j))
+            for e, sc_ in spowers[dy - j].items():
+                key = e + dx
+                coeff = c * binom * sc_
+                slot = out.setdefault(j, {})
+                acc = slot.get(key, ZERO) + coeff
+                if acc.is_zero():
+                    slot.pop(key, None)
+                else:
+                    slot[key] = acc
+    return {j: d for j, d in out.items() if d}
+
+
+class RefPoint(NamedTuple):
+    j: int
+    top: Fraction
+    lead: Scalar
+
+
+def ref_points(expansion):
+    pts = []
+    for j in sorted(expansion):
+        top = max(expansion[j])
+        pts.append(RefPoint(j, top, expansion[j][top]))
+    return pts
+
+
+def ref_envelope_value(pts, e):
+    return max(p.top + e * p.j for p in pts)
+
+
+def ref_envelope_lead(pts, e):
+    top = ref_envelope_value(pts, e)
+    coeffs = [ZERO] * (pts[-1].j + 1)
+    for p in pts:
+        if p.top + e * p.j == top:
+            coeffs[p.j] = p.lead
+    return UniPoly.make(coeffs), top
+
+
+def ref_envelope_zeros(pts):
+    cands = {-p.top / p.j for p in pts if p.j > 0}
+    return sorted((e for e in cands if ref_envelope_value(pts, e) == 0), reverse=True)
+
+
+def ref_hull_edges(pts):
+    if len(pts) < 2:
+        return []
+    hull = upper_hull(pts)  # its test is homogeneous in top: any number type
+    edges = []
+    for a, b in zip(hull, hull[1:]):
+        slope = (a.top - b.top) / (b.j - a.j)
+        coeffs = [ZERO] * (b.j - a.j + 1)
+        for p in pts:
+            if a.j <= p.j <= b.j and p.top == a.top - slope * (p.j - a.j):
+                coeffs[p.j - a.j] = p.lead
+        edges.append(PolygonEdge(slope, a.j, b.j, UniPoly.make(coeffs)))
+    return edges
+
+
+def ref_coord_events(pts, e_cur):
+    edges = tuple(ed.slope for ed in ref_hull_edges(pts) if ed.slope < e_cur)
+    zero = next((e for e in ref_envelope_zeros(pts) if e < e_cur), None)
+    r0 = pts[0].top
+    frozen = (
+        pts[0].j == 0
+        and r0 > 0
+        and all(p.top + p.j * e_cur <= r0 for p in pts if p.j >= 1)
+    )
+    return edges, zero, frozen
+
+
+def assert_matches_reference(f, prefix, exponents=()):
+    """prefix_expansion and the polygon scans agree with the Fraction versions."""
+    got = prefix_expansion(f, prefix)
+    ref = reference_prefix_expansion(f, prefix)
+    as_fractions = {
+        j: {Fraction(k, got.den): c for k, c in row.items()}
+        for j, row in got.terms.items()
+    }
+    assert as_fractions == ref
+    if not ref:
+        return
+    pts, rpts = support_points(got), ref_points(ref)
+    assert [(p.j, Fraction(p.top, p.den), p.lead) for p in pts] == rpts
+    assert all(p.den == got.den for p in pts)
+    assert envelope_zeros(pts) == ref_envelope_zeros(rpts)
+    edges = ref_hull_edges(rpts)
+    assert hull_edges(pts) == edges
+    for e in (*exponents, *(ed.slope for ed in edges)):
+        assert envelope_value(pts, e) == ref_envelope_value(rpts, e)
+        assert envelope_lead(pts, e) == ref_envelope_lead(rpts, e)
+        events = expansion_mod._coord_events(f, prefix, e)
+        assert events[:3] == ref_coord_events(rpts, e)
+
+
+SCALARS = st.builds(lambda a, b: sc(a, b), st.integers(-3, 3), st.integers(-1, 1))
+EXPONENTS = st.builds(Fraction, st.integers(-6, 3), st.sampled_from([1, 2, 3, 5]))
+
+
+class TestIntegerExponents:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)), SCALARS, max_size=6
+        ).map(bipoly),
+        st.lists(st.tuples(EXPONENTS, SCALARS), max_size=4),
+        st.lists(
+            st.builds(Fraction, st.integers(-8, 8), st.integers(1, 6)), max_size=3
+        ),
+    )
+    def test_random_polynomials_and_prefixes(self, f, prefix, exponents):
+        assert_matches_reference(f, prefix, exponents)
+
+    def test_mixed_denominators(self):
+        # 1/2, 1/3 and 2/5 share the grid 1/30; a repeated exponent keeps its
+        # last nonzero coefficient and zero coefficients drop out
+        f = bipoly({(0, 3): 1, (1, 1): -2, (2, 0): 1, (0, 1): sc(0, 1)})
+        prefix = [
+            (Fraction(1, 2), sc(1)),
+            (Fraction(1, 3), sc(2, -1)),
+            (Fraction(2, 5), sc(0)),
+            (Fraction(-3, 5), sc(-1)),
+            (Fraction(1, 2), sc(3)),
+        ]
+        assert prefix_expansion(f, prefix).den == 30
+        assert_matches_reference(f, prefix, [Fraction(-1, 7), Fraction(2, 3)])
+        assert_matches_reference(f, [], [Fraction(1, 2)])
+
+    @pytest.mark.parametrize("name", ["M4", "M6", "M8"])
+    def test_every_tree_expansion(self, monkeypatch, name):
+        seen = []
+        inner = puiseux_mod.prefix_expansion
+
+        def recording(f, prefix):
+            seen.append((f, list(prefix)))
+            return inner(f, prefix)
+
+        for module in (puiseux_mod, expansion_mod):
+            monkeypatch.setattr(module, "prefix_expansion", recording)
+        expansion_tree(normalize_monic(*parse_map(STRESS_TEXT[name])), Caps())
+        monkeypatch.undo()
+        assert seen
+        for f, prefix in seen:
+            assert_matches_reference(f, prefix, [Fraction(0), Fraction(-1, 2)])
