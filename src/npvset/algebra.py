@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import PreconditionFailed
 
@@ -61,9 +61,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return not self.a and not self.b
-
-    def is_rational(self) -> bool:
-        return not self.b
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Scalar):
@@ -116,14 +113,7 @@ class Scalar:
     def __pow__(self, n: int) -> "Scalar":
         if n < 0:
             return self.inverse() ** (-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, ONE)
 
     def sort_key(self) -> tuple:
         """Total order used for deterministic output: lexicographic on (re, im)."""
@@ -150,6 +140,26 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
+
+
+def _power(base, n: int, one):
+    """base ** n for n >= 0 by repeated squaring, starting from ``one``."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+def join_terms(parts: Sequence[str]) -> str:
+    """Signed terms joined into a sum: a '+' goes before each later part
+    that does not already start with '-'."""
+    out = parts[0]
+    for p in parts[1:]:
+        out += p if p.startswith("-") else "+" + p
+    return out
 
 
 _new = object.__new__
@@ -270,10 +280,6 @@ class UniPoly:
         """Convenience constructor from rational coefficients, low degree first."""
         return UniPoly.make([Scalar.of(v) for v in ints])
 
-    @staticmethod
-    def xpow(k: int, coeff: Scalar = ONE) -> "UniPoly":
-        return UniPoly.make([ZERO] * k + [coeff])
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial assigned -1."""
@@ -332,14 +338,7 @@ class UniPoly:
     def __pow__(self, n: int) -> "UniPoly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = UniPoly.const(ONE)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, UniPoly.const(ONE))
 
     def derivative(self) -> "UniPoly":
         """Formal derivative with respect to the indeterminate."""
@@ -411,10 +410,7 @@ class UniPoly:
                     parts.append(f"({ctxt})*{xtxt}")
                 else:
                     parts.append(f"{ctxt}*{xtxt}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+        return join_terms(parts)
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -444,14 +440,6 @@ class BiPoly:
     @staticmethod
     def const(s: Scalar) -> "BiPoly":
         return BiPoly({(0, 0): s})
-
-    @staticmethod
-    def var_x() -> "BiPoly":
-        return BiPoly({(1, 0): ONE})
-
-    @staticmethod
-    def var_y() -> "BiPoly":
-        return BiPoly({(0, 1): ONE})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BiPoly) and self.terms == other.terms
@@ -515,14 +503,7 @@ class BiPoly:
     def __pow__(self, n: int) -> "BiPoly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = BiPoly.const(ONE)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, BiPoly.const(ONE))
 
     def diff_x(self) -> "BiPoly":
         return BiPoly(

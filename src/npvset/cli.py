@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 from .algebra import MapPair, Scalar, normalize_monic
 from .classify import classify
 from .errors import EngineError, ExtensionRequired, ParseError, PreconditionFailed
-from .expansion import Caps, ExpansionNode, curve_branches, expansion_tree
+from .expansion import Caps, ExpansionNode, curve_branches
 from .oracle import DEFAULT_RADII, DEFAULT_SEED, DEFAULT_TOL, branch_limit_sample, properness_probe
 from .parsing import (
     format_branch,
@@ -257,13 +257,9 @@ def run(config: RunConfig) -> Tuple[int, dict]:
                 ],
             }
         elif config.command == "tree":
-            tree = expansion_tree(f, config.caps)
-            report["result"] = _node_json(tree)
-            report["unresolved"] = [
-                {"status": n.status, "note": n.note}
-                for n in tree.walk()
-                if n.status in ("depth_capped", "extension_required")
-            ]
+            scan = dicritical_series(f, config.caps)
+            report["result"] = _node_json(scan.tree)
+            report["unresolved"] = scan.unresolved
         elif config.command == "classify":
             phi = parse_series(config.series_text or "")
             lead = leading_data(f, phi)

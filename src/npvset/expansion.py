@@ -45,9 +45,9 @@ from .puiseux import (
     ConcreteBranch,
     LeadingData,
     ParamSeries,
+    Prefix,
     ROOT_WINDOW,
     SupportPoint,
-    branch_from_prefix,
     envelope_value,
     envelope_zeros,
     is_refinement,
@@ -142,9 +142,7 @@ def _unit_canonical(d: Tuple[int, int]) -> Tuple[int, int]:
 
 def _clear_denominators(h: UniPoly) -> List[Tuple[int, int]]:
     """Coefficients as Gaussian integers after multiplying by a common lcm."""
-    lcm = 1
-    for c in h.coeffs:
-        lcm = lcm * c.d // math.gcd(lcm, c.d)
+    lcm = math.lcm(*(c.d for c in h.coeffs))
     return [(c.a * (lcm // c.d), c.b * (lcm // c.d)) for c in h.coeffs]
 
 
@@ -316,7 +314,7 @@ def curve_branches(f: BiPoly, depth_k: int) -> List[ConcreteBranch]:
     if depth_k < 0:
         raise PreconditionFailed("depth must be non-negative")
     out: List[ConcreteBranch] = []
-    _expand_curve(f, [], None, depth_k, out)
+    _expand_curve(f, 1, (), None, depth_k, out)
     total = len(out)
     if total != f.total_degree:
         raise EngineError(
@@ -327,30 +325,29 @@ def curve_branches(f: BiPoly, depth_k: int) -> List[ConcreteBranch]:
 
 def _expand_curve(
     f: BiPoly,
-    prefix: List[Tuple[Fraction, Scalar]],
+    mult: int,
+    terms: Tuple[Tuple[int, Scalar], ...],
     bound: Optional[Fraction],
     depth_k: int,
     out: List[ConcreteBranch],
 ) -> None:
-    expansion = prefix_expansion(f, prefix)
+    expansion = prefix_expansion(f, Prefix.of(mult, terms))
     j0 = min(expansion.terms)
     if j0 > 0:
-        exact = branch_from_prefix(prefix, None)
-        out.extend([exact] * j0)
+        out.extend([ConcreteBranch(mult, terms, None)] * j0)
     pts = support_points(expansion)
-    cur_mult = _prefix_mult(prefix)
     for edge in hull_edges(pts):
         if bound is not None and edge.slope >= bound:
             continue
         e = edge.slope
-        m_next = cur_mult * (1 - e).denominator // math.gcd(
-            cur_mult, (1 - e).denominator
-        )
-        k_next = (1 - e) * m_next
+        m_next = math.lcm(mult, (1 - e).denominator)
+        k_next = int((1 - e) * m_next)
+        # a list comprehension, as in Prefix.of: a generator raised peak RSS
+        scaled = tuple([(k * (m_next // mult), c) for k, c in terms])
         span = edge.j_hi - edge.j_lo
         if k_next > depth_k:
-            trunc = branch_from_prefix(prefix, e)
-            out.extend([trunc] * span)
+            # the truncation index is the last one known, just above e
+            out.extend([ConcreteBranch(m_next, scaled, k_next - 1)] * span)
             continue
         roots, rest = all_roots(edge.chi)
         if rest.degree >= 1:
@@ -360,21 +357,13 @@ def _expand_curve(
             if c.is_zero():
                 continue  # the edge polynomial never vanishes at zero
             before = len(out)
-            _expand_curve(f, prefix + [(e, c)], e, depth_k, out)
+            _expand_curve(f, m_next, scaled + ((k_next, c),), e, depth_k, out)
             got = len(out) - before
             if got != mult:
                 raise EngineError("edge multiplicity mismatch during expansion")
             produced += mult
         if produced != span:
             raise EngineError("edge span not exhausted by its roots")
-
-
-def _prefix_mult(prefix: Sequence[Tuple[Fraction, Scalar]]) -> int:
-    m = 1
-    for e, _ in prefix:
-        d = (1 - e).denominator
-        m = m * d // math.gcd(m, d)
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +426,7 @@ class CoordEvents(NamedTuple):
     pts: Tuple[SupportPoint, ...]
 
 
-def _coord_events(g: BiPoly, prefix, e_cur: Fraction) -> CoordEvents:
+def _coord_events(g: BiPoly, prefix: Prefix, e_cur: Fraction) -> CoordEvents:
     expansion = prefix_expansion(g, prefix)
     pts = tuple(support_points(expansion))
     edges = tuple(ed.slope for ed in hull_edges(pts) if ed.slope < e_cur)
@@ -593,21 +582,23 @@ def _branch_departure(
     Returns (exponent, known).  exponent None with known=True means the
     branch agrees with the window everywhere above the parameter slot; known
     False means the branch was truncated before the comparison finished.
+    Both sides are compared as indices over the lcm of their multiplicities.
     """
-    exps = set(e for e, _ in u.exponents())
-    exps.update(e for e, _ in phi.step_exponents())
-    floor = phi.param_exponent
-    for e in sorted((e for e in exps if e > floor), reverse=True):
-        cu = u.coeff_at(e)
-        if cu is None:
+    m = math.lcm(u.mult, phi.mult)
+    su, sp = m // u.mult, m // phi.mult
+    u_at = {k * su: c for k, c in u.terms}
+    phi_at = {k * sp: c for k, c in phi.steps}
+    slot = phi.param_index * sp
+    # indices up to ``known`` are complete on the branch
+    known = slot if u.truncation_k is None else u.truncation_k * su
+    for k in sorted(u_at.keys() | phi_at.keys()):
+        if k >= slot:
+            break
+        if k > known:
             return None, False
-        if cu != phi.coeff_at(e):
-            return e, True
-    if u.truncation_k is not None:
-        known_floor = 1 - Fraction(u.truncation_k, u.mult)
-        if known_floor > floor:
-            return None, False
-    return None, True
+        if u_at.get(k, ZERO) != phi_at.get(k, ZERO):
+            return 1 - Fraction(k, m), True
+    return None, known >= slot
 
 
 def _branches_for_matching(
@@ -718,13 +709,7 @@ def _segment_is_quiet(
 
 
 def _make_level(f: MapPair, w: ParamSeries, c: Optional[Scalar]) -> SequenceLevel:
-    lead = leading_data(f, w)
-    n = w.param_index
-    m = w.mult
-    frac = 1 - w.param_exponent
-    if frac * m != n:
-        raise VerificationFailure("level exponent inconsistent with multiplicity")
-    return SequenceLevel(w, c, n, m, lead)
+    return SequenceLevel(w, c, w.param_index, w.mult, leading_data(f, w))
 
 
 class LevelIndexData(NamedTuple):

@@ -17,7 +17,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .algebra import MapPair, Scalar
 from .errors import PreconditionFailed
@@ -35,14 +35,19 @@ class SampleReport(NamedTuple):
     target: Tuple[complex, complex]
 
 
-def _series_value_exact(phi: ParamSeries, t: int, c: Scalar) -> Scalar:
-    """phi(t^mult, c) as an exact scalar; t is a positive integer."""
+def _map_along_window(
+    f: MapPair, phi: ParamSeries, c: Scalar, radius: float
+) -> Tuple[complex, complex]:
+    """The map at x = t^mult, y = phi(x, c), for the integer t >= 2 nearest
+    radius^(1/mult): computed exactly, floated only at the end."""
     m = phi.mult
-    acc = Scalar.of(0)
+    t = Fraction(max(2, round(radius ** (1.0 / m))))
+    yv = Scalar.of(0)
     for k, coeff in phi.steps:
-        acc = acc + coeff * Scalar.of(Fraction(t) ** (m - k))
-    acc = acc + c * Scalar.of(Fraction(t) ** (m - phi.param_index))
-    return acc
+        yv = yv + coeff * Scalar.of(t ** (m - k))
+    yv = yv + c * Scalar.of(t ** (m - phi.param_index))
+    xv = Scalar.of(t ** m)
+    return f.p.evaluate(xv, yv).to_complex(), f.q.evaluate(xv, yv).to_complex()
 
 
 def branch_limit_sample(
@@ -66,11 +71,7 @@ def branch_limit_sample(
         raise PreconditionFailed("radii must increase")
     errors: List[float] = []
     for r in radii:
-        t = max(2, round(r ** (1.0 / phi.mult)))
-        yv = _series_value_exact(phi, t, c)
-        xv = Scalar.of(Fraction(t) ** phi.mult)
-        pv = f.p.evaluate(xv, yv).to_complex()
-        qv = f.q.evaluate(xv, yv).to_complex()
+        pv, qv = _map_along_window(f, phi, c, r)
         err = max(
             abs(pv - target[0]) / max(1.0, abs(target[0])),
             abs(qv - target[1]) / max(1.0, abs(target[1])),
@@ -85,7 +86,6 @@ def branch_limit_sample(
 class ProbeReport(NamedTuple):
     bounded_fraction: float
     clusters: List[Tuple[complex, complex]]
-    consistent: Optional[bool] = None  # callers who know the exact set use _replace
 
 
 def properness_probe(
@@ -125,12 +125,8 @@ def properness_probe(
             bounded += 1
             clusters.append((pv, qv))
     for phi, c in aligned:
-        t = max(2, round(radius ** (1.0 / phi.mult)))
         total += 1
-        yv = _series_value_exact(phi, t, c)
-        xv = Scalar.of(Fraction(t) ** phi.mult)
-        pv = f.p.evaluate(xv, yv).to_complex()
-        qv = f.q.evaluate(xv, yv).to_complex()
+        pv, qv = _map_along_window(f, phi, c, radius)
         if max(abs(pv), abs(qv)) < bound:
             bounded += 1
             clusters.append((pv, qv))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .algebra import BiPoly, ONE, Scalar, UniPoly, ZERO
+from .algebra import BiPoly, ONE, Scalar, UniPoly, ZERO, join_terms
 from .errors import ParseError
 from .puiseux import ConcreteBranch, ParamSeries, series_from_exponents
 
@@ -326,10 +326,7 @@ def format_poly(b: BiPoly) -> str:
         else:
             factors.insert(0, ctxt)
         parts.append("*".join(factors))
-    out = parts[0]
-    for p in parts[1:]:
-        out += p if p.startswith("-") else "+" + p
-    return out
+    return join_terms(parts)
 
 
 def _format_series_term(e: Fraction, c: Scalar) -> str:
@@ -356,23 +353,14 @@ def format_series(phi: ParamSeries) -> str:
         parts.append("s*x")
     else:
         parts.append(f"s*x^{_format_exponent(pe)}")
-    out = parts[0]
-    for p in parts[1:]:
-        out += p if p.startswith("-") else "+" + p
-    return out
+    return join_terms(parts)
 
 
 def format_branch(br: ConcreteBranch) -> str:
-    if not br.terms:
-        body = "0"
-    else:
-        parts = [
-            _format_series_term(e, c)
-            for e, c in sorted(br.exponents(), key=lambda t: -t[0])
-        ]
-        body = parts[0]
-        for p in parts[1:]:
-            body += p if p.startswith("-") else "+" + p
+    body = join_terms([
+        _format_series_term(e, c)
+        for e, c in sorted(br.exponents(), key=lambda t: -t[0])
+    ]) if br.terms else "0"
     if br.truncation_k is not None:
         return f"{body} + O(x^({1 - Fraction(br.truncation_k + 1, br.mult)}))"
     return body

@@ -13,11 +13,12 @@ lead_j * s^j over the j on that envelope.  Distinct j carry distinct powers
 of s, so nothing on the envelope cancels.  The same support points drive the
 Newton polygon steps of the expansion tree and of the curve branches.
 
-Inside this layer an x-exponent is an integer numerator over a denominator
-shared by the whole expansion: the least common denominator of the prefix
-exponents, as a series stores its exponents over its multiplicity.  The
+A concrete prefix, the fixed part of a window or of a curve branch, is a
+``Prefix(mult, steps)`` in lowest terms: mult is the least common
+denominator of its exponents, so a sum has one prefix.  Inside this layer
+an x-exponent is an integer numerator over that denominator; the
 expansion, its support points and the envelope and polygon scans work on
-these integers; a Fraction is built only for an exponent handed out.
+these integers, and a Fraction is built only for an exponent handed out.
 """
 
 from __future__ import annotations
@@ -28,6 +29,24 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import BiPoly, MapPair, ONE, Scalar, UniPoly, ZERO, I
 from .errors import PreconditionFailed
+
+
+class Prefix(NamedTuple):
+    """The concrete sum of coeff * x^(1 - k/mult) over ``steps``.
+
+    ``steps`` holds ascending (k, coeff) pairs, as ``ParamSeries.steps``
+    does.  Build one with ``Prefix.of``, which keeps it in lowest terms.
+    """
+
+    mult: int
+    steps: Tuple[Tuple[int, Scalar], ...]
+
+    @staticmethod
+    def of(mult: int, steps: Sequence[Tuple[int, Scalar]]) -> "Prefix":
+        """The prefix with mult and every k divided by their gcd."""
+        # list comprehensions: generators here raised curve_branches' peak RSS
+        g = math.gcd(mult, *[k for k, _ in steps])
+        return Prefix(mult // g, tuple([(k // g, c) for k, c in steps]))
 
 
 class ParamSeries(NamedTuple):
@@ -57,12 +76,12 @@ class ParamSeries(NamedTuple):
                 return c
         return ZERO
 
-    def fix_param(self, c: Scalar) -> List[Tuple[Fraction, Scalar]]:
+    def fix_param(self, c: Scalar) -> Prefix:
         """Concrete prefix obtained by pinning the parameter to c."""
-        prefix = self.step_exponents()
+        steps = self.steps
         if not c.is_zero():
-            prefix.append((self.param_exponent, c))
-        return prefix
+            steps += ((self.param_index, c),)
+        return Prefix.of(self.mult, steps)
 
     def sort_key(self) -> tuple:
         return (
@@ -128,10 +147,7 @@ def series_from_exponents(
 ) -> ParamSeries:
     """Build a canonical series from exponent/coefficient data."""
     steps = list(steps)
-    denoms = [(1 - e).denominator for e, _ in steps] + [(1 - param_exp).denominator]
-    m = 1
-    for d in denoms:
-        m = m * d // math.gcd(m, d)
+    m = math.lcm(*((1 - e).denominator for e, _ in steps), (1 - param_exp).denominator)
     ks = []
     for e, c in steps:
         k = (1 - e) * m
@@ -178,39 +194,6 @@ class ConcreteBranch(NamedTuple):
         return tuple(
             (1 - Fraction(k, self.mult), c.sort_key()) for k, c in self.terms
         )
-
-    def evaluate_complex(self, xv: complex) -> complex:
-        acc = 0j
-        for e, c in self.exponents():
-            acc += c.to_complex() * xv ** float(e)
-        return acc
-
-
-def branch_from_prefix(
-    prefix: Sequence[Tuple[Fraction, Scalar]], omitted_exp: Optional[Fraction]
-) -> ConcreteBranch:
-    """Normalize an (exponent, coeff) prefix into a ConcreteBranch.
-
-    ``omitted_exp`` is the exponent of the first term NOT computed; the
-    stored truncation index is one step above it, the last known index.
-    """
-    denoms = [(1 - e).denominator for e, _ in prefix]
-    if omitted_exp is not None:
-        denoms.append((1 - omitted_exp).denominator)
-    m = 1
-    for d in denoms:
-        m = m * d // math.gcd(m, d)
-    terms = tuple(sorted((int((1 - e) * m), c) for e, c in prefix if not c.is_zero()))
-    if omitted_exp is None:
-        g = m
-        for k, _ in terms:
-            g = math.gcd(g, k)
-        if g > 1:
-            m //= g
-            terms = tuple((k // g, c) for k, c in terms)
-        return ConcreteBranch(m, terms, None)
-    trunc_k = int((1 - omitted_exp) * m) - 1
-    return ConcreteBranch(m, terms, trunc_k)
 
 
 class LeadingData(NamedTuple):
@@ -310,7 +293,7 @@ def _window_lead(pts: Sequence[SupportPoint], phi: ParamSeries) -> Tuple[UniPoly
 def _window_points(f: BiPoly, phi: ParamSeries) -> List[SupportPoint]:
     if f.is_zero():
         raise PreconditionFailed("cannot expand the zero polynomial")
-    return support_points(prefix_expansion(f, phi.step_exponents()))
+    return support_points(prefix_expansion(f, phi.fix_param(ZERO)))
 
 
 def substitute(f: BiPoly, phi: ParamSeries) -> Tuple[UniPoly, int]:
@@ -362,7 +345,7 @@ def refine(
     new_exp = 1 - Fraction(next_k, next_mult)
     if new_exp >= psi.param_exponent:
         raise PreconditionFailed("refinement must strictly decrease the exponent")
-    m = psi.mult * next_mult // math.gcd(psi.mult, next_mult)
+    m = math.lcm(psi.mult, next_mult)
     scale_old = m // psi.mult
     steps = [(k * scale_old, coeff) for k, coeff in psi.steps]
     if not c.is_zero():
@@ -428,22 +411,19 @@ class Expansion(NamedTuple):
     terms: Dict[int, Dict[int, Scalar]]
 
 
-def prefix_expansion(
-    f: BiPoly, prefix: Sequence[Tuple[Fraction, Scalar]]
-) -> Expansion:
+def prefix_expansion(f: BiPoly, prefix: Prefix) -> Expansion:
     """Exact expansion of f(x, s(x) + z) around a concrete prefix.
 
-    s(x) is the concrete fractional-power sum described by ``prefix``, a
-    list of (x-exponent, coeff) pairs; a repeated exponent keeps its last
-    nonzero coefficient.  The result drives Newton polygon steps: for each
-    z-degree j, ``terms[j]`` lists all surviving x-exponent numerators with
-    exact coefficients.
+    s(x) is the sum the Prefix describes, its term coeff * x^(1 - k/mult)
+    having exponent numerator mult - k over ``den = mult``; a prefix in
+    lowest terms makes den the least common denominator of its exponents.
+    A repeated k keeps its last nonzero coefficient.  The result drives
+    Newton polygon steps: for each z-degree j, ``terms[j]`` lists all
+    surviving x-exponent numerators with exact coefficients.
     """
-    base = {e: c for e, c in prefix if not c.is_zero()}
-    den = 1
-    for e in base:
-        den = den * e.denominator // math.gcd(den, e.denominator)
-    steps = [(e.numerator * (den // e.denominator), c) for e, c in base.items()]
+    den = prefix.mult
+    base = {k: c for k, c in prefix.steps if not c.is_zero()}
+    steps = [(den - k, c) for k, c in base.items()]
 
     # spowers[n] = s(x)^n as {exponent numerator: coeff}
     spowers: List[Dict[int, Scalar]] = [{0: ONE}]

@@ -37,6 +37,7 @@ from .puiseux import (
     ConcreteBranch,
     LeadingData,
     ParamSeries,
+    Prefix,
     ROOT_WINDOW,
     envelope_zeros,
     is_refinement,
@@ -345,24 +346,21 @@ def horizontal_q_prefixes(
     zero and a nonconstant limit, ordered from coarsest down.
 
     The prefix fixed above a candidate slot is piecewise constant between
-    phi's step exponents, so each segment needs one exact expansion; segment
+    phi's step indices, so each segment needs one exact expansion; segment
     endpoints use the strictly-above prefix because the window's parameter
     replaces any step sitting exactly there.
     """
-    boundaries = [Fraction(1)]
-    for e, _ in sorted(phi.step_exponents(), key=lambda t: t[0], reverse=True):
-        if e < 1:
-            boundaries.append(e)
-    boundaries.append(phi.param_exponent)
+    slots = [0] + [k for k, _ in phi.steps if k > 0] + [phi.param_index]
     out: List[Tuple[ParamSeries, LeadingData]] = []
     seen: set = set()
-    for idx in range(len(boundaries) - 1):
-        hi, lo = boundaries[idx], boundaries[idx + 1]
-        prefix_end = [(e, c) for e, c in phi.step_exponents() if e > hi]
-        if hi in envelope_zeros(support_points(prefix_expansion(f.q, prefix_end))):
+    for k_hi, k_lo in zip(slots, slots[1:]):
+        hi = 1 - Fraction(k_hi, phi.mult)
+        lo = 1 - Fraction(k_lo, phi.mult)
+        above = Prefix.of(phi.mult, [(k, c) for k, c in phi.steps if k < k_hi])
+        if hi in envelope_zeros(support_points(prefix_expansion(f.q, above))):
             _collect_window(f, phi, hi, out, seen)
-        prefix_in = [(e, c) for e, c in phi.step_exponents() if e >= hi]
-        for e in envelope_zeros(support_points(prefix_expansion(f.q, prefix_in))):
+        within = Prefix.of(phi.mult, [(k, c) for k, c in phi.steps if k <= k_hi])
+        for e in envelope_zeros(support_points(prefix_expansion(f.q, within))):
             if lo < e < hi:
                 _collect_window(f, phi, e, out, seen)
     out.sort(key=lambda t: -t[0].param_exponent)
@@ -607,57 +605,38 @@ def check_newton_factorization(
     truncated branches the comparison is restricted to monomials whose
     x-exponent exceeds the truncation bound for their y-degree: one factor
     contributes the unknown tail, each remaining factor at most x^1.
+
+    Both sides are compared in (t, y) with x = t^m, m the lcm of the branch
+    multiplicities.  t-exponents can be negative: that is safe because the
+    BiPolys here are only multiplied and read (``*``, ``coeff``, ``terms``).
     """
     d = curve.total_degree
-    lead = curve.coeff(0, d)
-    prod: Dict[Tuple[Fraction, int], Scalar] = {(Fraction(0), 0): lead}
-    tau: Optional[Fraction] = None
+    m = math.lcm(*(br.mult for br in branches))
+    target = BiPoly({(i * m, j): c for (i, j), c in curve.terms.items()})
+    prod = BiPoly.const(curve.coeff(0, d))
+    tau: Optional[int] = None  # truncation exponent, in t-exponent units
     for br in branches:
-        factor: Dict[Tuple[Fraction, int], Scalar] = {(Fraction(0), 1): ONE}
-        for e, c in br.exponents():
-            factor[(e, 0)] = factor.get((e, 0), ZERO) - c
+        s = m // br.mult
+        factor = {(0, 1): ONE}
+        for k, c in br.terms:
+            factor[(m - k * s, 0)] = -c
         if br.truncation_k is not None:
-            t = 1 - Fraction(br.truncation_k, br.mult)
+            t = m - br.truncation_k * s
             tau = t if tau is None else max(tau, t)
-        prod = _poly_mul_frac(prod, factor)
+        prod = prod * BiPoly(factor)
     items = []
-    for (e, s), coeff in sorted(prod.items()):
-        bound = None if tau is None else tau + (d - 1 - s)
-        if bound is not None and e <= bound:
-            continue
-        want = _curve_coeff(curve, e, s)
-        items.append({"monomial": f"x^{e}*y^{s}", "ok": coeff == want})
-    for (i, j), coeff in sorted(curve.terms.items()):
-        e = Fraction(i)
-        bound = None if tau is None else tau + (d - 1 - j)
-        if bound is not None and e <= bound:
-            continue
-        got = prod.get((e, j), ZERO)
-        items.append({"monomial": f"x^{i}*y^{j}", "ok": got == coeff})
-    data = {"exact": tau is None, "truncation_exponent": str(tau) if tau else None}
+    for poly, other in ((prod, target), (target, prod)):
+        for (a, j), coeff in sorted(poly.terms.items()):
+            if tau is not None and a <= tau + (d - 1 - j) * m:
+                continue
+            ok = coeff == other.coeff(a, j)
+            items.append({"monomial": f"x^{Fraction(a, m)}*y^{j}", "ok": ok})
+    exponent = None if tau is None else str(Fraction(tau, m))
+    data = {"exact": tau is None, "truncation_exponent": exponent}
     report = CheckReport.combine("factorization", items, data)
     if not items:
         report.status = "pass" if tau is None else "vacuous"
     return report
-
-
-def _poly_mul_frac(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for (ea, sa), ca in a.items():
-        for (eb, sb), cb in b.items():
-            k = (ea + eb, sa + sb)
-            acc = out.get(k, ZERO) + ca * cb
-            if acc.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = acc
-    return out
-
-
-def _curve_coeff(curve: BiPoly, e: Fraction, s: int) -> Scalar:
-    if e.denominator != 1 or e < 0:
-        return ZERO
-    return curve.coeff(int(e), s)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,14 @@ rationals.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from npvset.algebra import BiPoly, MapPair, Scalar, normalize_monic
 from npvset.parsing import parse_map
+from npvset.puiseux import Prefix
 
 CORPUS_TEXT = {
     "F1": "x+y; y",
@@ -48,3 +52,18 @@ def corpus():
 
 def sc(re=0, im=0) -> Scalar:
     return Scalar.of(re, im)
+
+
+def as_prefix(terms) -> Prefix:
+    """A list of (x-exponent, coeff) pairs as the Prefix of the same sum.
+
+    The sort is stable, so a repeated exponent keeps its order in the list.
+    """
+    terms = sorted(terms, key=lambda ec: -ec[0])
+    m = math.lcm(*((1 - e).denominator for e, _ in terms))
+    return Prefix.of(m, [(int((1 - e) * m), c) for e, c in terms])
+
+
+def as_fractions(prefix: Prefix) -> list:
+    """A Prefix back as the list of (x-exponent, coeff) pairs."""
+    return [(1 - Fraction(k, prefix.mult), c) for k, c in prefix.steps]

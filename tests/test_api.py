@@ -1,5 +1,6 @@
 """The public API is frozen: a change to ``npvset.__all__`` must be deliberate."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -39,3 +40,27 @@ def test_import_loads_no_dataclasses():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def unused_imports(source: str) -> list:
+    """Names a module imports and never reads (``from __future__`` aside)."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(name for name in imported if name not in used)
+
+
+def test_no_unused_imports():
+    # __init__.py imports only to re-export
+    package = Path(npvset.__file__).parent
+    found = {
+        path.name: unused_imports(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {name: names for name, names in found.items() if names} == {}

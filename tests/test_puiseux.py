@@ -18,6 +18,7 @@ from npvset.expansion import Caps, PolygonEdge, expansion_tree, hull_edges, uppe
 from npvset.parsing import parse_map
 from npvset.puiseux import (
     ParamSeries,
+    Prefix,
     ROOT_WINDOW,
     envelope_lead,
     envelope_value,
@@ -31,7 +32,7 @@ from npvset.puiseux import (
     support_points,
 )
 
-from conftest import STRESS_TEXT, sc
+from conftest import STRESS_TEXT, as_fractions, as_prefix, sc
 
 X_PLUS_Y = bipoly({(1, 0): 1, (0, 1): 1})
 XY_PLUS_Y2 = bipoly({(1, 1): 1, (0, 2): 1})
@@ -52,6 +53,16 @@ class TestSeriesConstruction:
     def test_zero_coefficients_dropped(self):
         a = series(1, [(0, sc(0))], 2)
         assert a.steps == ()
+
+    def test_prefix_lowest_terms(self):
+        # x - 3 + s*x^(-3/2): with the parameter pinned to zero the fixed
+        # part x - 3 has denominator 1, and so does its expansion
+        phi = series(2, [(0, sc(1)), (2, sc(-3))], 5)
+        assert phi.fix_param(sc(0)) == Prefix(1, ((0, sc(1)), (1, sc(-3))))
+        assert phi.fix_param(sc(2)) == Prefix(2, ((0, sc(1)), (2, sc(-3)), (5, sc(2))))
+        assert prefix_expansion(X_PLUS_Y, phi.fix_param(sc(0))).den == 1
+        assert Prefix.of(6, [(2, ONE), (4, ONE)]) == Prefix(3, ((1, ONE), (2, ONE)))
+        assert Prefix.of(4, []) == Prefix(1, ())
 
 
 class TestSubstitute:
@@ -161,7 +172,7 @@ class TestExpansionProperties:
     )
     def test_substitution_additive(self, f, g):
         # the expansion around a prefix is linear in the polynomial expanded
-        prefix = MINUS_X_WINDOW.step_exponents()
+        prefix = as_prefix(MINUS_X_WINDOW.step_exponents())
         if f.is_zero() or g.is_zero() or (f + g).is_zero():
             return
         left = prefix_expansion(f + g, prefix)
@@ -298,7 +309,7 @@ def ref_coord_events(pts, e_cur):
 
 def assert_matches_reference(f, prefix, exponents=()):
     """prefix_expansion and the polygon scans agree with the Fraction versions."""
-    got = prefix_expansion(f, prefix)
+    got = prefix_expansion(f, as_prefix(prefix))
     ref = reference_prefix_expansion(f, prefix)
     as_fractions = {
         j: {Fraction(k, got.den): c for k, c in row.items()}
@@ -316,7 +327,7 @@ def assert_matches_reference(f, prefix, exponents=()):
     for e in (*exponents, *(ed.slope for ed in edges)):
         assert envelope_value(pts, e) == ref_envelope_value(rpts, e)
         assert envelope_lead(pts, e) == ref_envelope_lead(rpts, e)
-        events = expansion_mod._coord_events(f, prefix, e)
+        events = expansion_mod._coord_events(f, as_prefix(prefix), e)
         assert events[:3] == ref_coord_events(rpts, e)
 
 
@@ -349,7 +360,7 @@ class TestIntegerExponents:
             (Fraction(-3, 5), sc(-1)),
             (Fraction(1, 2), sc(3)),
         ]
-        assert prefix_expansion(f, prefix).den == 30
+        assert prefix_expansion(f, as_prefix(prefix)).den == 30
         assert_matches_reference(f, prefix, [Fraction(-1, 7), Fraction(2, 3)])
         assert_matches_reference(f, [], [Fraction(1, 2)])
 
@@ -359,7 +370,7 @@ class TestIntegerExponents:
         inner = puiseux_mod.prefix_expansion
 
         def recording(f, prefix):
-            seen.append((f, list(prefix)))
+            seen.append((f, as_fractions(prefix)))
             return inner(f, prefix)
 
         for module in (puiseux_mod, expansion_mod):

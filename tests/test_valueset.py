@@ -19,7 +19,8 @@ from npvset.expansion import (
     curve_branches,
     root_index_data,
 )
-from npvset.puiseux import LeadingData, ROOT_WINDOW, leading_data, series
+from npvset.parsing import parse_poly
+from npvset.puiseux import ConcreteBranch, LeadingData, ROOT_WINDOW, leading_data, series
 from npvset.valueset import (
     check_eq4,
     check_eq9,
@@ -380,6 +381,12 @@ class TestNewtonFactorization:
         f = bipoly({(0, 2): 1, (2, 0): -1, (0, 0): -1})
         rep = check_newton_factorization(f, curve_branches(f, 4), 4)
         assert rep.status == "pass" and not rep.data["exact"]
+
+    def test_zero_truncation_exponent_is_reported(self):
+        # a truncated branch whose truncation exponent is 0
+        branch = ConcreteBranch(1, ((0, sc(1)),), 1)
+        rep = check_newton_factorization(parse_poly("y-x"), [branch], 1)
+        assert rep.data == {"exact": False, "truncation_exponent": "0"}
 
     def test_corpus_components(self):
         for name in ("F2", "F3p", "R2", "R6"):
