@@ -331,7 +331,7 @@ def _expand_curve(
     depth_k: int,
     out: List[ConcreteBranch],
 ) -> None:
-    expansion = prefix_expansion(f, Prefix.of(mult, terms))
+    expansion = prefix_expansion(f, Prefix(mult, terms))  # already lowest terms
     j0 = min(expansion.terms)
     if j0 > 0:
         out.extend([ConcreteBranch(mult, terms, None)] * j0)
@@ -342,7 +342,7 @@ def _expand_curve(
         e = edge.slope
         m_next = math.lcm(mult, (1 - e).denominator)
         k_next = int((1 - e) * m_next)
-        # a list comprehension, as in Prefix.of: a generator raised peak RSS
+        # a list comprehension: a generator here raised peak RSS
         scaled = tuple([(k * (m_next // mult), c) for k, c in terms])
         span = edge.j_hi - edge.j_lo
         if k_next > depth_k:
@@ -353,15 +353,15 @@ def _expand_curve(
         if rest.degree >= 1:
             raise ExtensionRequired(rest, "characteristic polynomial of an edge")
         produced = 0
-        for c, mult in roots:
+        for c, root_mult in roots:
             if c.is_zero():
                 continue  # the edge polynomial never vanishes at zero
             before = len(out)
             _expand_curve(f, m_next, scaled + ((k_next, c),), e, depth_k, out)
             got = len(out) - before
-            if got != mult:
+            if got != root_mult:
                 raise EngineError("edge multiplicity mismatch during expansion")
-            produced += mult
+            produced += root_mult
         if produced != span:
             raise EngineError("edge span not exhausted by its roots")
 

@@ -35,7 +35,7 @@ class Prefix(NamedTuple):
     """The concrete sum of coeff * x^(1 - k/mult) over ``steps``.
 
     ``steps`` holds ascending (k, coeff) pairs, as ``ParamSeries.steps``
-    does.  Build one with ``Prefix.of``, which keeps it in lowest terms.
+    does, in lowest terms; ``Prefix.of`` reduces steps sharing a factor.
     """
 
     mult: int

@@ -28,12 +28,23 @@ from conftest import CORPUS_TEXT, STRESS_TEXT, as_prefix, sc
 
 MAPS = {**CORPUS_TEXT, **STRESS_TEXT}
 
+# A multiple root on one hull edge followed by another edge of the same node,
+# at the root node and (below y = x^(1/2) + ...) at a node with a nonempty
+# prefix, where the earlier steps' indices are rescaled.
+REPEATED_ROOT_CURVES = {
+    "triple_then_sqrt": "(y-1)^3*(y^2-x)",
+    "double_then_linear": "(y-1)^2*(y-x)",
+    "sqrt_then_triple_then_series": "((y-1)^2-x)^3*(y^2-x-1)",
+}
+
 
 def curves():
     for name, text in MAPS.items():
         f = normalize_monic(*parse_map(text))
         yield f"{name}.P", f.p
         yield f"{name}.Q", f.q
+    for name, text in REPEATED_ROOT_CURVES.items():
+        yield name, parse_poly(text)
 
 
 # ---------------------------------------------------------------------------
