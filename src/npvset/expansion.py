@@ -536,33 +536,33 @@ def _expand_node(f: MapPair, node: ExpansionNode, caps: Caps, depth: int) -> Non
 # ---------------------------------------------------------------------------
 
 
-class SequenceLevel:
-    __slots__ = ("series", "c", "n", "m", "lead", "s2_ok", "s3_ok")
-
-    def __init__(
-        self,
-        series: ParamSeries,
-        c: Optional[Scalar],  # coefficient toward the next level; None at the top
-        n: int,
-        m: int,
-        lead: LeadingData,
-        s2_ok: Optional[bool] = None,  # None on the final level
-        s3_ok: Optional[bool] = None,
-    ):
-        self.series = series
-        self.c = c
-        self.n = n
-        self.m = m
-        self.lead = lead
-        self.s2_ok = s2_ok
-        self.s3_ok = s3_ok
+class SequenceLevel(NamedTuple):
+    series: ParamSeries
+    c: Optional[Scalar]  # coefficient pinned toward the next level
+    n: int
+    m: int
+    lead: LeadingData
+    s2_ok: Optional[bool] = None  # c, s2_ok and s3_ok are None on the final level
+    s3_ok: Optional[bool] = None
 
 
 class AssociatedSequence(NamedTuple):
+    """A chain of windows from a coarse series down to a fine one.
+
+    ``p_departures``/``q_departures`` run parallel to the root lists: each is
+    the largest exponent above the final window's parameter slot where the
+    root differs from the window's fixed steps, or None where it agrees with
+    all of them.  A root tracks the level at exponent e exactly when its
+    departure is None or at most e; ``root_index_data`` reads membership
+    from these, so roots given by hand need their departures too.
+    """
+
     levels: List[SequenceLevel]
     # roots of both components, deep enough to match against the final window
     p_roots: Sequence[ConcreteBranch] = ()
     q_roots: Sequence[ConcreteBranch] = ()
+    p_departures: Sequence[Optional[Fraction]] = ()
+    q_departures: Sequence[Optional[Fraction]] = ()
 
     @property
     def K(self) -> int:
@@ -601,6 +601,21 @@ def _branch_departure(
     return None, known >= slot
 
 
+def _departures(
+    roots: Sequence[ConcreteBranch], phi: ParamSeries
+) -> Tuple[Optional[Fraction], ...]:
+    """Each root's departure from phi; a truncated comparison is an error."""
+    out = []
+    for u in roots:
+        d, known = _branch_departure(u, phi)
+        if not known:
+            raise VerificationFailure(
+                "branch truncated before the matching window; increase depth"
+            )
+        out.append(d)
+    return tuple(out)
+
+
 def _branches_for_matching(
     f: MapPair, phi: ParamSeries
 ) -> Tuple[List[ConcreteBranch], List[ConcreteBranch]]:
@@ -626,90 +641,62 @@ def associated_sequence(
     bookkeeping is enforced, and the two polynomial shape conditions are
     recorded per level (they are theorems only under the hypotheses of the
     calling context, so violations are flags, not errors).
+
+    The chain is built top down.  Between two levels phi has no nonzero
+    coefficient, so the lower window's fixed steps are the upper window's
+    with its parameter pinned to c: the support points that decide the upper
+    level's segment condition also give the lower level's leads.
     """
-    ok, c_top, _ = is_refinement(psi, phi)
+    ok, _, _ = is_refinement(psi, phi)
     if not ok:
         raise NotARefinement("second series does not refine the first")
     p_roots, q_roots = _branches_for_matching(f, phi)
-    if psi == phi:
-        lv = _make_level(f, phi, None)
-        return AssociatedSequence([lv], p_roots, q_roots)
-
-    roots = p_roots + q_roots
-    departures = []
-    for u in roots:
-        d, known = _branch_departure(u, phi)
-        if not known:
-            raise VerificationFailure(
-                "branch truncated before the matching window; increase depth"
-            )
-        departures.append((u, d))
+    p_deps = _departures(p_roots, phi)
+    q_deps = _departures(q_roots, phi)
+    departures = p_deps + q_deps
 
     e_top = psi.param_exponent
     e_bot = phi.param_exponent
-    candidate_exps = set()
-    for e, coeff in phi.step_exponents():
-        if e_bot < e < e_top:
-            candidate_exps.add(e)
-    for u, d in departures:
-        if d is not None and e_bot < d < e_top:
-            candidate_exps.add(d)
+    candidates = {e for e, _ in phi.step_exponents() if e_bot < e < e_top}
+    candidates.update(d for d in departures if d is not None and e_bot < d < e_top)
+    # a zero coefficient of phi is a candidate only where a root departs;
+    # a nonzero one needs a root matching the window above it
+    exps = [e_top, *sorted(candidates, reverse=True)]
+    for e in exps[1:]:
+        if not phi.coeff_at(e).is_zero() and all(
+            d is not None and d > e for d in departures
+        ):
+            raise VerificationFailure(
+                "nonzero coefficient level without a tracking root"
+            )
+    if e_bot < e_top:
+        exps.append(e_bot)
 
-    kept: List[Fraction] = []
-    for e in sorted(candidate_exps, reverse=True):
-        c_here = phi.coeff_at(e)
-        if c_here.is_zero():
-            admissible = any(d == e for _, d in departures)
-        else:
-            # window match above e: departure strictly above e disqualifies
-            admissible = any(d is None or d <= e for _, d in departures)
-            if not admissible:
-                raise VerificationFailure(
-                    "nonzero coefficient level without a tracking root"
-                )
-        if admissible:
-            kept.append(e)
+    def window(e: Fraction) -> ParamSeries:
+        return phi if e == e_bot else window_at(phi, e)
 
-    exps = [e_top] + kept + [e_bot]
     levels: List[SequenceLevel] = []
-    for idx, e in enumerate(exps):
-        last = idx == len(exps) - 1
-        w = phi if last else window_at(phi, e)
+    w = window(e_top)
+    lead = leading_data(f, w)
+    for e_next in exps[1:]:
         # the coefficient pinned at this level's slot when descending
-        c = None if last else phi.coeff_at(e)
-        levels.append(_make_level(f, w, c))
-    # structural checks: a polynomial has a nonzero root iff it is neither
-    # constant nor a monomial
-    for idx, lv in enumerate(levels[:-1]):
-        lv.s2_ok = _has_nonzero_root(lv.lead.p_lead) or _has_nonzero_root(
-            lv.lead.q_lead
-        )
-        lv.s3_ok = _segment_is_quiet(
-            f, levels[idx].series, levels[idx].c, exps[idx + 1]
-        )
-    return AssociatedSequence(levels, p_roots, q_roots)
+        c = phi.coeff_at(w.param_exponent)
+        prefix = w.fix_param(c)
+        ev_p = _coord_events(f.p, prefix, w.param_exponent)
+        ev_q = _coord_events(f.q, prefix, w.param_exponent)
+        # a polynomial has a nonzero root iff it is neither constant nor a
+        # monomial; no polygon edge may lie strictly between two levels
+        s2_ok = _has_nonzero_root(lead.p_lead) or _has_nonzero_root(lead.q_lead)
+        s3_ok = not any(e_next < slope for ev in (ev_p, ev_q) for slope in ev.edges)
+        levels.append(SequenceLevel(w, c, w.param_index, w.mult, lead, s2_ok, s3_ok))
+        w = window(e_next)
+        lead = leading_data_from_points(f, w, ev_p.pts, ev_q.pts)
+    levels.append(SequenceLevel(w, None, w.param_index, w.mult, lead))
+    return AssociatedSequence(levels, p_roots, q_roots, p_deps, q_deps)
 
 
 def _has_nonzero_root(p: UniPoly) -> bool:
     return not p.is_constant() and not p.is_monomial()
-
-
-def _segment_is_quiet(
-    f: MapPair, upper: ParamSeries, c: Optional[Scalar], e_next: Fraction
-) -> bool:
-    """No polygon edge of either component strictly between two chain levels."""
-    if c is None:
-        return True
-    prefix = upper.fix_param(c)
-    return not any(
-        e_next < slope
-        for g in (f.p, f.q)
-        for slope in _coord_events(g, prefix, upper.param_exponent).edges
-    )
-
-
-def _make_level(f: MapPair, w: ParamSeries, c: Optional[Scalar]) -> SequenceLevel:
-    return SequenceLevel(w, c, w.param_index, w.mult, leading_data(f, w))
 
 
 class LevelIndexData(NamedTuple):
@@ -734,13 +721,14 @@ def root_index_data(seq: AssociatedSequence, f: MapPair) -> RootIndexData:
     For each level the matching roots of each component are collected with
     their coefficient at the level slot; the leading polynomial must equal
     lead_coeff * (s - c_i)^(count at c_i) * prod (s - other coefficients),
-    which is asserted exactly.  The roots are the ones the sequence was
-    built from.
+    which is asserted exactly.  The roots and their departures are the ones
+    the sequence was built from.
     """
     out = []
     for lv in seq.levels:
-        s_members = _matching_coeffs(seq.p_roots, lv.series)
-        t_members = _matching_coeffs(seq.q_roots, lv.series)
+        e = lv.series.param_exponent
+        s_members = _matching_coeffs(seq.p_roots, seq.p_departures, e)
+        t_members = _matching_coeffs(seq.q_roots, seq.q_departures, e)
         c = lv.c
         s0 = sum(1 for a in s_members if c is not None and a == c)
         t0 = sum(1 for b in t_members if c is not None and b == c)
@@ -754,7 +742,6 @@ def root_index_data(seq: AssociatedSequence, f: MapPair) -> RootIndexData:
         for b in t_members:
             if c is None or b != c:
                 qbar = qbar * UniPoly.make([-b, ONE])
-        ok = True
         rebuilt_p = pbar.scale(a_lead)
         rebuilt_q = qbar.scale(b_lead)
         if c is not None:
@@ -769,19 +756,14 @@ def root_index_data(seq: AssociatedSequence, f: MapPair) -> RootIndexData:
 
 
 def _matching_coeffs(
-    roots: Sequence[ConcreteBranch], w: ParamSeries
+    roots: Sequence[ConcreteBranch],
+    departures: Sequence[Optional[Fraction]],
+    e: Fraction,
 ) -> List[Scalar]:
-    """Slot coefficients of the roots that track the window w."""
-    out = []
-    for u in roots:
-        d, known = _branch_departure(u, w)
-        if not known:
-            raise VerificationFailure("branch truncated inside the window")
-        if d is None:
-            cu = u.coeff_at(w.param_exponent)
-            if cu is None:
-                raise VerificationFailure("branch truncated at the window slot")
-            out.append(cu)
-        elif d == w.param_exponent:
-            out.append(u.coeff_at(d))
+    """Coefficients at x^e of the roots that track the window with slot e."""
+    out = [
+        u.coeff_at(e)
+        for u, d in zip(roots, departures, strict=True)
+        if d is None or d <= e
+    ]
     return sorted(out, key=lambda s: s.sort_key())

@@ -49,6 +49,7 @@ from .puiseux import (
 
 SIGMA = 1         # global sign of the delta identity, fixed on the corpus
 SIGMA_PRIME = 1   # global sign of the horizontal-exponent identity
+BRANCH_DEPTH = 8  # truncation index of the branches the factorization check uses
 
 
 class CheckReport:
@@ -224,37 +225,18 @@ def _power_roots(g: int, target: Scalar) -> Tuple[List[Scalar], UniPoly]:
 # ---------------------------------------------------------------------------
 
 
-class Theorem1Certificate:
-    __slots__ = (
-        "psi", "phi", "hypothesis_met", "M", "d", "e", "N", "D", "C",
-        "conclusion_i_ok", "conclusion_ii_ok",
-    )
-
-    def __init__(
-        self,
-        psi: Optional[ParamSeries],
-        phi: Optional[ParamSeries],
-        hypothesis_met: bool,
-        M: Optional[int] = None,
-        d: Optional[int] = None,
-        e: Optional[int] = None,
-        N: Optional[int] = None,
-        D: Optional[int] = None,
-        C: Optional[Scalar] = None,
-        conclusion_i_ok: Optional[bool] = None,
-        conclusion_ii_ok: Optional[bool] = None,
-    ):
-        self.psi = psi
-        self.phi = phi
-        self.hypothesis_met = hypothesis_met
-        self.M = M
-        self.d = d
-        self.e = e
-        self.N = N
-        self.D = D
-        self.C = C
-        self.conclusion_i_ok = conclusion_i_ok
-        self.conclusion_ii_ok = conclusion_ii_ok
+class Theorem1Certificate(NamedTuple):
+    psi: Optional[ParamSeries]
+    phi: Optional[ParamSeries]
+    hypothesis_met: bool
+    M: Optional[int] = None
+    d: Optional[int] = None
+    e: Optional[int] = None
+    N: Optional[int] = None
+    D: Optional[int] = None
+    C: Optional[Scalar] = None
+    conclusion_i_ok: Optional[bool] = None
+    conclusion_ii_ok: Optional[bool] = None
 
     def counterexample(self) -> bool:
         return self.hypothesis_met and not (
@@ -278,35 +260,35 @@ def theorem1_from_leads(
     """
     a, b = lead_psi.p_exp, lead_psi.q_exp
     hyp = a > 0 and b > 0 and lead_psi.jac_lead.degree == 0
-    cert = Theorem1Certificate(psi, phi, hyp)
     if a <= 0 or b <= 0:
-        return cert
+        return Theorem1Certificate(psi, phi, hyp)
     m_ = math.gcd(a, b)
     d, e = a // m_, b // m_
-    cert.M, cert.d, cert.e = m_, d, e
     dp, dq = lead_psi.p_lead.degree, lead_psi.q_lead.degree
-    cert.conclusion_i_ok = (
+    conclusion_i_ok = (
         dp > 0 and dq > 0 and dp % d == 0 and dq % e == 0 and dp // d == dq // e
     )
-    if cert.conclusion_i_ok:
-        cert.N = dp // d
+    big_n = dp // d if conclusion_i_ok else None
     exps_zero = lead_phi.p_exp == 0 and lead_phi.q_exp == 0
     dpk, dqk = lead_phi.p_lead.degree, lead_phi.q_lead.degree
     degs_ok = (
         dpk > 0 and dqk > 0 and dpk % d == 0 and dqk % e == 0 and dpk // d == dqk // e
     )
+    big_d = big_c = None
     coeff_ok = False
     if degs_ok:
-        cert.D = dpk // d
+        big_d = dpk // d
         ru = lead_phi.p_lead.lcoeff() / lead_psi.p_lead.lcoeff()
         rv = lead_phi.q_lead.lcoeff() / lead_psi.q_lead.lcoeff()
         x, y = _bezout(d, e)
         c_val = (ru ** x) * (rv ** y)
         coeff_ok = (c_val ** d == ru) and (c_val ** e == rv)
         if coeff_ok:
-            cert.C = c_val
-    cert.conclusion_ii_ok = exps_zero and degs_ok and coeff_ok
-    return cert
+            big_c = c_val
+    return Theorem1Certificate(
+        psi, phi, hyp, m_, d, e, big_n, big_d, big_c,
+        conclusion_i_ok, exps_zero and degs_ok and coeff_ok,
+    )
 
 
 def verify_theorem1(
@@ -597,7 +579,7 @@ def check_eq4(components: Sequence[ValueSetComponent], f: MapPair) -> CheckRepor
 
 
 def check_newton_factorization(
-    curve: BiPoly, branches: Sequence[ConcreteBranch], depth_k: int
+    curve: BiPoly, branches: Sequence[ConcreteBranch]
 ) -> CheckReport:
     """Reconstruct the curve as lead * product of (y - branch) and compare.
 
@@ -654,7 +636,7 @@ class VerificationRun(NamedTuple):
 
 
 def run_all_checks(
-    f: MapPair, caps: Caps = Caps(), what: str = "all", branch_depth: int = 8
+    f: MapPair, caps: Caps = Caps(), what: str = "all"
 ) -> VerificationRun:
     """Run the requested checkers over a map's expansion tree and chains.
 
@@ -774,12 +756,12 @@ def run_all_checks(
             items = []
             for label, g in (("first", f.p), ("second", f.q)):
                 try:
-                    brs = curve_branches(g, branch_depth)
+                    brs = curve_branches(g, BRANCH_DEPTH)
                 except ExtensionRequired as exc:
                     items.append({"component": label, "ok": True,
                                   "skipped": str(exc)})
                     continue
-                rep = check_newton_factorization(g, brs, branch_depth)
+                rep = check_newton_factorization(g, brs)
                 items.append({"component": label, "ok": rep.status != "fail"})
             checks.append(CheckReport.combine("factorization", items))
     return VerificationRun(

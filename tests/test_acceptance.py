@@ -137,7 +137,7 @@ def test_criterion_5_newton_factorization():
     ok = True
     for entries in ({(0, 2): 1, (1, 0): -1}, {(0, 2): 1, (1, 1): 1}):
         f = bipoly(entries)
-        rep = check_newton_factorization(f, curve_branches(f, 8), 8)
+        rep = check_newton_factorization(f, curve_branches(f, 8))
         ok = ok and rep.status == "pass" and rep.data["exact"]
     hyper = bipoly({(0, 2): 1, (2, 0): -1, (0, 0): -1})
     branches = curve_branches(hyper, 4)
@@ -150,7 +150,7 @@ def test_criterion_5_newton_factorization():
         sign = b.terms[0][1].re
         got = {1 - k: c.re for k, c in b.terms}
         ok = ok and got == {e: sign * v for e, v in oracle.items()}
-    rep = check_newton_factorization(hyper, branches, 4)
+    rep = check_newton_factorization(hyper, branches)
     ok = ok and rep.status == "pass"
     _verdict(5, "newton factorization", ok)
 

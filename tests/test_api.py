@@ -64,3 +64,39 @@ def test_no_unused_imports():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def private_definitions_never_read(sources: dict) -> list:
+    """Module-level functions and classes named ``_...`` that no module reads.
+
+    A read is a loaded name or an attribute of that name anywhere in the
+    given sources; the definition itself is not one.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, defs)
+        and node.name.startswith("_")
+        and node.name not in read
+    )
+
+
+def test_no_unread_private_helpers():
+    package = Path(npvset.__file__).parent
+    sources = {
+        path.name: path.read_text(encoding="utf-8")
+        for path in sorted(package.glob("*.py"))
+    }
+    assert private_definitions_never_read(sources) == []
+    # the guard only means something if it sees the helpers
+    assert private_definitions_never_read({"m.py": "def _f(): pass"}) == ["m.py:_f"]

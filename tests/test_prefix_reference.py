@@ -278,7 +278,7 @@ def ref_curve_coeff(curve, e, s):
 
 
 def assert_factorization_matches(curve, branches):
-    rep = check_newton_factorization(curve, branches, 0)
+    rep = check_newton_factorization(curve, branches)
     assert (rep.status, rep.data, rep.items) == ref_check_newton_factorization(
         curve, branches
     )

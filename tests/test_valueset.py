@@ -19,7 +19,7 @@ from npvset.expansion import (
     curve_branches,
     root_index_data,
 )
-from npvset.parsing import parse_poly
+from npvset.parsing import parse_map, parse_poly
 from npvset.puiseux import ConcreteBranch, LeadingData, ROOT_WINDOW, leading_data, series
 from npvset.valueset import (
     check_eq4,
@@ -39,9 +39,10 @@ from npvset.valueset import (
 )
 
 import npvset.expansion as expansion_mod
+import npvset.puiseux as puiseux_mod
 import npvset.valueset as valueset_mod
 
-from conftest import CORPUS_TEXT, corpus_map, sc
+from conftest import CORPUS_TEXT, STRESS_TEXT, corpus_map, sc
 
 
 def up(*coeffs):
@@ -369,30 +370,30 @@ class TestEq4:
 class TestNewtonFactorization:
     def test_exact_square_root_curve(self):
         f = bipoly({(0, 2): 1, (1, 0): -1})
-        rep = check_newton_factorization(f, curve_branches(f, 8), 8)
+        rep = check_newton_factorization(f, curve_branches(f, 8))
         assert rep.status == "pass" and rep.data["exact"]
 
     def test_exact_factorable_curve(self):
         f = bipoly({(0, 2): 1, (1, 1): 1})
-        rep = check_newton_factorization(f, curve_branches(f, 8), 8)
+        rep = check_newton_factorization(f, curve_branches(f, 8))
         assert rep.status == "pass" and rep.data["exact"]
 
     def test_truncated_hyperbola(self):
         f = bipoly({(0, 2): 1, (2, 0): -1, (0, 0): -1})
-        rep = check_newton_factorization(f, curve_branches(f, 4), 4)
+        rep = check_newton_factorization(f, curve_branches(f, 4))
         assert rep.status == "pass" and not rep.data["exact"]
 
     def test_zero_truncation_exponent_is_reported(self):
         # a truncated branch whose truncation exponent is 0
         branch = ConcreteBranch(1, ((0, sc(1)),), 1)
-        rep = check_newton_factorization(parse_poly("y-x"), [branch], 1)
+        rep = check_newton_factorization(parse_poly("y-x"), [branch])
         assert rep.data == {"exact": False, "truncation_exponent": "0"}
 
     def test_corpus_components(self):
         for name in ("F2", "F3p", "R2", "R6"):
             f = corpus_map(name)
             for g in (f.p, f.q):
-                rep = check_newton_factorization(g, curve_branches(g, 8), 8)
+                rep = check_newton_factorization(g, curve_branches(g, 8))
                 assert rep.status in ("pass", "vacuous"), name
 
 
@@ -442,3 +443,55 @@ class TestSharedWork:
         # one call per component per chain, plus one per component for the
         # factorization check
         assert calls["curve_branches"] == 2 * chains + 2
+
+    def test_chains_compare_and_expand_once(self, monkeypatch):
+        # every root is compared with its chain's final window once, and a
+        # level costs three expansions outside the branch search: P and Q
+        # (at the top, or pinned below the upper level) and the Jacobian
+        inside = {"chain": 0, "branches": 0}
+        counts = {"departures": 0, "expansions": 0}
+        seqs = []
+
+        def nested(module, name, key):
+            inner = getattr(module, name)
+
+            def wrapper(*args):
+                inside[key] += 1
+                try:
+                    return inner(*args)
+                finally:
+                    inside[key] -= 1
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        def counted(module, name, key, when=lambda: True):
+            inner = getattr(module, name)
+
+            def wrapper(*args):
+                counts[key] += when()
+                return inner(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        inner_seq = valueset_mod.associated_sequence
+
+        def recording(*args):
+            seqs.append(inner_seq(*args))
+            return seqs[-1]
+
+        monkeypatch.setattr(valueset_mod, "associated_sequence", recording)
+        nested(valueset_mod, "associated_sequence", "chain")
+        nested(expansion_mod, "curve_branches", "branches")
+        counted(expansion_mod, "_branch_departure", "departures")
+
+        def in_chain_only():
+            return inside["chain"] > 0 and not inside["branches"]
+
+        for module in (puiseux_mod, expansion_mod):
+            counted(module, "prefix_expansion", "expansions", in_chain_only)
+        for text in {**CORPUS_TEXT, **STRESS_TEXT}.values():
+            run_all_checks(normalize_monic(*parse_map(text)))
+        levels = sum(len(seq.levels) for seq in seqs)
+        roots = sum(len(seq.p_roots) + len(seq.q_roots) for seq in seqs)
+        assert (len(seqs), levels, roots) == (5, 11, 16)
+        assert counts == {"departures": roots, "expansions": 3 * levels}
