@@ -682,15 +682,16 @@ def associated_sequence(
         # the coefficient pinned at this level's slot when descending
         c = phi.coeff_at(w.param_exponent)
         prefix = w.fix_param(c)
-        ev_p = _coord_events(f.p, prefix, w.param_exponent)
-        ev_q = _coord_events(f.q, prefix, w.param_exponent)
+        p_pts = support_points(prefix_expansion(f.p, prefix))
+        q_pts = support_points(prefix_expansion(f.q, prefix))
         # a polynomial has a nonzero root iff it is neither constant nor a
         # monomial; no polygon edge may lie strictly between two levels
         s2_ok = _has_nonzero_root(lead.p_lead) or _has_nonzero_root(lead.q_lead)
-        s3_ok = not any(e_next < slope for ev in (ev_p, ev_q) for slope in ev.edges)
+        edges = hull_edges(p_pts) + hull_edges(q_pts)
+        s3_ok = not any(e_next < ed.slope < w.param_exponent for ed in edges)
         levels.append(SequenceLevel(w, c, w.param_index, w.mult, lead, s2_ok, s3_ok))
         w = window(e_next)
-        lead = leading_data_from_points(f, w, ev_p.pts, ev_q.pts)
+        lead = leading_data_from_points(f, w, p_pts, q_pts)
     levels.append(SequenceLevel(w, None, w.param_index, w.mult, lead))
     return AssociatedSequence(levels, p_roots, q_roots, p_deps, q_deps)
 
@@ -715,7 +716,7 @@ class RootIndexData(NamedTuple):
     levels: List[LevelIndexData]
 
 
-def root_index_data(seq: AssociatedSequence, f: MapPair) -> RootIndexData:
+def root_index_data(seq: AssociatedSequence) -> RootIndexData:
     """Branch membership per chain level plus the exact factorization check.
 
     For each level the matching roots of each component are collected with

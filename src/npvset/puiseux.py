@@ -19,6 +19,8 @@ denominator of its exponents, so a sum has one prefix.  Inside this layer
 an x-exponent is an integer numerator over that denominator; the
 expansion, its support points and the envelope and polygon scans work on
 these integers, and a Fraction is built only for an exponent handed out.
+The expansion sums its coefficients as Gaussian integers over one
+denominator per z-degree and normalizes each to a Scalar once.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import BiPoly, MapPair, ONE, Scalar, UniPoly, ZERO, I
+from .algebra import BiPoly, MapPair, ONE, Scalar, UniPoly, ZERO, I, _reduced
 from .errors import PreconditionFailed
 
 
@@ -404,7 +406,9 @@ class Expansion(NamedTuple):
 
     x-exponents are integer numerators over ``den``, the least common
     denominator of the prefix exponents; only nonzero coefficients are kept
-    and only z-degrees with at least one of them.
+    and only z-degrees with at least one of them.  ``prefix_expansion``
+    sums row j as Gaussian integers over the one denominator F * D^(N - j)
+    and normalizes each kept coefficient once.
     """
 
     den: int
@@ -420,42 +424,48 @@ def prefix_expansion(f: BiPoly, prefix: Prefix) -> Expansion:
     A repeated k keeps its last nonzero coefficient.  The result drives
     Newton polygon steps: for each z-degree j, ``terms[j]`` lists all
     surviving x-exponent numerators with exact coefficients.
+
+    The sums run over the Gaussian integers: with s = S/D and F clearing
+    f's denominators, c * x^dx * y^dy adds (F*c) * C(dy, j) * S^(dy-j) *
+    D^(N-dy) to row j (N = deg_y f), which stands over F * D^(N-j); each
+    surviving entry is normalized once.
     """
     den = prefix.mult
     base = {k: c for k, c in prefix.steps if not c.is_zero()}
-    steps = [(den - k, c) for k, c in base.items()]
-
-    # spowers[n] = s(x)^n as {exponent numerator: coeff}
-    spowers: List[Dict[int, Scalar]] = [{0: ONE}]
-    for _ in range(f.deg_y):
-        nxt: Dict[int, Scalar] = {}
-        for ka, ca in spowers[-1].items():
-            for kb, cb in steps:
-                _accumulate(nxt, ka + kb, ca * cb)
+    sd = math.lcm(*[c.d for c in base.values()])
+    steps = [(den - k, c.a * (sd // c.d), c.b * (sd // c.d)) for k, c in base.items()]
+    top = f.deg_y
+    # spowers[n] = S(x)^n as {exponent numerator: (re, im)}
+    spowers: List[Dict[int, Tuple[int, int]]] = [{0: (1, 0)}]
+    for _ in range(top):
+        nxt: Dict[int, Tuple[int, int]] = {}
+        for ka, (ar, ai) in spowers[-1].items():
+            for kb, br, bi in steps:
+                k = ka + kb
+                re, im = ar * br - ai * bi, ar * bi + ai * br
+                acc = nxt.get(k)
+                nxt[k] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
         spowers.append(nxt)
 
-    out: Dict[int, Dict[int, Scalar]] = {}
+    fd = math.lcm(*[c.d for c in f.terms.values()])
+    rows: List[Dict[int, Tuple[int, int]]] = [{} for _ in range(top + 1)]
     for (dx, dy), c in f.terms.items():
         shift = dx * den
+        scale = (fd // c.d) * sd ** (top - dy)
+        cr, ci = c.a * scale, c.b * scale
         for j in range(dy + 1):
-            power = spowers[dy - j]
-            if not power:
-                continue
-            cb = c * Scalar.of(math.comb(dy, j))
-            slot = out.setdefault(j, {})
-            for k, sc in power.items():
-                _accumulate(slot, k + shift, cb * sc)
-    return Expansion(den, {j: row for j, row in out.items() if row})
+            b = math.comb(dy, j)
+            br, bi, row = cr * b, ci * b, rows[j]
+            for k, (sr, si) in spowers[dy - j].items():
+                k += shift
+                re, im = br * sr - bi * si, br * si + bi * sr
+                acc = row.get(k)
+                row[k] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
 
-
-def _accumulate(row: Dict[int, Scalar], k: int, coeff: Scalar) -> None:
-    """Add a nonzero coeff into row[k], dropping the entry if it cancels."""
-    acc = row.get(k)
-    if acc is None:
-        row[k] = coeff
-        return
-    acc = acc + coeff
-    if acc.is_zero():
-        del row[k]
-    else:
-        row[k] = acc
+    terms: Dict[int, Dict[int, Scalar]] = {}
+    for j, row in enumerate(rows):
+        d = fd * sd ** (top - j)
+        kept = {k: _reduced(re, im, d) for k, (re, im) in row.items() if re or im}
+        if kept:
+            terms[j] = kept
+    return Expansion(den, terms)

@@ -660,7 +660,7 @@ def run_all_checks(
         except ExtensionRequired as exc:
             chain_skips.append({"series": repr(s), "reason": str(exc)})
             continue
-        chains.append((s, seq, root_index_data(seq, f)))
+        chains.append((s, seq, root_index_data(seq)))
 
     checks: List[CheckReport] = []
     for name in wanted:

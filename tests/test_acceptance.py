@@ -88,7 +88,7 @@ def test_criterion_3_lemma2_recurrences():
     for name in ("F2", "F3p"):
         f = corpus_map(name)
         seq = associated_sequence(ROOT_WINDOW, phi, f)
-        data = root_index_data(seq, f)
+        data = root_index_data(seq)
         rep = check_lemma2(seq, data)
         ok = ok and rep.status == "pass"
         if name == "F2":

@@ -201,7 +201,7 @@ def chain_outcome(build, index, psi, phi, f):
     """Levels, roots and index data of one chain, or the exception raised."""
     try:
         seq = build(psi, phi, f)
-        data = index(seq, f)
+        data = index(seq)
     except Exception as exc:  # compared by type and message
         return ("raised", type(exc), str(exc))
     levels = [
@@ -233,7 +233,11 @@ def test_chain_matches_reference_on_every_tree_pair():
         for psi, phi in tree_pairs(f):
             got = chain_outcome(associated_sequence, root_index_data, psi, phi, f)
             want = chain_outcome(
-                ref_associated_sequence, ref_root_index_data, psi, phi, f
+                ref_associated_sequence,
+                lambda seq: ref_root_index_data(seq, f),
+                psi,
+                phi,
+                f,
             )
             assert got == want, (name, psi, phi)
             total += 1
@@ -286,7 +290,11 @@ def test_hand_built_chains_match_reference(monkeypatch, phi, p_roots, message):
     f = normalize_monic(*parse_map(CORPUS_TEXT["F2"]))
     got = chain_outcome(associated_sequence, root_index_data, ROOT_WINDOW, phi, f)
     want = chain_outcome(
-        ref_associated_sequence, ref_root_index_data, ROOT_WINDOW, phi, f
+        ref_associated_sequence,
+        lambda seq: ref_root_index_data(seq, f),
+        ROOT_WINDOW,
+        phi,
+        f,
     )
     assert got == want
     if message is None:

@@ -233,7 +233,7 @@ class TestRootIndexData:
         f = corpus_map("F2")
         phi = series(1, [(0, sc(-1))], 2)
         seq = associated_sequence(ROOT_WINDOW, phi, f)
-        data = root_index_data(seq, f)
+        data = root_index_data(seq)
         lv0, lv1 = data.levels
         assert lv0.s_members == [sc(-1)] and lv0.s0_count == 1
         assert lv0.t_members == [sc(-1), sc(0)] and lv0.t0_count == 1
@@ -246,7 +246,7 @@ class TestRootIndexData:
         f = corpus_map("F3p")
         phi = series(1, [(0, sc(-1))], 2)
         seq = associated_sequence(ROOT_WINDOW, phi, f)
-        data = root_index_data(seq, f)
+        data = root_index_data(seq)
         for lv, d in zip(seq.levels, data.levels):
             assert lv.lead.p_lead.degree == len(d.s_members)
             assert lv.lead.q_lead.degree == len(d.t_members)

@@ -32,7 +32,7 @@ from npvset.puiseux import (
     support_points,
 )
 
-from conftest import STRESS_TEXT, as_fractions, as_prefix, sc
+from conftest import M9_TEXT, STRESS_TEXT, as_fractions, as_prefix, sc
 
 X_PLUS_Y = bipoly({(1, 0): 1, (0, 1): 1})
 XY_PLUS_Y2 = bipoly({(1, 1): 1, (0, 2): 1})
@@ -333,6 +333,30 @@ def assert_matches_reference(f, prefix, exponents=()):
 
 SCALARS = st.builds(lambda a, b: sc(a, b), st.integers(-3, 3), st.integers(-1, 1))
 EXPONENTS = st.builds(Fraction, st.integers(-6, 3), st.sampled_from([1, 2, 3, 5]))
+RATIONAL_SCALARS = st.builds(
+    lambda a, b, d: sc(Fraction(a, d), Fraction(b, d)),
+    st.integers(-3, 3),
+    st.integers(-2, 2),
+    st.integers(1, 6),
+)
+TREE_MAPS = {**STRESS_TEXT, "M9": M9_TEXT}
+
+
+def tree_expansions(monkeypatch, name):
+    """Every (curve, prefix) pair the expansion tree of a stress map expands."""
+    seen = []
+    inner = puiseux_mod.prefix_expansion
+
+    def recording(f, prefix):
+        seen.append((f, prefix))
+        return inner(f, prefix)
+
+    for module in (puiseux_mod, expansion_mod):
+        monkeypatch.setattr(module, "prefix_expansion", recording)
+    expansion_tree(normalize_monic(*parse_map(TREE_MAPS[name])), Caps())
+    monkeypatch.undo()
+    assert seen
+    return seen
 
 
 class TestIntegerExponents:
@@ -364,19 +388,45 @@ class TestIntegerExponents:
         assert_matches_reference(f, prefix, [Fraction(-1, 7), Fraction(2, 3)])
         assert_matches_reference(f, [], [Fraction(1, 2)])
 
-    @pytest.mark.parametrize("name", ["M4", "M6", "M8"])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            RATIONAL_SCALARS,
+            max_size=6,
+        ).map(bipoly),
+        st.lists(st.tuples(EXPONENTS, RATIONAL_SCALARS), max_size=4),
+    )
+    def test_rational_coefficients(self, f, prefix):
+        # denominators 1-6 in f and in the prefix: every row stands over
+        # its own F * D^(N - j) before normalization
+        assert_matches_reference(f, prefix, [Fraction(0), Fraction(-1, 2)])
+
+    @pytest.mark.parametrize("name", ["M4", "M6", "M8", "M9"])
     def test_every_tree_expansion(self, monkeypatch, name):
-        seen = []
-        inner = puiseux_mod.prefix_expansion
+        for f, prefix in tree_expansions(monkeypatch, name):
+            assert_matches_reference(
+                f, as_fractions(prefix), [Fraction(0), Fraction(-1, 2)]
+            )
 
-        def recording(f, prefix):
-            seen.append((f, as_fractions(prefix)))
-            return inner(f, prefix)
+    def test_no_scalar_arithmetic(self, monkeypatch):
+        # the sums run over Gaussian integers; Scalars are built only at the end
+        p = normalize_monic(*parse_map(M9_TEXT)).p
+        prefix = max(
+            (pre for f, pre in tree_expansions(monkeypatch, "M9") if f == p),
+            key=lambda pre: len(pre.steps),
+        )
+        assert prefix.steps
+        calls = []
+        for name in ("__add__", "__sub__", "__mul__"):
+            inner = getattr(Scalar, name)
 
-        for module in (puiseux_mod, expansion_mod):
-            monkeypatch.setattr(module, "prefix_expansion", recording)
-        expansion_tree(normalize_monic(*parse_map(STRESS_TEXT[name])), Caps())
+            def counting(a, b, inner=inner, name=name):
+                calls.append(name)
+                return inner(a, b)
+
+            monkeypatch.setattr(Scalar, name, counting)
+        expansion = prefix_expansion(p, prefix)
         monkeypatch.undo()
-        assert seen
-        for f, prefix in seen:
-            assert_matches_reference(f, prefix, [Fraction(0), Fraction(-1, 2)])
+        assert expansion.terms
+        assert calls == []

@@ -171,14 +171,14 @@ class TestLemma2:
     def test_f2_chain(self):
         f = corpus_map("F2")
         seq = associated_sequence(ROOT_WINDOW, F2_PHI, f)
-        rep = check_lemma2(seq, root_index_data(seq, f))
+        rep = check_lemma2(seq, root_index_data(seq))
         assert rep.status == "pass"
         assert all(it["ok"] for it in rep.items)
 
     def test_f3p_chain(self):
         f = corpus_map("F3p")
         seq = associated_sequence(ROOT_WINDOW, F2_PHI, f)
-        rep = check_lemma2(seq, root_index_data(seq, f))
+        rep = check_lemma2(seq, root_index_data(seq))
         assert rep.status == "pass"
 
     def test_hand_exponent_instance(self):
@@ -186,7 +186,7 @@ class TestLemma2:
         # 1 + 1*(0 - 2) = -1
         f = corpus_map("F2")
         seq = associated_sequence(ROOT_WINDOW, F2_PHI, f)
-        data = root_index_data(seq, f)
+        data = root_index_data(seq)
         assert seq.levels[0].lead.p_exp == 1
         assert data.levels[0].s0_count == 1
         assert seq.levels[1].lead.p_exp == -1
@@ -194,7 +194,7 @@ class TestLemma2:
     def test_trivial_chain_vacuous(self):
         f = corpus_map("F2")
         seq = associated_sequence(F2_PHI, F2_PHI, f)
-        rep = check_lemma2(seq, root_index_data(seq, f))
+        rep = check_lemma2(seq, root_index_data(seq))
         assert rep.status == "vacuous"
 
 
@@ -305,7 +305,7 @@ class TestLemma4:
                     and top.jac_lead.degree == 0
                 ):
                     continue
-                rep = check_lemma4(seq, root_index_data(seq, f))
+                rep = check_lemma4(seq, root_index_data(seq))
                 assert rep.status != "fail", name
 
 
