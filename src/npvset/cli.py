@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 1 verification counterexample, 2 input error, 3
 unresolved: cap exhaustion left open leaves or a root lies outside Q(i)
-(results are then lower bounds).  JSON output is canonical: sorted keys,
-exact scalars as strings, stable ordering everywhere, so identical
-configurations produce byte-identical reports.
+(results are then lower bounds), 4 internal failure: a structural
+condition could not be established or an engine invariant broke.  JSON
+output is canonical: sorted keys, exact scalars as strings, stable
+ordering everywhere, so identical configurations produce byte-identical
+reports.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_INPUT = 2
 EXIT_UNRESOLVED = 3
+EXIT_INTERNAL = 4
 
 VERIFY_CHOICES = [
     "theorem1",
@@ -451,9 +454,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INPUT
     try:
         code, report = run(config)
-    except EngineError as exc:
+    except PreconditionFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except EngineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if config.fmt == "json":
+            print(render(_error_report(config, str(exc)), "json"))
+        return EXIT_INTERNAL
     print(render(report, config.fmt))
     return code
 

@@ -50,12 +50,10 @@ from .puiseux import (
     SupportPoint,
     envelope_value,
     envelope_zeros,
+    expansion_points,
     is_refinement,
     leading_data,
-    leading_data_from_points,
-    prefix_expansion,
     refine_to_exponent,
-    support_points,
     window_at,
 )
 
@@ -331,11 +329,10 @@ def _expand_curve(
     depth_k: int,
     out: List[ConcreteBranch],
 ) -> None:
-    expansion = prefix_expansion(f, Prefix(mult, terms))  # already lowest terms
-    j0 = min(expansion.terms)
+    pts = expansion_points(f, Prefix(mult, terms))  # already lowest terms
+    j0 = pts[0].j
     if j0 > 0:
         out.extend([ConcreteBranch(mult, terms, None)] * j0)
-    pts = support_points(expansion)
     for edge in hull_edges(pts):
         if bound is not None and edge.slope >= bound:
             continue
@@ -427,8 +424,7 @@ class CoordEvents(NamedTuple):
 
 
 def _coord_events(g: BiPoly, prefix: Prefix, e_cur: Fraction) -> CoordEvents:
-    expansion = prefix_expansion(g, prefix)
-    pts = tuple(support_points(expansion))
+    pts = expansion_points(g, prefix)
     edges = tuple(ed.slope for ed in hull_edges(pts) if ed.slope < e_cur)
     zero = next((e for e in envelope_zeros(pts) if e < e_cur), None)
     frozen = False
@@ -445,16 +441,16 @@ def _coord_events(g: BiPoly, prefix: Prefix, e_cur: Fraction) -> CoordEvents:
 
 def next_event_exponent(
     f: MapPair, parent: ParamSeries, c: Scalar
-) -> Tuple[Optional[Fraction], CoordEvents, CoordEvents]:
+) -> Optional[Fraction]:
     """Largest exponent below the parent slot where the leading data of either
     component changes shape (polygon edge) or its exponent crosses zero.
 
     Directions that can never reach a window with both exponents at most
     zero are cut: a component frozen at a positive exponent blocks every
     descendant, and once both exponents have gone negative nothing can fire
-    again (leading exponents only decrease under refinement).  Both
-    components' events come back with the exponent: their support points
-    are the expansions around the fixed steps of any child in this direction.
+    again (leading exponents only decrease under refinement).  The support
+    points read here are those of any child in this direction: its fixed
+    steps are the parent's with the parameter pinned to c.
     """
     prefix = parent.fix_param(c)
     e_cur = parent.param_exponent
@@ -469,7 +465,7 @@ def next_event_exponent(
         (e for e in cands if max(envelope_value(ev.pts, e) for ev in live) >= 0),
         default=None,
     )
-    return e_next, ev_p, ev_q
+    return e_next
 
 
 def expansion_tree(f: MapPair, caps: Caps = Caps()) -> ExpansionNode:
@@ -507,13 +503,12 @@ def _expand_node(f: MapPair, node: ExpansionNode, caps: Caps, depth: int) -> Non
     cands.sort(key=lambda s: s.sort_key())
     children = []
     for c in cands:
-        e_next, ev_p, ev_q = next_event_exponent(f, node.series, c)
+        e_next = next_event_exponent(f, node.series, c)
         synthetic = e_next is None
         if synthetic:
             e_next = node.series.param_exponent - 1
         child_series = refine_to_exponent(node.series, c, e_next)
-        # the child's fixed steps are the prefix just expanded for P and Q
-        child_lead = leading_data_from_points(f, child_series, ev_p.pts, ev_q.pts)
+        child_lead = leading_data(f, child_series)
         child = ExpansionNode(child_series, child_lead, c, STATUS_OPEN)
         n_index = child_series.param_index
         if child_series.mult > caps.max_mult or n_index > caps.max_k:
@@ -682,8 +677,8 @@ def associated_sequence(
         # the coefficient pinned at this level's slot when descending
         c = phi.coeff_at(w.param_exponent)
         prefix = w.fix_param(c)
-        p_pts = support_points(prefix_expansion(f.p, prefix))
-        q_pts = support_points(prefix_expansion(f.q, prefix))
+        p_pts = expansion_points(f.p, prefix)
+        q_pts = expansion_points(f.q, prefix)
         # a polynomial has a nonzero root iff it is neither constant nor a
         # monomial; no polygon edge may lie strictly between two levels
         s2_ok = _has_nonzero_root(lead.p_lead) or _has_nonzero_root(lead.q_lead)
@@ -691,7 +686,7 @@ def associated_sequence(
         s3_ok = not any(e_next < ed.slope < w.param_exponent for ed in edges)
         levels.append(SequenceLevel(w, c, w.param_index, w.mult, lead, s2_ok, s3_ok))
         w = window(e_next)
-        lead = leading_data_from_points(f, w, p_pts, q_pts)
+        lead = leading_data(f, w)
     levels.append(SequenceLevel(w, None, w.param_index, w.mult, lead))
     return AssociatedSequence(levels, p_roots, q_roots, p_deps, q_deps)
 

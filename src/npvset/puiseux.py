@@ -20,7 +20,10 @@ an x-exponent is an integer numerator over that denominator; the
 expansion, its support points and the envelope and polygon scans work on
 these integers, and a Fraction is built only for an exponent handed out.
 The expansion sums its coefficients as Gaussian integers over one
-denominator per z-degree and normalizes each to a Scalar once.
+denominator per z-degree and normalizes each to a Scalar once.  Package
+code reads it only through ``expansion_points``, which tables the support
+points on the curve: each run parses a fresh map, so a (curve, prefix)
+pair is expanded once per run and no entry outlives the run.
 """
 
 from __future__ import annotations
@@ -233,6 +236,18 @@ class SupportPoint(NamedTuple):
     den: int
 
 
+def expansion_points(f: BiPoly, prefix: Prefix) -> Tuple[SupportPoint, ...]:
+    """Support points of f around prefix, tabled on f for as long as it lives."""
+    try:
+        table = f.points
+    except AttributeError:
+        table = f.points = {}
+    pts = table.get(prefix)
+    if pts is None:
+        pts = table[prefix] = tuple(support_points(prefix_expansion(f, prefix)))
+    return pts
+
+
 def support_points(expansion: Expansion) -> List[SupportPoint]:
     den, terms = expansion
     pts = []
@@ -292,10 +307,10 @@ def _window_lead(pts: Sequence[SupportPoint], phi: ParamSeries) -> Tuple[UniPoly
     return lead, int(top * phi.mult)
 
 
-def _window_points(f: BiPoly, phi: ParamSeries) -> List[SupportPoint]:
+def _window_points(f: BiPoly, phi: ParamSeries) -> Tuple[SupportPoint, ...]:
     if f.is_zero():
         raise PreconditionFailed("cannot expand the zero polynomial")
-    return support_points(prefix_expansion(f, phi.fix_param(ZERO)))
+    return expansion_points(f, phi.fix_param(ZERO))
 
 
 def substitute(f: BiPoly, phi: ParamSeries) -> Tuple[UniPoly, int]:
@@ -311,22 +326,8 @@ def leading_data(f: MapPair, phi: ParamSeries) -> LeadingData:
     """Leading data of both map components and the Jacobian along a window."""
     if f.jac.is_zero():
         raise PreconditionFailed("map has identically vanishing Jacobian")
-    return leading_data_from_points(
-        f, phi, _window_points(f.p, phi), _window_points(f.q, phi)
-    )
-
-
-def leading_data_from_points(
-    f: MapPair,
-    phi: ParamSeries,
-    p_pts: Sequence[SupportPoint],
-    q_pts: Sequence[SupportPoint],
-) -> LeadingData:
-    """Leading data along phi from the support points of both components
-    already expanded around phi's fixed steps; only the Jacobian is expanded
-    here."""
-    p_lead, p_exp = _window_lead(p_pts, phi)
-    q_lead, q_exp = _window_lead(q_pts, phi)
+    p_lead, p_exp = substitute(f.p, phi)
+    q_lead, q_exp = substitute(f.q, phi)
     jac_lead, jac_exp = substitute(f.jac, phi)
     return LeadingData(p_lead, p_exp, q_lead, q_exp, jac_lead, jac_exp, phi.mult)
 
@@ -408,7 +409,8 @@ class Expansion(NamedTuple):
     denominator of the prefix exponents; only nonzero coefficients are kept
     and only z-degrees with at least one of them.  ``prefix_expansion``
     sums row j as Gaussian integers over the one denominator F * D^(N - j)
-    and normalizes each kept coefficient once.
+    and normalizes each kept coefficient once.  Package code reads only its
+    support points, through ``expansion_points``, tabled per curve.
     """
 
     den: int

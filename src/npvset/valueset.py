@@ -40,10 +40,9 @@ from .puiseux import (
     Prefix,
     ROOT_WINDOW,
     envelope_zeros,
+    expansion_points,
     is_refinement,
     leading_data,
-    prefix_expansion,
-    support_points,
     window_at,
 )
 
@@ -339,10 +338,10 @@ def horizontal_q_prefixes(
         hi = 1 - Fraction(k_hi, phi.mult)
         lo = 1 - Fraction(k_lo, phi.mult)
         above = Prefix.of(phi.mult, [(k, c) for k, c in phi.steps if k < k_hi])
-        if hi in envelope_zeros(support_points(prefix_expansion(f.q, above))):
+        if hi in envelope_zeros(expansion_points(f.q, above)):
             _collect_window(f, phi, hi, out, seen)
         within = Prefix.of(phi.mult, [(k, c) for k, c in phi.steps if k <= k_hi])
-        for e in envelope_zeros(support_points(prefix_expansion(f.q, within))):
+        for e in envelope_zeros(expansion_points(f.q, within)):
             if lo < e < hi:
                 _collect_window(f, phi, e, out, seen)
     out.sort(key=lambda t: -t[0].param_exponent)

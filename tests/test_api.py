@@ -100,3 +100,53 @@ def test_no_unread_private_helpers():
     assert private_definitions_never_read(sources) == []
     # the guard only means something if it sees the helpers
     assert private_definitions_never_read({"m.py": "def _f(): pass"}) == ["m.py:_f"]
+
+
+KERNEL = {"prefix_expansion", "support_points"}
+
+
+def kernel_uses_outside_route(sources: dict) -> list:
+    """Imports and reads of the expansion kernel outside its one route.
+
+    The route is ``puiseux.expansion_points``; the kernel's own definitions
+    in ``puiseux`` are not uses.
+    """
+    found = []
+    for name, text in sources.items():
+        for node in ast.parse(text).body:
+            if (
+                name == "puiseux.py"
+                and isinstance(node, ast.FunctionDef)
+                and node.name in KERNEL | {"expansion_points"}
+            ):
+                continue
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.ImportFrom):
+                    names = [a.name for a in sub.names]
+                elif isinstance(sub, ast.Name):
+                    names = [sub.id]
+                elif isinstance(sub, ast.Attribute):
+                    names = [sub.attr]
+                else:
+                    continue
+                found += [f"{name}:{n}" for n in names if n in KERNEL]
+    return sorted(found)
+
+
+def test_one_route_to_the_expansion_kernel():
+    # every expansion is read through the per-curve support-point table
+    package = Path(npvset.__file__).parent
+    sources = {
+        path.name: path.read_text(encoding="utf-8")
+        for path in sorted(package.glob("*.py"))
+    }
+    assert kernel_uses_outside_route(sources) == []
+    # the guard only means something if it sees a call and an import
+    bypass = {
+        "expansion.py": "from .puiseux import support_points\n",
+        "puiseux.py": "def leads(f, p):\n    return prefix_expansion(f, p)\n",
+    }
+    assert kernel_uses_outside_route(bypass) == [
+        "expansion.py:support_points",
+        "puiseux.py:prefix_expansion",
+    ]

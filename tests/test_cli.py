@@ -11,9 +11,12 @@ from pathlib import Path
 
 import pytest
 
+import npvset.cli as cli_mod
+import npvset.puiseux as puiseux_mod
 from npvset.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_UNRESOLVED,
     config_from_args,
@@ -21,8 +24,9 @@ from npvset.cli import (
     render,
     run,
 )
+from npvset.errors import EngineError, ParseError, PreconditionFailed, VerificationFailure
 
-from conftest import CORPUS_TEXT
+from conftest import CORPUS_TEXT, STRESS_TEXT
 
 
 def run_cli(args):
@@ -97,6 +101,13 @@ class TestCommands:
         assert report["result"]["probe"]["consistent_with_exact"]
 
 
+def raising(error):
+    def engine_call(*args):
+        raise error
+
+    return engine_call
+
+
 class TestExitCodes:
     def test_parse_error_is_input_error(self):
         code, report, _ = run_cli(["--map", "x**y; y", "valueset"])
@@ -142,6 +153,34 @@ class TestExitCodes:
         assert main(args) == EXIT_INPUT
         assert "Jacobian" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "error", [ParseError("bad token", 3), PreconditionFailed("outside hypotheses")]
+    )
+    def test_engine_input_errors_exit_2(self, monkeypatch, error):
+        monkeypatch.setattr(cli_mod, "nonproper_value_set", raising(error))
+        assert main(["--map", "x+y; x*y+y^2", "valueset"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            VerificationFailure("no tracking root"),
+            EngineError("branch count 2 does not match degree 3"),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_internal_failures_exit_4(self, monkeypatch, capsys, error, fmt):
+        monkeypatch.setattr(cli_mod, "nonproper_value_set", raising(error))
+        args = ["--map", "x+y; x*y+y^2", "valueset", "--format", fmt]
+        assert main(args) == EXIT_INTERNAL
+        out = capsys.readouterr()
+        assert out.err == f"error: {error}\n"
+        if fmt == "json":
+            report = json.loads(out.out)
+            assert report["error"] == str(error) and report["map"] is None
+            assert report["command"] == "valueset"
+        else:
+            assert out.out == ""
+
 
 M9 = "(x*y^2+x+y)^3; x*y+y^2+x^2*y^3"
 
@@ -166,6 +205,36 @@ def test_m9_verify_under_memory_ceiling():
     assert proc.returncode == EXIT_OK, proc.stderr
     checks = json.loads(proc.stdout)["checks"]
     assert checks and all(c["status"] != "fail" for c in checks)
+
+
+RUN_CONFIGS = [
+    (text, command) for text in CORPUS_TEXT.values() for command in ("valueset", "verify")
+] + [(text, "valueset") for text in (*STRESS_TEXT.values(), M9)]
+
+
+def test_each_prefix_expanded_once_per_run(monkeypatch):
+    # the support-point table lives on the curves of the map each run
+    # parses: no (curve, prefix) pair is expanded twice within a run, and
+    # a second run of the same config expands as often as the first
+    runs = []
+    inner = puiseux_mod.prefix_expansion
+
+    def recording(f, prefix):
+        runs[-1].append((f, prefix))
+        return inner(f, prefix)
+
+    monkeypatch.setattr(puiseux_mod, "prefix_expansion", recording)
+    for text, command in RUN_CONFIGS:
+        config = config_from_args(["--map", text, command])
+        for _ in range(2):
+            runs.append([])
+            run(config)
+        first, second = runs[-2:]
+        # the recorded curves stay alive, so their ids are not reused
+        keys = [(id(f), prefix) for f, prefix in first]
+        assert len(set(keys)) == len(keys), (text, command)
+        assert first and len(second) == len(first), (text, command)
+        assert {id(f) for f, _ in first}.isdisjoint(id(f) for f, _ in second)
 
 
 class TestDeterminism:

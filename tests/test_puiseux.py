@@ -20,9 +20,11 @@ from npvset.puiseux import (
     ParamSeries,
     Prefix,
     ROOT_WINDOW,
+    SupportPoint,
     envelope_lead,
     envelope_value,
     envelope_zeros,
+    expansion_points,
     is_refinement,
     leading_data,
     prefix_expansion,
@@ -351,8 +353,8 @@ def tree_expansions(monkeypatch, name):
         seen.append((f, prefix))
         return inner(f, prefix)
 
-    for module in (puiseux_mod, expansion_mod):
-        monkeypatch.setattr(module, "prefix_expansion", recording)
+    # expansion_points is the one caller and looks the kernel up here
+    monkeypatch.setattr(puiseux_mod, "prefix_expansion", recording)
     expansion_tree(normalize_monic(*parse_map(TREE_MAPS[name])), Caps())
     monkeypatch.undo()
     assert seen
@@ -401,6 +403,26 @@ class TestIntegerExponents:
         # denominators 1-6 in f and in the prefix: every row stands over
         # its own F * D^(N - j) before normalization
         assert_matches_reference(f, prefix, [Fraction(0), Fraction(-1, 2)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            st.one_of(SCALARS, RATIONAL_SCALARS),
+            max_size=6,
+        ).map(bipoly),
+        st.lists(st.tuples(EXPONENTS, st.one_of(SCALARS, RATIONAL_SCALARS)), max_size=4),
+    )
+    def test_expansion_points_table(self, f, prefix):
+        # the table entry is the kernel's answer, kept as an immutable tuple
+        key = as_prefix(prefix)
+        fresh = tuple(support_points(prefix_expansion(f, key)))
+        first = expansion_points(f, key)
+        assert type(first) is tuple
+        assert all(type(p) is SupportPoint for p in first)
+        assert first == fresh
+        again = expansion_points(f, as_prefix(prefix))
+        assert again == fresh and again is first
 
     @pytest.mark.parametrize("name", ["M4", "M6", "M8", "M9"])
     def test_every_tree_expansion(self, monkeypatch, name):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from npvset.algebra import UniPoly, bipoly, normalize_monic
+from npvset.algebra import BiPoly, MapPair, UniPoly, bipoly, normalize_monic
 from npvset.classify import classify
 from npvset.errors import NotARefinement, PreconditionFailed
 from npvset.expansion import (
@@ -446,11 +446,13 @@ class TestSharedWork:
 
     def test_chains_compare_and_expand_once(self, monkeypatch):
         # every root is compared with its chain's final window once, and a
-        # level costs three expansions outside the branch search: P and Q
-        # (at the top, or pinned below the upper level) and the Jacobian
+        # level reads three expansions outside the branch search: P and Q
+        # (at the top, or pinned below the upper level) and the Jacobian.
+        # After the tree every one of them is already in its curve's table.
         inside = {"chain": 0, "branches": 0}
-        counts = {"departures": 0, "expansions": 0}
+        counts = {"departures": 0, "runs": 0}
         seqs = []
+        reads = []  # per chain: the (curve, prefix) pairs it read
 
         def nested(module, name, key):
             inner = getattr(module, name)
@@ -476,8 +478,9 @@ class TestSharedWork:
         inner_seq = valueset_mod.associated_sequence
 
         def recording(*args):
-            seqs.append(inner_seq(*args))
-            return seqs[-1]
+            reads.append(set())
+            seqs.append((args, inner_seq(*args)))
+            return seqs[-1][1]
 
         monkeypatch.setattr(valueset_mod, "associated_sequence", recording)
         nested(valueset_mod, "associated_sequence", "chain")
@@ -488,10 +491,38 @@ class TestSharedWork:
             return inside["chain"] > 0 and not inside["branches"]
 
         for module in (puiseux_mod, expansion_mod):
-            counted(module, "prefix_expansion", "expansions", in_chain_only)
+            inner_points = module.expansion_points
+
+            def reading(f, prefix, inner_points=inner_points):
+                if in_chain_only():
+                    reads[-1].add((id(f), prefix))
+                return inner_points(f, prefix)
+
+            monkeypatch.setattr(module, "expansion_points", reading)
+        counted(puiseux_mod, "prefix_expansion", "runs", in_chain_only)
+
         for text in {**CORPUS_TEXT, **STRESS_TEXT}.values():
             run_all_checks(normalize_monic(*parse_map(text)))
-        levels = sum(len(seq.levels) for seq in seqs)
-        roots = sum(len(seq.p_roots) + len(seq.q_roots) for seq in seqs)
+        levels = sum(len(seq.levels) for _, seq in seqs)
+        roots = sum(len(seq.p_roots) + len(seq.q_roots) for _, seq in seqs)
         assert (len(seqs), levels, roots) == (5, 11, 16)
-        assert counts == {"departures": roots, "expansions": 3 * levels}
+        # a sixth chain (M6) needs a field extension in its branch search
+        # and reads nothing
+        per_level = [3 * len(seq.levels) for _, seq in seqs]
+        assert [len(keys) for keys in reads] == per_level + [0]
+        assert counts == {"departures": roots, "runs": 0}
+
+        # the same chains on fresh curves, with no tree first: the Jacobian
+        # runs once per level, and the chain's own branch search has already
+        # expanded P and Q around every prefix but one (x*y+y^2+y; x+y, Q at
+        # -x-1)
+        chains = [args for args, _ in seqs]
+        seqs.clear()
+        reads.clear()
+        counts.update(dict.fromkeys(counts, 0))
+        for psi, phi, f in chains:
+            fresh = MapPair(*[BiPoly(g.terms) for g in (f.p, f.q, f.jac)], f.shear)
+            valueset_mod.associated_sequence(psi, phi, fresh)
+        assert [len(seq.levels) for _, seq in seqs] == [2, 2, 2, 3, 2]
+        assert [len(keys) for keys in reads] == per_level
+        assert counts == {"departures": roots, "runs": levels + 1}
