@@ -614,7 +614,7 @@ def normalize_monic(p: BiPoly, q: BiPoly) -> MapPair:
     bound = p.total_degree + q.total_degree + 1
     for t in range(bound + 1):
         if not p.top_form_value(t).is_zero() and not q.top_form_value(t).is_zero():
-            ps = p.shear(t)
-            qs = q.shear(t)
-            return MapPair(ps, qs, jacobian(ps, qs), t)
+            ps, qs = p.shear(t), q.shear(t)
+            jac = jacobian(ps, qs)  # one equal to a component shares its table
+            return MapPair(ps, qs, next((g for g in (ps, qs) if g == jac), jac), t)
     raise PreconditionFailed("no shear parameter found; inputs degenerate")

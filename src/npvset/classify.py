@@ -4,12 +4,12 @@ A window is horizontal for a map component when that component tends to a
 nonconstant finite limit function of the parameter (exponent zero, leading
 polynomial of positive degree); dicritical when horizontal for one component
 while neither exponent is positive; singular when the Jacobian's leading
-polynomial has positive degree.
+polynomial has positive degree.  ``is_dicritical`` reads only P and Q.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 from .algebra import Scalar, UniPoly
 from .puiseux import LeadingData
@@ -22,17 +22,24 @@ class SeriesClass(NamedTuple):
     singular: bool
 
 
+def _horizontal(lead: LeadingData) -> Tuple[bool, bool]:
+    hp = lead.p_exp == 0 and lead.p_lead.degree > 0
+    return hp, lead.q_exp == 0 and lead.q_lead.degree > 0
+
+
+def is_dicritical(lead: LeadingData) -> bool:
+    """The dicritical flag, read off the P and Q fields alone (no Jacobian)."""
+    return any(_horizontal(lead)) and max(lead.p_exp, lead.q_exp) == 0
+
+
 def classify(lead: LeadingData) -> SeriesClass:
     """Flags computed literally from exponents and leading-degree data.
 
     A constant leading polynomial never qualifies as horizontal: the limit
     must genuinely vary with the parameter.
     """
-    hp = lead.p_exp == 0 and lead.p_lead.degree > 0
-    hq = lead.q_exp == 0 and lead.q_lead.degree > 0
-    dic = (hp or hq) and max(lead.p_exp, lead.q_exp) == 0
-    sing = lead.jac_lead.degree > 0
-    return SeriesClass(hp, hq, dic, sing)
+    hp, hq = _horizontal(lead)
+    return SeriesClass(hp, hq, is_dicritical(lead), lead.jac_lead.degree > 0)
 
 
 class DeltaData(NamedTuple):

@@ -34,6 +34,7 @@ from .algebra import (
     ZERO,
     sqrt_scalar,
 )
+from .classify import is_dicritical
 from .errors import (
     EngineError,
     ExtensionRequired,
@@ -408,12 +409,6 @@ class ExpansionNode:
             yield from ch.walk()
 
 
-def _is_dicritical(lead: LeadingData) -> bool:
-    from .classify import classify  # local import: classify is a leaf module
-
-    return classify(lead).dicritical
-
-
 class CoordEvents(NamedTuple):
     """Per-component polygon data for one direction of refinement."""
 
@@ -483,7 +478,7 @@ def expansion_tree(f: MapPair, caps: Caps = Caps()) -> ExpansionNode:
 
 
 def _expand_node(f: MapPair, node: ExpansionNode, caps: Caps, depth: int) -> None:
-    if _is_dicritical(node.lead):
+    if is_dicritical(node.lead):
         node.status = STATUS_DICRITICAL
         return
     if depth >= caps.max_depth:

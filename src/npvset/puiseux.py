@@ -23,7 +23,8 @@ The expansion sums its coefficients as Gaussian integers over one
 denominator per z-degree and normalizes each to a Scalar once.  Package
 code reads it only through ``expansion_points``, which tables the support
 points on the curve: each run parses a fresh map, so a (curve, prefix)
-pair is expanded once per run and no entry outlives the run.
+pair is expanded once per run and no entry outlives the run.  Leading data
+substitutes the Jacobian only when a check first reads its lead.
 """
 
 from __future__ import annotations
@@ -201,21 +202,37 @@ class ConcreteBranch(NamedTuple):
         )
 
 
-class LeadingData(NamedTuple):
+class LeadingData:
     """Leading coefficient polynomials and x-exponents along a window.
 
     Exponents are integer numerators over the window multiplicity: the first
     map component grows like p_lead(s) * x^(p_exp/mult), and similarly for
-    the second component and the Jacobian determinant.
+    the second component and the Jacobian determinant, whose pair
+    ``leading_data`` leaves to be substituted, through the curve's table, on
+    the first read of ``jac_lead`` or ``jac_exp``.
     """
 
-    p_lead: UniPoly
-    p_exp: int
-    q_lead: UniPoly
-    q_exp: int
-    jac_lead: UniPoly
-    jac_exp: int
-    mult: int
+    __slots__ = ("p_lead", "p_exp", "q_lead", "q_exp", "_jac", "mult", "_source")
+    _fields = ("p_lead", "p_exp", "q_lead", "q_exp", "jac_lead", "jac_exp", "mult")
+
+    def __init__(self, p_lead, p_exp, q_lead, q_exp, jac_lead, jac_exp, mult):
+        self.p_lead, self.p_exp, self.q_lead, self.q_exp = p_lead, p_exp, q_lead, q_exp
+        self._jac, self.mult, self._source = (jac_lead, jac_exp), mult, None
+
+    def _values(self) -> tuple:
+        if self._source is not None:  # (Jacobian, window) until the first read
+            self._jac, self._source = substitute(*self._source), None
+        return (self.p_lead, self.p_exp, self.q_lead, self.q_exp, *self._jac, self.mult)
+
+    jac_lead = property(lambda self: self._values()[4])
+    jac_exp = property(lambda self: self._values()[5])
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, LeadingData) and self._values() == other._values()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values()))
+        return f"LeadingData({body})"
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +345,9 @@ def leading_data(f: MapPair, phi: ParamSeries) -> LeadingData:
         raise PreconditionFailed("map has identically vanishing Jacobian")
     p_lead, p_exp = substitute(f.p, phi)
     q_lead, q_exp = substitute(f.q, phi)
-    jac_lead, jac_exp = substitute(f.jac, phi)
-    return LeadingData(p_lead, p_exp, q_lead, q_exp, jac_lead, jac_exp, phi.mult)
+    lead = LeadingData(p_lead, p_exp, q_lead, q_exp, None, None, phi.mult)
+    lead._source = (f.jac, phi)
+    return lead
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import BiPoly, MapPair, ONE, Scalar, UniPoly, ZERO, poly_gcd
-from .classify import classify, delta
+from .classify import delta, is_dicritical
 from .errors import ExtensionRequired, NotARefinement, PreconditionFailed
 from .expansion import (
     AssociatedSequence,
@@ -297,7 +297,7 @@ def verify_theorem1(
     if not ok:
         raise NotARefinement("coarse window does not contain the fine one")
     lead_phi = leading_data(f, phi)
-    if not classify(lead_phi).dicritical:
+    if not is_dicritical(lead_phi):
         raise PreconditionFailed("fine window must be dicritical")
     lead_psi = leading_data(f, psi)
     return theorem1_from_leads(lead_psi, lead_phi, psi, phi)
@@ -365,7 +365,7 @@ def verify_theorem2(f: MapPair, phi: ParamSeries) -> Theorem2Certificate:
     second negative is singular itself or has a singular horizontal prefix
     for the second component."""
     lead = leading_data(f, phi)
-    if not (lead.p_exp == 0 and lead.q_exp < 0 and classify(lead).dicritical):
+    if not (lead.p_exp == 0 and lead.q_exp < 0 and is_dicritical(lead)):
         raise PreconditionFailed(
             "window must be dicritical with exponents (0, negative)"
         )

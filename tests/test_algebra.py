@@ -21,7 +21,7 @@ from npvset.algebra import (
 )
 from npvset.errors import PreconditionFailed
 
-from conftest import sc
+from conftest import CORPUS_TEXT, corpus_map, sc
 
 
 def up(*coeffs):
@@ -290,3 +290,12 @@ class TestNormalizeMonic:
         f = normalize_monic(p + bipoly({(0, 2): 1}), q)
         # (x+y^2, y) has J = 1; shearing keeps it constant
         assert f.jac.is_constant()
+
+    def test_jacobian_equal_to_a_component_is_that_component(self):
+        # F2 and R6 have J = P: the map stores P itself as its Jacobian, so
+        # the two read one support-point table
+        for name in CORPUS_TEXT:
+            f = corpus_map(name)
+            assert f.jac == jacobian(f.p, f.q)
+            shared = [g for g in (f.p, f.q) if g is f.jac]
+            assert shared == ([f.p] if name in ("F2", "R6") else []), name

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import npvset
+from npvset.parsing import parse_map
 
 PUBLIC_API = [
     "AssociatedSequence", "BiPoly", "Caps", "ConcreteBranch", "ExpansionNode",
@@ -26,6 +27,20 @@ PUBLIC_API = [
 def test_public_api_is_frozen():
     assert len(PUBLIC_API) == 50
     assert sorted(npvset.__all__) == PUBLIC_API
+
+
+def test_leading_data_fields_and_constructor():
+    # LeadingData is no longer a tuple, but keeps the seven fields in order,
+    # the positional constructor and value equality
+    fields = ("p_lead", "p_exp", "q_lead", "q_exp", "jac_lead", "jac_exp", "mult")
+    assert npvset.LeadingData._fields == fields
+    f = npvset.normalize_monic(*parse_map("x*y+y^2+y; x+y"))
+    for phi in (npvset.puiseux.ROOT_WINDOW, npvset.series(1, [], 2)):
+        lead = npvset.leading_data(f, phi)
+        built = npvset.LeadingData(*[getattr(lead, name) for name in fields])
+        assert built == lead and lead == built and repr(built) == repr(lead)
+        assert repr(lead).startswith("LeadingData(p_lead=UniPoly(")
+        assert built != npvset.LeadingData(*[getattr(lead, n) for n in fields[:-1]], 2)
 
 
 def test_import_loads_no_dataclasses():

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+import npvset.puiseux as puiseux_mod
 from npvset.algebra import UniPoly
-from npvset.classify import classify, delta
+from npvset.classify import classify, delta, is_dicritical
+from npvset.expansion import expansion_tree
 from npvset.puiseux import LeadingData, leading_data, series
 
-from conftest import corpus_map, sc
+from conftest import CORPUS_TEXT, corpus_map, sc
 
 
 def up(*coeffs):
@@ -42,6 +44,21 @@ class TestClassify:
         lead = make_lead([0, 1], 0, [0, 1], 1, [1], 0)
         flags = classify(lead)
         assert flags.horizontal_p and not flags.dicritical
+
+    def test_is_dicritical_reads_only_p_and_q(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the Jacobian lead was substituted")
+
+        flags = []
+        for name in CORPUS_TEXT:
+            f = corpus_map(name)
+            for node in expansion_tree(f).walk():
+                lead = leading_data(f, node.series)
+                with monkeypatch.context() as mp:
+                    mp.setattr(puiseux_mod, "substitute", unreachable)
+                    flags.append(is_dicritical(lead))
+                assert flags[-1] == classify(lead).dicritical, (name, node.series)
+        assert any(flags) and not all(flags)
 
 
 class TestDelta:

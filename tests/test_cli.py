@@ -13,6 +13,7 @@ import pytest
 
 import npvset.cli as cli_mod
 import npvset.puiseux as puiseux_mod
+from npvset.algebra import ZERO
 from npvset.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_INPUT,
@@ -214,8 +215,9 @@ RUN_CONFIGS = [
 
 def test_each_prefix_expanded_once_per_run(monkeypatch):
     # the support-point table lives on the curves of the map each run
-    # parses: no (curve, prefix) pair is expanded twice within a run, and
-    # a second run of the same config expands as often as the first
+    # parses: no (curve, prefix) pair is expanded twice within a run, not
+    # even for two curves equal in value, and a second run of the same
+    # config expands as often as the first
     runs = []
     inner = puiseux_mod.prefix_expansion
 
@@ -233,8 +235,48 @@ def test_each_prefix_expanded_once_per_run(monkeypatch):
         # the recorded curves stay alive, so their ids are not reused
         keys = [(id(f), prefix) for f, prefix in first]
         assert len(set(keys)) == len(keys), (text, command)
+        assert len(set(first)) == len(first), (text, command)  # by value
         assert first and len(second) == len(first), (text, command)
         assert {id(f) for f, _ in first}.isdisjoint(id(f) for f, _ in second)
+
+
+def test_valueset_never_expands_the_jacobian(monkeypatch):
+    # the value set is read off the P and Q leads alone; the Jacobian lead
+    # is substituted only where a report reads it, and the tree report
+    # reads it at every node
+    spots = [
+        (cli_mod, "normalize_monic"),
+        (cli_mod, "dicritical_series"),
+        (puiseux_mod, "prefix_expansion"),
+    ]
+    recorded = {name: [] for _, name in spots}
+    for module, name in spots:
+        inner, out = getattr(module, name), recorded[name]
+
+        def wrapper(*args, inner=inner, out=out):
+            out.append((args, inner(*args)))
+            return out[-1][1]
+
+        monkeypatch.setattr(module, name, wrapper)
+    checked = 0
+    for text in (*CORPUS_TEXT.values(), *STRESS_TEXT.values(), M9):
+        for command in ("valueset", "tree"):
+            for out in recorded.values():
+                out.clear()
+            run(config_from_args(["--map", text, command]))
+            [(_, f)] = recorded["normalize_monic"]
+            if f.jac is f.p or f.jac is f.q:
+                continue  # its kernel runs are P's or Q's
+            kernel = recorded["prefix_expansion"]
+            ran = {prefix for (g, prefix), _ in kernel if g is f.jac}
+            if command == "valueset":
+                assert not ran, text
+            else:
+                [(_, scan)] = recorded["dicritical_series"]
+                nodes = {node.series.fix_param(ZERO) for node in scan.tree.walk()}
+                assert ran == nodes, text
+                checked += 1
+    assert checked == 13
 
 
 class TestDeterminism:

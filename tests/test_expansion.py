@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from npvset.algebra import UniPoly, bipoly, normalize_monic
+from npvset.algebra import BiPoly, UniPoly, bipoly, normalize_monic
 from npvset.errors import ExtensionRequired, PreconditionFailed, VerificationFailure
 from npvset.expansion import (
     Caps,
@@ -19,7 +19,7 @@ from npvset.expansion import (
     roots_in_field,
 )
 from npvset.parsing import parse_map
-from npvset.puiseux import ROOT_WINDOW, leading_data, series
+from npvset.puiseux import LeadingData, ROOT_WINDOW, series, substitute
 
 from conftest import CORPUS_TEXT, corpus_map, sc
 
@@ -176,10 +176,14 @@ class TestExpansionTree:
     @pytest.mark.parametrize("text", [*CORPUS_TEXT.values(), *STRESS_TEXT.values()])
     def test_node_leads_match_leading_data(self, text):
         # children read their P and Q leads off the expansions that chose
-        # their exponent; that shortcut must agree with a fresh substitution
+        # their exponent, and the Jacobian lead on first use; both must
+        # agree with an eager substitution on fresh copies of the curves
         f = normalize_monic(*parse_map(text))
+        fresh = [BiPoly(g.terms) for g in (f.p, f.q, f.jac)]
         for node in expansion_tree(f, Caps()).walk():
-            assert node.lead == leading_data(f, node.series), node.series
+            phi = node.series
+            pairs = [x for g in fresh for x in substitute(g, phi)]
+            assert node.lead == LeadingData(*pairs, phi.mult), phi
 
     def test_gaussian_coefficient_tree(self):
         f = corpus_map("R6")

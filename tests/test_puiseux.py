@@ -7,16 +7,18 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import npvset.expansion as expansion_mod
 import npvset.puiseux as puiseux_mod
-from npvset.algebra import ONE, ZERO, Scalar, UniPoly, bipoly, normalize_monic
+from npvset.algebra import ONE, ZERO, BiPoly, Scalar, UniPoly, bipoly, normalize_monic
+from npvset.classify import classify
 from npvset.errors import PreconditionFailed
 from npvset.expansion import Caps, PolygonEdge, expansion_tree, hull_edges, upper_hull
 from npvset.parsing import parse_map
 from npvset.puiseux import (
+    LeadingData,
     ParamSeries,
     Prefix,
     ROOT_WINDOW,
@@ -452,3 +454,41 @@ class TestIntegerExponents:
         monkeypatch.undo()
         assert expansion.terms
         assert calls == []
+
+
+POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), SCALARS, min_size=1, max_size=5
+).map(bipoly)
+WINDOWS = st.builds(
+    lambda mult, steps, n: series(mult, [(k, c) for k, c in steps.items() if k < n], n),
+    st.integers(1, 3),
+    st.dictionaries(st.integers(0, 5), SCALARS, max_size=3),
+    st.integers(0, 6),
+)
+
+
+class TestLazyJacobianLead:
+    @settings(max_examples=80, deadline=None)
+    @given(POLYS, POLYS, WINDOWS)
+    def test_lazy_lead_equals_eager(self, p, q, phi):
+        try:
+            f = normalize_monic(p, q)
+        except PreconditionFailed:
+            assume(False)
+        assume(not f.jac.is_zero())
+        fresh = [BiPoly(g.terms) for g in (f.p, f.q, f.jac)]
+        eager = LeadingData(*[x for g in fresh for x in substitute(g, phi)], phi.mult)
+        lead = leading_data(f, phi)
+        runs = []
+        inner = puiseux_mod.prefix_expansion
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(puiseux_mod, "prefix_expansion",
+                       lambda g, prefix: runs.append(g) or inner(g, prefix))
+            jac = (lead.jac_lead, lead.jac_exp, lead.jac_lead)
+        # a Jacobian that is P or Q finds the window in that curve's table
+        assert len(runs) == (0 if f.jac is f.p or f.jac is f.q else 1)
+        assert jac == (eager.jac_lead, eager.jac_exp, eager.jac_lead)
+        # each leading_data call returns a lead whose Jacobian is unread
+        assert leading_data(f, phi) == eager and eager == leading_data(f, phi)
+        assert repr(leading_data(f, phi)) == repr(eager)
+        assert classify(leading_data(f, phi)) == classify(eager)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from npvset.algebra import BiPoly, MapPair, UniPoly, bipoly, normalize_monic
+from npvset.algebra import BiPoly, MapPair, UniPoly, ZERO, bipoly, normalize_monic
 from npvset.classify import classify
 from npvset.errors import NotARefinement, PreconditionFailed
 from npvset.expansion import (
@@ -30,6 +30,7 @@ from npvset.valueset import (
     check_newton_factorization,
     check_section5_identity,
     dicritical_series,
+    horizontal_q_prefixes,
     nonproper_value_set,
     run_all_checks,
     theorem1_from_leads,
@@ -446,13 +447,16 @@ class TestSharedWork:
 
     def test_chains_compare_and_expand_once(self, monkeypatch):
         # every root is compared with its chain's final window once, and a
-        # level reads three expansions outside the branch search: P and Q
-        # (at the top, or pinned below the upper level) and the Jacobian.
-        # After the tree every one of them is already in its curve's table.
+        # level reads two expansions outside the branch search: P and Q (at
+        # the top, or pinned below the upper level).  After the tree both
+        # are already in their curve's table, and no chain reads the
+        # Jacobian.
         inside = {"chain": 0, "branches": 0}
         counts = {"departures": 0, "runs": 0}
         seqs = []
         reads = []  # per chain: the (curve, prefix) pairs it read
+        kernel = []  # every kernel run: ((curve, prefix), expansion)
+        scans = []
 
         def nested(module, name, key):
             inner = getattr(module, name)
@@ -475,6 +479,15 @@ class TestSharedWork:
 
             monkeypatch.setattr(module, name, wrapper)
 
+        def recorded(module, name, out):
+            inner = getattr(module, name)
+
+            def wrapper(*args):
+                out.append((args, inner(*args)))
+                return out[-1][1]
+
+            monkeypatch.setattr(module, name, wrapper)
+
         inner_seq = valueset_mod.associated_sequence
 
         def recording(*args):
@@ -486,6 +499,7 @@ class TestSharedWork:
         nested(valueset_mod, "associated_sequence", "chain")
         nested(expansion_mod, "curve_branches", "branches")
         counted(expansion_mod, "_branch_departure", "departures")
+        recorded(valueset_mod, "dicritical_series", scans)
 
         def in_chain_only():
             return inside["chain"] > 0 and not inside["branches"]
@@ -500,22 +514,65 @@ class TestSharedWork:
 
             monkeypatch.setattr(module, "expansion_points", reading)
         counted(puiseux_mod, "prefix_expansion", "runs", in_chain_only)
+        recorded(puiseux_mod, "prefix_expansion", kernel)
 
-        for text in {**CORPUS_TEXT, **STRESS_TEXT}.values():
-            run_all_checks(normalize_monic(*parse_map(text)))
+        texts = {**CORPUS_TEXT, **STRESS_TEXT}.values()
+        maps = [normalize_monic(*parse_map(text)) for text in texts]
+        jac_runs = []
+        for f in maps:
+            start = len(kernel)
+            run_all_checks(f)
+            ran = kernel[start:]
+            jac_runs.append({prefix for (g, prefix), _ in ran if g is f.jac})
         levels = sum(len(seq.levels) for _, seq in seqs)
         roots = sum(len(seq.p_roots) + len(seq.q_roots) for _, seq in seqs)
         assert (len(seqs), levels, roots) == (5, 11, 16)
         # a sixth chain (M6) needs a field extension in its branch search
         # and reads nothing
-        per_level = [3 * len(seq.levels) for _, seq in seqs]
-        assert [len(keys) for keys in reads] == per_level + [0]
+        per_level = [2 * len(seq.levels) for _, seq in seqs]
+        assert [len(keys) for keys in reads] == per_level + [0] == [4, 4, 4, 6, 4, 0]
         assert counts == {"departures": roots, "runs": 0}
 
-        # the same chains on fresh curves, with no tree first: the Jacobian
-        # runs once per level, and the chain's own branch search has already
-        # expanded P and Q around every prefix but one (x*y+y^2+y; x+y, Q at
-        # -x-1)
+        # the checks then expand the Jacobian exactly at the windows whose
+        # check reads its lead: tree nodes with both exponents positive
+        # (lemma3) or one positive and the other horizontal (section5),
+        # chain levels above the last with both exponents positive
+        # (theorem1, lemma4), and for theorem2 the window and its horizontal
+        # prefixes up to the first singular one
+        checked = 0
+        for f, (_, scan), prefixes in zip(maps, scans, jac_runs):
+            if f.jac is f.p or f.jac is f.q:
+                continue  # its kernel runs are P's or Q's
+            want = set()
+            for node in scan.tree.walk():
+                lead = node.lead
+                a, b = lead.p_exp, lead.q_exp
+                if (
+                    (a > 0 and b > 0)
+                    or (a > 0 and b == 0 and lead.q_lead.degree > 0)
+                    or (b > 0 and a == 0 and lead.p_lead.degree > 0)
+                ):
+                    want.add(node.series.fix_param(ZERO))
+            for (_, _, g), seq in seqs:
+                want.update(
+                    lv.series.fix_param(ZERO)
+                    for lv in seq.levels[:-1]
+                    if g is f and lv.lead.p_exp > 0 and lv.lead.q_exp > 0
+                )
+            for s, lead in scan.found:
+                if lead.p_exp == 0 and lead.q_exp < 0:
+                    want.add(s.fix_param(ZERO))
+                    for w, wlead in horizontal_q_prefixes(f, s):
+                        want.add(w.fix_param(ZERO))
+                        if wlead.jac_lead.degree > 0:
+                            break
+            assert prefixes == want, f
+            checked += len(want)
+        assert checked == 33
+
+        # the same chains on fresh curves, with no tree first: the chain's
+        # own branch search has already expanded P and Q around every prefix
+        # but one (x*y+y^2+y; x+y, Q at -x-1), and no level reads the Jacobian
         chains = [args for args, _ in seqs]
         seqs.clear()
         reads.clear()
@@ -525,4 +582,4 @@ class TestSharedWork:
             valueset_mod.associated_sequence(psi, phi, fresh)
         assert [len(seq.levels) for _, seq in seqs] == [2, 2, 2, 3, 2]
         assert [len(keys) for keys in reads] == per_level
-        assert counts == {"departures": roots, "runs": levels + 1}
+        assert counts == {"departures": roots, "runs": 1}
