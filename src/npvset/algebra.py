@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import PreconditionFailed
 
@@ -194,42 +194,32 @@ ONE = Scalar.of(1)
 I = Scalar.of(0, 1)
 
 
-def _sqrt_fraction(q: Fraction) -> Optional[Fraction]:
-    """Exact square root of a non-negative rational, or None if irrational."""
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
+def gaussian_sqrt(x: int, y: int) -> Optional[Tuple[int, int]]:
+    """The square root c + d*i of x + y*i in Z[i], or None when there is none.
+
+    c^2 - d^2 = x and 2cd = y force c^2 + d^2 = |x + y*i|, so c^2 and d^2
+    are read off the integer norm.  Of the two roots the one returned has
+    c > 0, or c = 0 and d >= 0.
+    """
+    n = math.isqrt(x * x + y * y)
+    c = math.isqrt((n + x) // 2)
+    d = math.isqrt((n - x) // 2)
+    if y < 0:
+        d = -d
+    if c * c - d * d == x and 2 * c * d == y:
+        return (c, d)
     return None
 
 
 def sqrt_scalar(w: Scalar) -> Optional[Scalar]:
     """A square root of w inside Q(i), or None when no such root exists.
 
-    For w = a+bi a root c+di needs c^2-d^2 = a and 2cd = b, which forces
-    (c^2+d^2)^2 = a^2+b^2; squareness of the norm and of the derived real
-    parts is decidable exactly.
+    (a + b*i)/d is a square in Q(i) exactly when (a + b*i)*d is one in
+    Z[i]; the root is that integer root over d, with the sign rule of
+    ``gaussian_sqrt``.
     """
-    if w.is_zero():
-        return ZERO
-    n = _sqrt_fraction(w.norm2())
-    if n is None:
-        return None
-    c2 = (w.re + n) / 2
-    c = _sqrt_fraction(c2)
-    if c is not None and c != 0:
-        cand = Scalar.of(c, w.im / (2 * c))
-        if cand * cand == w:
-            return cand
-    d2 = (n - w.re) / 2
-    d = _sqrt_fraction(d2)
-    if d is not None:
-        cand = Scalar.of(0, d)
-        if cand * cand == w:
-            return cand
-    return None
+    root = gaussian_sqrt(w.a * w.d, w.b * w.d)
+    return None if root is None else _reduced(root[0], root[1], w.d)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ Three related computations live here:
   windows between two series together with branch bookkeeping, and verify
   the structural side conditions.
 
-Root extraction over Q(i) uses rational-root search on cleared Gaussian
-integer coefficients plus the explicit quadratic formula; anything that
-fails to split raises or records ExtensionRequired rather than falling back
-to numerics.
+Root extraction over Q(i) runs on Gaussian integers: the coefficients are
+cleared of denominators once, degree <= 2 is solved in closed form, and
+above that rational candidates are checked by integer Horner sums and
+divided out in Z[i]; anything that fails to split raises or records
+ExtensionRequired rather than falling back to numerics.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from .algebra import (
     Scalar,
     UniPoly,
     ZERO,
-    sqrt_scalar,
+    _reduced,
+    gaussian_sqrt,
 )
 from .classify import is_dicritical
 from .errors import (
@@ -61,6 +63,17 @@ from .puiseux import (
 # ---------------------------------------------------------------------------
 # Root finding over Q(i)
 # ---------------------------------------------------------------------------
+#
+# The search runs on Gaussian integers.  h is cleared of denominators once
+# into a list H of (re, im) int pairs.  Degree <= 2 is solved in closed form
+# (the quadratic formula with an integer Gaussian square root).  Above that a
+# candidate a/b, with a | H_0 and b | lc(H), is a root when the homogeneous
+# Horner sum  sum_k H_k a^k b^(d-k)  vanishes, and its multiplicity is the
+# number of exact divisions of H by (b s - a) in Z[i]; for a/b in lowest
+# terms each division of a polynomial that has the root is exact (Gauss's
+# lemma).  A Scalar is built only for each root found and for the remainder.
+
+GaussInt = Tuple[int, int]
 
 
 def _factor_integer(n: int) -> Dict[int, int]:
@@ -78,7 +91,7 @@ def _factor_integer(n: int) -> Dict[int, int]:
     return out
 
 
-def _gaussian_prime_above(p: int) -> Tuple[int, int]:
+def _gaussian_prime_above(p: int) -> GaussInt:
     """A Gaussian prime a+bi of norm p, for p = 2 or p = 1 mod 4."""
     for a in range(1, math.isqrt(p) + 1):
         b2 = p - a * a
@@ -88,103 +101,172 @@ def _gaussian_prime_above(p: int) -> Tuple[int, int]:
     raise EngineError(f"no two-square decomposition for {p}")
 
 
-def _gi_mul(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
+def _gi_mul(a: GaussInt, b: GaussInt) -> GaussInt:
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def _gi_divides(d: Tuple[int, int], g: Tuple[int, int]) -> bool:
+def _gi_divides(d: GaussInt, g: GaussInt) -> bool:
     n = d[0] * d[0] + d[1] * d[1]
     re = g[0] * d[0] + g[1] * d[1]
     im = g[1] * d[0] - g[0] * d[1]
     return n != 0 and re % n == 0 and im % n == 0
 
 
-def _gi_exact_div(g: Tuple[int, int], d: Tuple[int, int]) -> Tuple[int, int]:
+def _gi_exact_div(g: GaussInt, d: GaussInt) -> GaussInt:
     n = d[0] * d[0] + d[1] * d[1]
     return ((g[0] * d[0] + g[1] * d[1]) // n, (g[1] * d[0] - g[0] * d[1]) // n)
 
 
-def _gaussian_divisors(g: Tuple[int, int]) -> List[Tuple[int, int]]:
-    """All divisors of a nonzero Gaussian integer, up to unit multiples."""
-    primes: List[Tuple[int, int]] = []
-    rest = g
-    norm = g[0] * g[0] + g[1] * g[1]
-    for p, e in sorted(_factor_integer(norm).items()):
+def _gi_gcd(x: GaussInt, y: GaussInt) -> GaussInt:
+    """A greatest common divisor in Z[i], by Euclid with rounded quotients."""
+    while y != (0, 0):
+        n = y[0] * y[0] + y[1] * y[1]
+        re = x[0] * y[0] + x[1] * y[1]
+        im = x[1] * y[0] - x[0] * y[1]
+        q = ((2 * re + n) // (2 * n), (2 * im + n) // (2 * n))
+        qy = _gi_mul(q, y)
+        x, y = y, (x[0] - qy[0], x[1] - qy[1])
+    return x
+
+
+def _gi_quotient(x: GaussInt, y: GaussInt) -> Scalar:
+    """x / y as a Scalar, for Gaussian integers x and y != 0."""
+    n = y[0] * y[0] + y[1] * y[1]
+    return _reduced(x[0] * y[0] + x[1] * y[1], x[1] * y[0] - x[0] * y[1], n)
+
+
+def _gaussian_divisors(g: GaussInt) -> List[GaussInt]:
+    """All divisors of a nonzero Gaussian integer, one per class of unit
+    multiples: the products of powers of its distinct Gaussian primes."""
+    divisors = [(1, 0)]
+    for p in sorted(_factor_integer(g[0] * g[0] + g[1] * g[1])):
         if p == 2:
-            pi = (1, 1)
-            while _gi_divides(pi, rest):
-                primes.append(pi)
-                rest = _gi_exact_div(rest, pi)
+            primes = [(1, 1)]
         elif p % 4 == 1:
             a, b = _gaussian_prime_above(p)
-            for pi in ((a, b), (a, -b)):
-                while _gi_divides(pi, rest):
-                    primes.append(pi)
-                    rest = _gi_exact_div(rest, pi)
+            primes = [(a, b), (a, -b)]
         else:
-            pi = (p, 0)
-            while _gi_divides(pi, rest):
-                primes.append(pi)
-                rest = _gi_exact_div(rest, pi)
-    # canonical representatives among unit multiples, deduplicated after
-    # each prime: a repeated prime adds one divisor, not a doubling
-    divisors = {(1, 0): None}
-    for pi in primes:
-        for d in list(divisors):
-            divisors.setdefault(_unit_canonical(_gi_mul(d, pi)))
-    return list(divisors)
+            primes = [(p, 0)]
+        for pi in primes:
+            powers = [(1, 0)]
+            while _gi_divides(pi, g):
+                g = _gi_exact_div(g, pi)
+                powers.append(_gi_mul(powers[-1], pi))
+            divisors = [_gi_mul(d, q) for d in divisors for q in powers]
+    return divisors
 
 
-def _unit_canonical(d: Tuple[int, int]) -> Tuple[int, int]:
-    return min(d, (-d[0], -d[1]), (-d[1], d[0]), (d[1], -d[0]))
-
-
-def _clear_denominators(h: UniPoly) -> List[Tuple[int, int]]:
-    """Coefficients as Gaussian integers after multiplying by a common lcm."""
-    lcm = math.lcm(*(c.d for c in h.coeffs))
-    return [(c.a * (lcm // c.d), c.b * (lcm // c.d)) for c in h.coeffs]
-
-
-def _rational_roots(h: UniPoly) -> List[Scalar]:
-    """Gaussian-rational roots of h (no multiplicities), h(0) != 0, deg >= 1."""
-    ints = _clear_denominators(h)
-    lead = ints[-1]
-    const = ints[0]
-    num_divs = _gaussian_divisors(const)
-    den_divs = _gaussian_divisors(lead)
-    units = [Scalar.of(1), Scalar.of(-1), Scalar.of(0, 1), Scalar.of(0, -1)]
-    found = []
+def _candidates(H: Sequence[GaussInt]) -> Iterable[Tuple[int, int, int]]:
+    """Distinct u*r/s (r | H_0, s | lc(H), u a unit) as reduced Scalar triples."""
+    nums = _gaussian_divisors(H[0])
     seen = set()
-    for r in num_divs:
-        rs = Scalar.of(*r)
-        for s in den_divs:
-            base = rs / Scalar.of(*s)
-            for u in units:
-                cand = base * u
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if h.evaluate(cand).is_zero():
-                    found.append(cand)
-    return found
+    for s in _gaussian_divisors(H[-1]):
+        n = s[0] * s[0] + s[1] * s[1]
+        for r in nums:
+            # r/s = r*conj(s)/n
+            x, y = r[0] * s[0] + r[1] * s[1], r[1] * s[0] - r[0] * s[1]
+            g = math.gcd(x, y, n)
+            x, y, m = x // g, y // g, n // g
+            for t in ((x, y, m), (-x, -y, m), (-y, x, m), (y, -x, m)):
+                if t not in seen:
+                    seen.add(t)
+                    yield t
 
 
-def _quadratic_roots(h: UniPoly) -> Optional[List[Scalar]]:
-    """Both roots of a quadratic when its discriminant is a square in Q(i)."""
-    a, b, c = h.coeff(2), h.coeff(1), h.coeff(0)
-    disc = b * b - Scalar.of(4) * a * c
-    s = sqrt_scalar(disc)
-    if s is None:
+def _vanishes(H: Sequence[GaussInt], p: int, q: int, m: int) -> bool:
+    """Whether H((p + q*i)/m) = 0, by homogeneous Horner on ints."""
+    vr, vi = H[-1]
+    w = 1
+    for hr, hi in reversed(H[:-1]):
+        w *= m
+        vr, vi = vr * p - vi * q + hr * w, vr * q + vi * p + hi * w
+    return not vr and not vi
+
+
+def _divide_linear(
+    H: Sequence[GaussInt], a: GaussInt, b: GaussInt
+) -> Optional[List[GaussInt]]:
+    """The quotient of H by (b*s - a) in Z[i][s], or None if not exact."""
+    (ar, ai), (br, bi) = a, b
+    n = br * br + bi * bi
+    quo = []
+    tr = ti = 0  # a times the quotient coefficient found last
+    for hr, hi in reversed(H[1:]):
+        xr, xi = hr + tr, hi + ti
+        yr, yi = xr * br + xi * bi, xi * br - xr * bi
+        if yr % n or yi % n:
+            return None
+        qr, qi = yr // n, yi // n
+        quo.append((qr, qi))
+        tr, ti = ar * qr - ai * qi, ar * qi + ai * qr
+    if H[0][0] + tr or H[0][1] + ti:
         return None
-    two_a = (Scalar.of(2) * a).inverse()
-    return [(-b + s) * two_a, (-b - s) * two_a]
+    quo.reverse()
+    return quo
+
+
+def _low_degree_roots(
+    H: Sequence[GaussInt],
+) -> Optional[List[Tuple[Scalar, int]]]:
+    """Roots of H of degree <= 2 in closed form; None if H is an
+    irreducible quadratic over Q(i)."""
+    if len(H) == 1:
+        return []
+    if len(H) == 2:
+        return [(_gi_quotient((-H[0][0], -H[0][1]), H[1]), 1)]
+    c, (br, bi), a = H
+    ac = _gi_mul(a, c)
+    root = gaussian_sqrt(br * br - bi * bi - 4 * ac[0], 2 * br * bi - 4 * ac[1])
+    if root is None:
+        return None
+    two_a = (2 * a[0], 2 * a[1])
+    if root == (0, 0):
+        return [(_gi_quotient((-br, -bi), two_a), 2)]
+    return [
+        (_gi_quotient((root[0] - br, root[1] - bi), two_a), 1),
+        (_gi_quotient((-root[0] - br, -root[1] - bi), two_a), 1),
+    ]
+
+
+def _integer_roots(h: UniPoly) -> Tuple[List[Tuple[Scalar, int]], UniPoly]:
+    """``all_roots`` for deg h >= 2 and h(0) != 0, on Gaussian integers."""
+    lcm = math.lcm(*(c.d for c in h.coeffs))
+    H = [(c.a * (lcm // c.d), c.b * (lcm // c.d)) for c in h.coeffs]
+    roots: List[Tuple[Scalar, int]] = []
+    if len(H) > 3:
+        for p, q, m in _candidates(H):
+            if not _vanishes(H, p, q, m):
+                continue
+            # the triple is reduced over Z, not always over Z[i]:
+            # (1+i)/2 = 1/(1-i)
+            g = _gi_gcd((p, q), (m, 0))
+            a, b = _gi_exact_div((p, q), g), _gi_exact_div((m, 0), g)
+            mult = 0
+            while (quo := _divide_linear(H, a, b)) is not None:
+                H, mult = quo, mult + 1
+            roots.append((_reduced(p, q, m), mult))
+            if len(H) <= 3:
+                break
+    low = _low_degree_roots(H) if len(H) <= 3 else None
+    if low is not None:
+        return roots + low, UniPoly.const(h.lcoeff())
+    if not roots:
+        return roots, h
+    # rest = H * lc(h) / lc(H)
+    lc, (hr, hi) = h.lcoeff(), H[-1]
+    fr, fi = lc.a * hr + lc.b * hi, lc.b * hr - lc.a * hi
+    den = lc.d * (hr * hr + hi * hi)
+    rest = [_reduced(cr * fr - ci * fi, cr * fi + ci * fr, den) for cr, ci in H]
+    return roots, UniPoly(tuple(rest))
 
 
 def all_roots(h: UniPoly) -> Tuple[List[Tuple[Scalar, int]], UniPoly]:
     """Roots of h in Q(i) with multiplicities, plus the unsplit remainder.
 
-    The remainder is a constant when h splits completely; otherwise it is
-    the product of factors with no Gaussian-rational root (degree >= 2).
+    The remainder is h divided by its monic linear factors (s - r)^m, so it
+    keeps lc(h): a constant when h splits completely, otherwise the product
+    of factors with no Gaussian-rational root (degree >= 2).  The search
+    runs on Gaussian integers and solves degree <= 2 in closed form.
     """
     if h.is_zero():
         raise PreconditionFailed("root search on the zero polynomial")
@@ -193,40 +275,14 @@ def all_roots(h: UniPoly) -> Tuple[List[Tuple[Scalar, int]], UniPoly]:
     if v:
         roots.append((ZERO, v))
         h = UniPoly(h.coeffs[v:])
-    while h.degree >= 1:
-        if h.degree == 1:
-            roots.append((-h.coeff(0) / h.coeff(1), 1))
-            h = UniPoly.const(h.lcoeff())
-            break
-        cands = _rational_roots(h)
-        if not cands:
-            if h.degree == 2:
-                pair = _quadratic_roots(h)
-                if pair is not None:
-                    for r in pair:
-                        roots.append((r, 1))
-                    h = UniPoly.const(h.lcoeff())
-                    # merge duplicates from a double root
-                    break
-            return _merge_roots(roots), h
-        for r in cands:
-            mult = 0
-            while True:
-                quo, rem = h.divmod(UniPoly.make([-r, ONE]))
-                if not rem.is_zero():
-                    break
-                h = quo
-                mult += 1
-            if mult:
-                roots.append((r, mult))
-    return _merge_roots(roots), h
-
-
-def _merge_roots(roots: List[Tuple[Scalar, int]]) -> List[Tuple[Scalar, int]]:
-    acc: Dict[Scalar, int] = {}
-    for r, m in roots:
-        acc[r] = acc.get(r, 0) + m
-    return sorted(acc.items(), key=lambda rm: rm[0].sort_key())
+    if h.degree == 1:
+        roots.append((-h.coeff(0) / h.coeff(1), 1))
+        h = UniPoly.const(h.lcoeff())
+    elif h.degree >= 2:
+        found, h = _integer_roots(h)
+        roots += found
+    # each root is found once, with its full multiplicity
+    return sorted(roots, key=lambda rm: rm[0].sort_key()), h
 
 
 def roots_in_field(h: UniPoly) -> List[Tuple[Scalar, int]]:

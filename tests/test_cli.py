@@ -208,6 +208,32 @@ def test_m9_verify_under_memory_ceiling():
     assert checks and all(c["status"] != "fail" for c in checks)
 
 
+HUGE_CONSTANT_MAPS = {
+    # the tree stops on a quadratic whose constant has a norm near 10^18
+    # (10^36): the closed form needs no factoring of it
+    "x^2*y^2+1000000007*y+x; y": "-s^2+1000000007",
+    "x^2*y^2+1000000007*1000000009*y+x; y": "-s^2+1000000016000000063",
+}
+
+
+@pytest.mark.parametrize("text", HUGE_CONSTANT_MAPS)
+@pytest.mark.parametrize("command", ["valueset", "verify"])
+def test_quadratic_with_huge_constant_finishes(text, command):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "npvset.cli", "--map", text, command,
+         "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == EXIT_UNRESOLVED, proc.stderr
+    unresolved = json.loads(proc.stdout)["unresolved"]
+    assert {"status": "extension_required", "note": HUGE_CONSTANT_MAPS[text]} in unresolved
+
+
 RUN_CONFIGS = [
     (text, command) for text in CORPUS_TEXT.values() for command in ("valueset", "verify")
 ] + [(text, "valueset") for text in (*STRESS_TEXT.values(), M9)]

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from npvset.algebra import BiPoly, UniPoly, bipoly, normalize_monic
+import npvset.expansion as expansion_mod
+from npvset.algebra import BiPoly, Scalar, UniPoly, bipoly, normalize_monic
 from npvset.errors import ExtensionRequired, PreconditionFailed, VerificationFailure
 from npvset.expansion import (
     Caps,
@@ -63,6 +64,39 @@ class TestRootsInField:
     def test_fractional_coefficients(self):
         poly = UniPoly.make([sc(Fraction(-1, 2)), sc(1)])
         assert roots_in_field(poly) == [(sc(Fraction(1, 2)), 1)]
+
+    def test_search_runs_on_gaussian_integers(self, monkeypatch):
+        # s^2 (s+1)^3 (2s-1-i)^2 (s^2-s+1): candidates, checks, divisions
+        # and the quadratic rest all stay on ints; the found roots and the
+        # remainder's coefficients are the only Scalars built
+        h = (
+            up(0, 0, 1) * up(1, 1) ** 3
+            * UniPoly.make([sc(-1, -1), sc(2)]) ** 2 * up(1, -1, 1)
+        )
+
+        def forbidden(*args):
+            raise AssertionError("Scalar or UniPoly arithmetic in the root search")
+
+        for name in ("__add__", "__sub__", "__mul__", "__truediv__", "inverse"):
+            monkeypatch.setattr(Scalar, name, forbidden)
+        for name in ("divmod", "evaluate"):
+            monkeypatch.setattr(UniPoly, name, forbidden)
+        built = []
+        inner = expansion_mod._reduced
+
+        def reduced(a, b, d):
+            built.append(inner(a, b, d))
+            return built[-1]
+
+        monkeypatch.setattr(expansion_mod, "_reduced", reduced)
+        roots, rest = all_roots(h)
+        monkeypatch.undo()
+        half = sc(Fraction(1, 2), Fraction(1, 2))
+        assert roots == [(sc(-1), 3), (sc(0), 2), (half, 2)]
+        assert rest == up(4, -4, 4)
+        # apart from the stripped zero, every Scalar returned was built once
+        returned = [r for r, _ in roots if not r.is_zero()] + list(rest.coeffs)
+        assert sorted(map(id, returned)) == sorted(map(id, built))
 
 
 class TestCurveBranches:
