@@ -211,17 +211,6 @@ def gaussian_sqrt(x: int, y: int) -> Optional[Tuple[int, int]]:
     return None
 
 
-def sqrt_scalar(w: Scalar) -> Optional[Scalar]:
-    """A square root of w inside Q(i), or None when no such root exists.
-
-    (a + b*i)/d is a square in Q(i) exactly when (a + b*i)*d is one in
-    Z[i]; the root is that integer root over d, with the sign rule of
-    ``gaussian_sqrt``.
-    """
-    root = gaussian_sqrt(w.a * w.d, w.b * w.d)
-    return None if root is None else _reduced(root[0], root[1], w.d)
-
-
 # ---------------------------------------------------------------------------
 # Univariate polynomials (dense)
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -32,6 +32,9 @@ from .parsing import (
 )
 from .puiseux import leading_data
 from .valueset import (
+    CHECKS,
+    SIGMA,
+    SIGMA_PRIME,
     CheckReport,
     dicritical_series,
     nonproper_value_set,
@@ -44,62 +47,15 @@ EXIT_INPUT = 2
 EXIT_UNRESOLVED = 3
 EXIT_INTERNAL = 4
 
-VERIFY_CHOICES = [
-    "theorem1",
-    "theorem2",
-    "lemma2",
-    "lemma3",
-    "lemma4",
-    "eq4",
-    "eq9",
-    "section5",
-    "factorization",
-    "all",
-]
-
-
-class RunConfig:
-    __slots__ = (
-        "map_text", "command", "series_text", "which", "what", "depth_k",
-        "caps", "radii", "tol", "seed", "samples", "fmt",
-    )
-
-    def __init__(
-        self,
-        map_text: str,
-        command: str,
-        series_text: Optional[str] = None,
-        which: str = "P",
-        what: str = "all",
-        depth_k: int = 8,
-        caps: Caps = Caps(),
-        radii: Tuple[float, ...] = DEFAULT_RADII,
-        tol: float = DEFAULT_TOL,
-        seed: int = DEFAULT_SEED,
-        samples: int = 64,
-        fmt: str = "text",
-    ):
-        self.map_text = map_text
-        self.command = command
-        self.series_text = series_text
-        self.which = which
-        self.what = what
-        self.depth_k = depth_k
-        self.caps = caps
-        self.radii = radii
-        self.tol = tol
-        self.seed = seed
-        self.samples = samples
-        self.fmt = fmt
-
-
 def _add_shared(ap: argparse.ArgumentParser, suppress: bool) -> None:
     # shared options are accepted before or after the subcommand; the
     # subcommand copies default to SUPPRESS so they only override when given
     def dflt(value):
         return argparse.SUPPRESS if suppress else value
 
-    ap.add_argument("--format", choices=["json", "text"], default=dflt("text"))
+    ap.add_argument(
+        "--format", dest="fmt", choices=["json", "text"], default=dflt("text")
+    )
     caps = Caps()
     ap.add_argument("--max-mult", type=int, default=dflt(caps.max_mult))
     ap.add_argument("--max-k", type=int, default=dflt(caps.max_k))
@@ -108,7 +64,7 @@ def _add_shared(ap: argparse.ArgumentParser, suppress: bool) -> None:
         "--radii", default=dflt(",".join(str(r) for r in DEFAULT_RADII))
     )
     ap.add_argument("--tol", type=float, default=dflt(DEFAULT_TOL))
-    ap.add_argument("--seed", type=int, default=dflt(None))
+    ap.add_argument("--seed", type=int, default=dflt(DEFAULT_SEED))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,47 +93,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--series", required=True, help="e.g. '-x + s*x^(-1)'")
     subparser("valueset", "non-proper value set components")
     p_verify = subparser("verify", "run the verification suite")
-    p_verify.add_argument("--what", choices=VERIFY_CHOICES, default="all")
+    p_verify.add_argument("--what", choices=[*CHECKS, "all"], default="all")
     p_oracle = subparser("oracle", "floating-point cross-validation")
     p_oracle.add_argument("--samples", type=int, default=64)
     return ap
 
 
-def config_from_args(argv: Sequence[str]) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    if ns.map is not None:
-        map_text = ns.map
-    else:
-        with open(ns.map_file, "r", encoding="utf-8") as fh:
-            map_text = fh.read()
-    radii = tuple(float(r) for r in ns.radii.split(","))
-    if list(radii) != sorted(radii) or any(r <= 0 for r in radii):
-        raise PreconditionFailed("radii must be positive and increasing")
-    caps = Caps(ns.max_mult, ns.max_k, ns.max_depth)
-    if min(caps.max_mult, caps.max_k, caps.max_depth) <= 0:
+def config_from_args(argv: Sequence[str]) -> argparse.Namespace:
+    """The parsed options, with the map text in ``map`` and ``caps`` and
+    ``radii`` built; the subcommand's own options keep their argparse names."""
+    config = _build_parser().parse_args(argv)
+    if config.map is None:
+        try:
+            with open(config.map_file, "r", encoding="utf-8") as fh:
+                config.map = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise PreconditionFailed(f"cannot read map file: {exc}") from None
+    try:
+        radii = tuple(float(r) for r in config.radii.split(","))
+    except ValueError:
+        raise PreconditionFailed(f"radii are not numbers: {config.radii}") from None
+    if list(radii) != sorted(radii) or not all(0 < r < math.inf for r in radii):
+        raise PreconditionFailed("radii must be positive, finite and increasing")
+    config.radii = radii
+    config.caps = Caps(config.max_mult, config.max_k, config.max_depth)
+    if min(config.caps) <= 0:
         raise PreconditionFailed("caps must be positive")
-    seed = ns.seed
-    if seed is None:
-        seed = int(os.environ.get("NPV_SEED", DEFAULT_SEED))
-    cfg = RunConfig(
-        map_text=map_text,
-        command=ns.command,
-        caps=caps,
-        radii=radii,
-        tol=ns.tol,
-        seed=seed,
-        fmt=ns.format,
-    )
-    if ns.command == "branches":
-        cfg.which = ns.which
-        cfg.depth_k = ns.depth
-    elif ns.command == "classify":
-        cfg.series_text = ns.series
-    elif ns.command == "verify":
-        cfg.what = ns.what
-    elif ns.command == "oracle":
-        cfg.samples = ns.samples
-    return cfg
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -228,26 +170,34 @@ def _plain(obj):
     return str(obj)
 
 
-def run(config: RunConfig) -> Tuple[int, dict]:
-    """Execute one command; returns (exit code, canonical report dict)."""
-    try:
-        p_raw, q_raw = parse_map(config.map_text)
-        f = normalize_monic(p_raw, q_raw)
-    except (ParseError, PreconditionFailed) as exc:
-        return EXIT_INPUT, _error_report(config, str(exc))
+def _report(config: argparse.Namespace, **fields) -> dict:
     report = {
-        "map": {"P": format_poly(f.p), "Q": format_poly(f.q), "shear": f.shear},
+        "map": None,
         "command": config.command,
         "result": None,
         "checks": [],
-        "signs": {"sigma": 1, "sigma_prime": 1},
+        "signs": {"sigma": SIGMA, "sigma_prime": SIGMA_PRIME},
         "unresolved": [],
     }
+    report.update(fields)
+    return report
+
+
+def run(config: argparse.Namespace) -> Tuple[int, dict]:
+    """Execute one command; returns (exit code, canonical report dict)."""
+    try:
+        p_raw, q_raw = parse_map(config.map)
+        f = normalize_monic(p_raw, q_raw)
+    except (ParseError, PreconditionFailed) as exc:
+        return EXIT_INPUT, _report(config, error=str(exc))
+    report = _report(
+        config, map={"P": format_poly(f.p), "Q": format_poly(f.q), "shear": f.shear}
+    )
     code = EXIT_OK
     try:
         if config.command == "branches":
             g = f.p if config.which == "P" else f.q
-            branches = curve_branches(g, config.depth_k)
+            branches = curve_branches(g, config.depth)
             report["result"] = {
                 "which": config.which,
                 "branches": [
@@ -264,7 +214,7 @@ def run(config: RunConfig) -> Tuple[int, dict]:
             report["result"] = _node_json(scan.tree)
             report["unresolved"] = scan.unresolved
         elif config.command == "classify":
-            phi = parse_series(config.series_text or "")
+            phi = parse_series(config.series)
             lead = leading_data(f, phi)
             flags = classify(lead)
             report["result"] = {
@@ -311,7 +261,7 @@ def run(config: RunConfig) -> Tuple[int, dict]:
         elif config.command == "oracle":
             report["result"] = _run_oracle(f, config)
     except ParseError as exc:
-        return EXIT_INPUT, _error_report(config, str(exc))
+        return EXIT_INPUT, _report(config, error=str(exc))
     except ExtensionRequired as exc:
         # a root outside Q(i) is a limit of the engine, not an input error
         report["unresolved"].append(
@@ -325,7 +275,7 @@ def run(config: RunConfig) -> Tuple[int, dict]:
     return code, report
 
 
-def _run_oracle(f: MapPair, config: RunConfig) -> dict:
+def _run_oracle(f: MapPair, config: argparse.Namespace) -> dict:
     vs = nonproper_value_set(f, config.caps)
     samples = []
     sample_params = [Scalar.of(k) for k in (0, 1, 2, -1, 3)]
@@ -355,18 +305,6 @@ def _run_oracle(f: MapPair, config: RunConfig) -> dict:
             "cluster_count": len(probe.clusters),
             "consistent_with_exact": consistent,
         },
-    }
-
-
-def _error_report(config: RunConfig, message: str) -> dict:
-    return {
-        "map": None,
-        "command": config.command,
-        "result": None,
-        "checks": [],
-        "signs": {"sigma": 1, "sigma_prime": 1},
-        "unresolved": [],
-        "error": message,
     }
 
 
@@ -460,7 +398,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if config.fmt == "json":
-            print(render(_error_report(config, str(exc)), "json"))
+            print(render(_report(config, error=str(exc)), "json"))
         return EXIT_INTERNAL
     print(render(report, config.fmt))
     return code

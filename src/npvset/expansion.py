@@ -767,9 +767,9 @@ def root_index_data(seq: AssociatedSequence) -> RootIndexData:
 
     For each level the matching roots of each component are collected with
     their coefficient at the level slot; the leading polynomial must equal
-    lead_coeff * (s - c_i)^(count at c_i) * prod (s - other coefficients),
-    which is asserted exactly.  The roots and their departures are the ones
-    the sequence was built from.
+    lead_coeff * (s - c_i)^(count at c_i) * prod (s - other coefficients);
+    whether it does is recorded exactly as ``factor_ok``.  The roots and
+    their departures are the ones the sequence was built from.
     """
     out = []
     for lv in seq.levels:

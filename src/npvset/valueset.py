@@ -179,17 +179,11 @@ def _affinely_equal(c1: ValueSetComponent, c2: ValueSetComponent) -> bool:
         return False
     ru = c1.u.lcoeff() / c2.u.lcoeff()
     rv = c1.v.lcoeff() / c2.v.lcoeff()
-    g = math.gcd(du, dv)
-    # alpha^du = ru and alpha^dv = rv force alpha^g = ru^x rv^y (Bezout)
-    x, y = _bezout(du, dv)
-    target = (ru ** x) * (rv ** y)
     try:
-        alphas, rest = _power_roots(g, target)
+        alphas = _common_roots(du, dv, ru, rv)
     except ZeroDivisionError:
         return False
     for alpha in alphas:
-        if alpha ** du != ru or alpha ** dv != rv:
-            continue
         # solve for the shift from the next-highest coefficient of the
         # higher-degree coordinate, then verify both identities exactly
         lead_poly_1, lead_poly_2, dd = (
@@ -211,12 +205,18 @@ def _bezout(a: int, b: int) -> Tuple[int, int]:
     return y, x - (a // b) * y
 
 
-def _power_roots(g: int, target: Scalar) -> Tuple[List[Scalar], UniPoly]:
-    """Solutions of z^g = target inside Q(i)."""
-    coeffs = [-target] + [ZERO] * (g - 1) + [ONE]
-    poly = UniPoly.make(coeffs)
-    roots, rest = all_roots(poly)
-    return [r for r, _ in roots], rest
+def _common_roots(d: int, e: int, r1: Scalar, r2: Scalar) -> List[Scalar]:
+    """Every alpha in Q(i) with alpha^d = r1 and alpha^e = r2.
+
+    With g = gcd(d, e) = x*d + y*e (Bezout), such an alpha has
+    alpha^g = r1^x * r2^y, so the candidates are the g-th roots of that
+    value in Q(i); each is checked against both equations.
+    """
+    x, y = _bezout(d, e)
+    target = (r1 ** x) * (r2 ** y)
+    g = math.gcd(d, e)
+    roots, _rest = all_roots(UniPoly.make([-target] + [ZERO] * (g - 1) + [ONE]))
+    return [a for a, _ in roots if a ** d == r1 and a ** e == r2]
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +279,8 @@ def theorem1_from_leads(
         big_d = dpk // d
         ru = lead_phi.p_lead.lcoeff() / lead_psi.p_lead.lcoeff()
         rv = lead_phi.q_lead.lcoeff() / lead_psi.q_lead.lcoeff()
-        x, y = _bezout(d, e)
-        c_val = (ru ** x) * (rv ** y)
-        coeff_ok = (c_val ** d == ru) and (c_val ** e == rv)
-        if coeff_ok:
-            big_c = c_val
+        big_c = next(iter(_common_roots(d, e, ru, rv)), None)
+        coeff_ok = big_c is not None
     return Theorem1Certificate(
         psi, phi, hyp, m_, d, e, big_n, big_d, big_c,
         conclusion_i_ok, exps_zero and degs_ok and coeff_ok,
@@ -625,6 +622,12 @@ def check_newton_factorization(
 # ---------------------------------------------------------------------------
 
 
+CHECKS = (
+    "theorem1", "theorem2", "lemma2", "lemma3", "lemma4", "eq4", "eq9",
+    "section5", "factorization",
+)
+
+
 class VerificationRun(NamedTuple):
     checks: List[CheckReport]
     signs: Dict[str, int]
@@ -639,16 +642,15 @@ def run_all_checks(
 ) -> VerificationRun:
     """Run the requested checkers over a map's expansion tree and chains.
 
-    ``what`` is one of theorem1, theorem2, lemma2, lemma3, lemma4, eq4, eq9,
-    section5, factorization, or all.  Instance counts make vacuity visible:
-    a check that never fired reports status vacuous, never silent success.
+    ``what`` is one name of ``CHECKS``, or all.  Instance counts make vacuity
+    visible: a check that never fired reports status vacuous, never silent
+    success.
     """
-    wanted = (
-        ["theorem1", "theorem2", "lemma2", "lemma3", "lemma4", "eq4", "eq9",
-         "section5", "factorization"]
-        if what == "all"
-        else [what]
-    )
+    if what != "all" and what not in CHECKS:
+        raise PreconditionFailed(
+            f"unknown check {what!r}; expected all or one of {', '.join(CHECKS)}"
+        )
+    wanted = CHECKS if what == "all" else (what,)
     scan = dicritical_series(f, caps)
     nodes = list(scan.tree.walk())
     chains: List[Tuple[ParamSeries, AssociatedSequence, RootIndexData]] = []

@@ -16,8 +16,8 @@ from npvset.algebra import (
     bipoly,
     jacobian,
     normalize_monic,
+    gaussian_sqrt,
     poly_gcd,
-    sqrt_scalar,
 )
 from npvset.errors import PreconditionFailed
 
@@ -26,6 +26,12 @@ from conftest import CORPUS_TEXT, corpus_map, sc
 
 def up(*coeffs):
     return UniPoly.of(*coeffs)
+
+
+def follows_sign_rule(root) -> bool:
+    """The root gaussian_sqrt picks of the two: c > 0, or c = 0 and d >= 0."""
+    c, d = root
+    return c > 0 or (c == 0 and d >= 0)
 
 
 class TestScalar:
@@ -49,13 +55,10 @@ class TestScalar:
         assert str(sc(0, -1)) == "-i"
 
     def test_sqrt(self):
-        assert sqrt_scalar(sc(0, 2)) in (sc(1, 1), sc(-1, -1))
-        assert sqrt_scalar(sc(-4)) in (sc(0, 2), sc(0, -2))
-        assert sqrt_scalar(sc(2)) is None
-        assert sqrt_scalar(sc(Fraction(9, 4))) in (
-            sc(Fraction(3, 2)),
-            sc(Fraction(-3, 2)),
-        )
+        for x, y, root in [(0, 2, (1, 1)), (-4, 0, (0, 2)), (9, 0, (3, 0))]:
+            assert gaussian_sqrt(x, y) == root
+            assert follows_sign_rule(root)
+        assert gaussian_sqrt(2, 0) is None
 
 
 class _Ref:
@@ -154,17 +157,22 @@ class TestScalarAgainstReference:
         assert Scalar(-x.a, -x.b, -x.d) == x
         assert (x == u) is False
 
-    @settings(max_examples=100)
-    @given(pairs)
-    def test_sqrt(self, u):
-        x = sc(*u)
-        root = sqrt_scalar(x * x)
-        assert root is not None and root in (x, -x)
-        if not x.is_zero():
-            # 2, 3 and i are not squares in Q(i), so neither are their
-            # products with a nonzero square
-            for k in (sc(2), sc(3), sc(0, 1)):
-                assert sqrt_scalar(k * x * x) is None
+    @settings(max_examples=200)
+    @given(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12))
+    def test_sqrt(self, c, d):
+        root = gaussian_sqrt(c * c - d * d, 2 * c * d)
+        assert root in ((c, d), (-c, -d)) and follows_sign_rule(root)
+
+    def test_sqrt_is_none_exactly_off_the_squares(self):
+        # every square x + y*i with |x|, |y| <= 40 has a root of norm at
+        # most 40*sqrt(2), so both parts of the root lie in [-7, 7]
+        squares = {
+            (c * c - d * d, 2 * c * d) for c in range(-7, 8) for d in range(-7, 8)
+        }
+        for x in range(-40, 41):
+            for y in range(-40, 41):
+                root = gaussian_sqrt(x, y)
+                assert (root is not None) == ((x, y) in squares), (x, y)
 
 
 class TestUniPoly:

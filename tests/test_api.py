@@ -81,14 +81,16 @@ def test_no_unused_imports():
     assert {name: names for name, names in found.items() if names} == {}
 
 
-def private_definitions_never_read(sources: dict) -> list:
-    """Module-level functions and classes named ``_...`` that no module reads.
+def definitions_never_read(sources: dict, private: bool, exported=()) -> list:
+    """Module-level functions and classes that no module reads.
 
-    A read is a loaded name or an attribute of that name anywhere in the
-    given sources; the definition itself is not one.
+    Only names starting with ``_`` are looked at when ``private``, and only
+    the others when not; a name in ``exported`` counts as read.  A read is a
+    loaded name or an attribute of that name anywhere in the given sources;
+    the definition itself is not one.
     """
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    read = set()
+    read = set(exported)
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -101,20 +103,32 @@ def private_definitions_never_read(sources: dict) -> list:
         for name, tree in trees.items()
         for node in tree.body
         if isinstance(node, defs)
-        and node.name.startswith("_")
+        and node.name.startswith("_") == private
         and node.name not in read
     )
 
 
-def test_no_unread_private_helpers():
+def package_sources() -> dict:
     package = Path(npvset.__file__).parent
-    sources = {
+    return {
         path.name: path.read_text(encoding="utf-8")
         for path in sorted(package.glob("*.py"))
     }
-    assert private_definitions_never_read(sources) == []
+
+
+def test_no_unread_private_helpers():
+    assert definitions_never_read(package_sources(), private=True) == []
     # the guard only means something if it sees the helpers
-    assert private_definitions_never_read({"m.py": "def _f(): pass"}) == ["m.py:_f"]
+    assert definitions_never_read({"m.py": "def _f(): pass"}, private=True) == ["m.py:_f"]
+
+
+def test_no_unread_public_definitions():
+    # every public function and class is re-exported or read by the package
+    found = definitions_never_read(package_sources(), False, npvset.__all__)
+    assert found == []
+    # the guard only means something if it sees the definitions
+    synthetic = {"m.py": "def f(): pass\ndef g(): pass\nclass C: pass\n"}
+    assert definitions_never_read(synthetic, False, ["g"]) == ["m.py:C", "m.py:f"]
 
 
 KERNEL = {"prefix_expansion", "support_points"}
@@ -150,12 +164,7 @@ def kernel_uses_outside_route(sources: dict) -> list:
 
 def test_one_route_to_the_expansion_kernel():
     # every expansion is read through the per-curve support-point table
-    package = Path(npvset.__file__).parent
-    sources = {
-        path.name: path.read_text(encoding="utf-8")
-        for path in sorted(package.glob("*.py"))
-    }
-    assert kernel_uses_outside_route(sources) == []
+    assert kernel_uses_outside_route(package_sources()) == []
     # the guard only means something if it sees a call and an import
     bypass = {
         "expansion.py": "from .puiseux import support_points\n",

@@ -26,6 +26,7 @@ from npvset.cli import (
     run,
 )
 from npvset.errors import EngineError, ParseError, PreconditionFailed, VerificationFailure
+from npvset.oracle import DEFAULT_SEED
 
 from conftest import CORPUS_TEXT, STRESS_TEXT
 
@@ -147,6 +148,26 @@ class TestExitCodes:
         assert main(args) == EXIT_UNRESOLVED
         out = capsys.readouterr()
         assert json.loads(out.out) == report and out.err == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--map-file", "{missing}", "valueset"],
+            ["--map-file", "{latin1}", "valueset"],
+            ["--map", "x+y; x*y+y^2", "--radii", "1,abc", "oracle"],
+            ["--map", "x+y; x*y+y^2", "--radii", "1,10,inf", "oracle"],
+            ["--map", "x+y; x*y+y^2", "--radii", "1,10,nan", "oracle"],
+        ],
+        ids=["missing-file", "not-utf8", "radius-not-a-number", "radius-inf", "radius-nan"],
+    )
+    def test_unusable_options_are_input_errors(self, args, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("x+y; x*y+y^2 # \xe9".encode("latin-1"))
+        paths = {"missing": tmp_path / "missing.txt", "latin1": latin1}
+        assert main([a.format(**paths) for a in args]) == EXIT_INPUT
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ")
+        assert "Traceback" not in out.err
 
     def test_other_engine_errors_stay_input_errors(self, capsys):
         # a vanishing Jacobian has no leading data along any window
@@ -330,10 +351,11 @@ class TestDeterminism:
 
 
 class TestSeedPlumbing:
-    def test_env_seed_override(self, monkeypatch):
+    def test_environment_does_not_set_the_seed(self, monkeypatch):
+        # --seed is the only source of the oracle seed
         monkeypatch.setenv("NPV_SEED", "12345")
         cfg = config_from_args(["--map", "x+y; y", "oracle"])
-        assert cfg.seed == 12345
+        assert cfg.seed == DEFAULT_SEED
 
     def test_flag_beats_default(self):
         cfg = config_from_args(["--map", "x+y; y", "--seed", "99", "oracle"])

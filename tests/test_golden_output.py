@@ -1,7 +1,10 @@
-"""Pinned CLI output: the SHA-256 of (exit code, ``--format json`` stdout).
+"""Pinned CLI output: the SHA-256 of (exit code, stdout).
 
 Performance work on the engine must not change what it prints.  Each case
 runs ``npvset.cli.main`` in process and hashes ``"<exit code>\\n<stdout>"``.
+The cases are every command in ``--format json`` on the corpus and stress
+maps, each single ``verify --what`` check, ``--format text`` of each
+command, and the ``--help`` text of the parser and of each subcommand.
 M9 runs only ``tree`` and ``valueset``; its ``verify`` takes seconds and
 ``tests/test_cli.py`` runs it already.
 
@@ -17,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 from typing import Dict, List, Tuple
 
 import pytest
@@ -32,25 +36,53 @@ COMMANDS = {
     "branchesP": ["branches", "--which", "P"],
     "branchesQ": ["branches", "--which", "Q"],
 }
+CHECK_NAMES = (
+    "theorem1", "theorem2", "lemma2", "lemma3", "lemma4", "eq4", "eq9",
+    "section5", "factorization",
+)
+SUBCOMMANDS = {
+    "branches": ["branches"],
+    "tree": ["tree"],
+    "classify": ["classify", "--series", "-x + s*x^(-1)"],
+    "valueset": ["valueset"],
+    "verify": ["verify"],
+    "oracle": ["oracle"],
+}
 
 
-def _cases() -> List[Tuple[str, str, List[str]]]:
+def _cases() -> List[Tuple[str, List[str]]]:
+    maps = {**CORPUS_TEXT, **STRESS_TEXT}
     cases = []
-    for name, text in {**CORPUS_TEXT, **STRESS_TEXT}.items():
+    for name, text in maps.items():
         for cmd, args in COMMANDS.items():
-            cases.append((f"{name}-{cmd}", text, args))
+            cases.append((f"{name}-{cmd}", ["--map", text, *args, "--format", "json"]))
     for cmd in ("tree", "valueset"):
-        cases.append((f"M9-{cmd}", M9_TEXT, COMMANDS[cmd]))
+        cases.append((f"M9-{cmd}", ["--map", M9_TEXT, *COMMANDS[cmd], "--format", "json"]))
+    for name, text in maps.items():
+        for check in CHECK_NAMES:
+            argv = ["--map", text, "verify", "--what", check, "--format", "json"]
+            cases.append((f"{name}-verify-{check}", argv))
+    for name in ("F2", "M6"):
+        for cmd, args in SUBCOMMANDS.items():
+            if cmd != "classify" or name == "F2":
+                argv = ["--map", maps[name], *args, "--format", "text"]
+                cases.append((f"{name}-text-{cmd}", argv))
+    cases.append(("help", ["--help"]))
+    for cmd in SUBCOMMANDS:
+        cases.append((f"help-{cmd}", ["--map", "x+y; y", cmd, "--help"]))
     return cases
 
 
 CASES = _cases()
 
 
-def output_digest(text: str, args: List[str]) -> str:
+def output_digest(argv: List[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["--map", text, *args, "--format", "json"])
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
     return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
 
 
@@ -127,18 +159,165 @@ GOLDEN: Dict[str, str] = {
     "M8-branchesQ": "bea120ea70aec29e2c7e67e19b92357b2b19b3e22d07565fa3ddc48d55a69bfd",
     "M9-tree": "f1f857f290c46102eab7e19b2c4268d7b2c994a7ff991145146c7a27e76f2a50",
     "M9-valueset": "5c535cf04fa7465b72bdd86afc3d8783a61819e8a34424beff44d08532f42dfc",
+    "F1-verify-theorem1": "e82dba222cf5668f85fed331043b5f3aa8547eee178be0ae36303699f4c6d2a7",
+    "F1-verify-theorem2": "3235416fa9a5c3fcd43759a66561aff474ae9fadd08a3d5580f1ac6637a1a8cd",
+    "F1-verify-lemma2": "1bf816298e31b98b14fb56aded4f1c4ef19ef376bb3ee35b1bbadb045e82f622",
+    "F1-verify-lemma3": "cd91902789ed88ffb2c4052a2a8f517dc2816efc93c1d27c6d31c900f8446930",
+    "F1-verify-lemma4": "28f70ac49cc66d426e9e19c1ff243fda1d9605f7d064ed65563f03db0f0e1871",
+    "F1-verify-eq4": "36985fcb8bb1df386acc56cd7fb69a13c8703cd7ab906cbdd09509659d9c5dfb",
+    "F1-verify-eq9": "249c14be88dd32f48faedf6593e7ad5788a929e85a57a8668372a87971b2aaac",
+    "F1-verify-section5": "7f45e57c9187db39d12ab03371129ad62056a12ad1580e570e3cc38d0f5aa802",
+    "F1-verify-factorization": "0daa4f2e0b142ce12306f1f05b74e55105813b59a31c79a265467133052e63fd",
+    "F2-verify-theorem1": "bd3ad4077d32304d9b3c39756e734eee9295c96854bfcd1326e0b7cf810ae93c",
+    "F2-verify-theorem2": "be5bd55a5d0b2f80044e9146afbca5246360cd36386642005fc8da31a7d7fa2b",
+    "F2-verify-lemma2": "34ffc70574e35ee781ff44fdaedfe54036c2969721e06623aff0ba1eb89a2e7a",
+    "F2-verify-lemma3": "43ab2ab55ed82a3fa223c7b3fd872038bd97a7ce75d5e0f16bddb2f3afdbd1e4",
+    "F2-verify-lemma4": "82607f93c2829a15cb6d8a6da2d43f40bf87680cf566017cea7e783c227bf6f5",
+    "F2-verify-eq4": "146d8db82f96f91cfb85e068626cbafddb16b26bd93347482356810ebc5074f3",
+    "F2-verify-eq9": "84b98cb2af7279a65d34cb0545f2e08cbea51fd3eeca831c2cd6a405aed629b7",
+    "F2-verify-section5": "0dbd5b6415f6a75a54a4fe7d7beba347795747fa3dfbdb311f897ac641869864",
+    "F2-verify-factorization": "03b43b97597890d6b1d93fc4f1c7c7fa1da3a38943e1177cfacbd4db0f8a769c",
+    "F2T-verify-theorem1": "6fa39416a96bb7cb1807b7e023909d795a876648c0729eb43f5b00a9bbe724a8",
+    "F2T-verify-theorem2": "1c867c57ffb5d936fcdf589bddbc31c8e3a5dca54206c5b187c27f87045264d2",
+    "F2T-verify-lemma2": "cc79af52b133b1c3df4c17ef09228a30d1cc2f85428be526c21e909a8a42add5",
+    "F2T-verify-lemma3": "33eed6775b685872c44670b3035163f35907ab3885e4b70e0043df62bc6f88aa",
+    "F2T-verify-lemma4": "ab795e6ee242e9158a23aa32ab1b1bb476de07bef51c905e1786690c2f977193",
+    "F2T-verify-eq4": "9e7061fd325991250b4f633b5726bddea56e6723310a0db0e567beed833bd25c",
+    "F2T-verify-eq9": "681770535e05888ec6317cbc76adc6559b363cb504d3a2236421745251019fa5",
+    "F2T-verify-section5": "9acd58437d37a88b073fc5bd3572ed634d2b9866a19f821235c0224e019f44c9",
+    "F2T-verify-factorization": "fafb9828b493219df678f5f554197a6218db6941eb619868d9ee047f86b73854",
+    "F3p-verify-theorem1": "c95d88dbef5dfc0e171af5710f349aba362e32329b05e47f75aeb1a81c523d60",
+    "F3p-verify-theorem2": "9cd20b01ae1d9433c9dc8248d2ba8e2bfe35c3aca433766b004ecdb97f3d80c9",
+    "F3p-verify-lemma2": "44351b8937413e4c813bee5bcb96981b22dc33a4a5fc19a23397aeca5822267a",
+    "F3p-verify-lemma3": "3850fdb374fae695493fe1017b911ad805afbb7ede652f7a7d52f4957d538085",
+    "F3p-verify-lemma4": "0faed80de6a172a3ffa4d154787b11257c32e163d5bc98ede740d09f8f151d90",
+    "F3p-verify-eq4": "a137612b15715afb423609a460cf8a60b9cc70d081ae9968643f7ca12f80cbce",
+    "F3p-verify-eq9": "82b0e936f45a1dd01e1e65bfadf431dd7514d0528690a04b86e20386112a9490",
+    "F3p-verify-section5": "586d8d0e8c63724ce60df1954c8f47c7106f66385f65d87a437ad3af7f1d3511",
+    "F3p-verify-factorization": "186cd0b77919abf8479a481ab9c021e958eb2ccafd1ca0858ed21cc7c1153b69",
+    "F5-verify-theorem1": "a077ac70c7e41e8833df8b53f94e150f3eee74503cafcba82d138746d2c31c1a",
+    "F5-verify-theorem2": "18148fd8d919a0d3139d9747ca1d443d3a32794947b07976ea8a6a97566a380b",
+    "F5-verify-lemma2": "42c556c663c45e21de2727db3bb20136298f7bb91c97733296adc45cd23abfc2",
+    "F5-verify-lemma3": "f3d04c5b322f3fd467e2c75d347876b97d62501a13930b19ef61f32852b6e587",
+    "F5-verify-lemma4": "6335b7ce6392bed4362ee2c0bbef022fbff241139a7737c23de5166fdb3dc5f7",
+    "F5-verify-eq4": "f49bd4043bfb5a1cefa7dd6ef99cc269e16559ba96684b159d28c61a8d0d3e16",
+    "F5-verify-eq9": "0170fdb20b198f8cab426abf3f812263c34b3d90dd27b131fd1f9b88fabf0c0e",
+    "F5-verify-section5": "c88430edca439d05819e26485f97565257713df06956d3658008874d621a0185",
+    "F5-verify-factorization": "e33120eb0b7e3d0b3c89dbec8b7cefd389ac6a67c2e09aae89798de93dfc059d",
+    "R1-verify-theorem1": "12a039d0c82b79ab3d000e6ed354fdaf2e43088fc0149b8a7c3ed91a3a6b755b",
+    "R1-verify-theorem2": "8ed0849aba5f5d0352ac3c68bcd97c60d66eb272299d76c3761812a0bf0ea807",
+    "R1-verify-lemma2": "63593a6f9052dea0b4984c6a09925fdcff1934f60d93eff10e13ff619e95f088",
+    "R1-verify-lemma3": "7a365f9078bfaf6d73b7b509b176044330c049a6dfdbd75d3edef800b38fd073",
+    "R1-verify-lemma4": "dacfbecfdaa215616ea21be3d82fb57e678b4f099b1d1592802a5d67c737af0b",
+    "R1-verify-eq4": "32eab7614af6270d8f3dab8116807bea946e4ccb41887da73c8e5b3679641999",
+    "R1-verify-eq9": "815a2512a5a81ff1dcd6d42dba0515ffbf537574be0255bd6f7ff35a881801a4",
+    "R1-verify-section5": "8389428070cd150294f1df09b199d67ee6043f3458e7b2f94c48087725818e5e",
+    "R1-verify-factorization": "10c0926f1d15ef3a95fcaf8a57c1863f96546eee3bb0230a33739cedd634b79b",
+    "R2-verify-theorem1": "a9548c099a1238ab1cb6715c12da0691ddf99b6ec0f2a70c11cb139bc6abd628",
+    "R2-verify-theorem2": "4d3b8342da00104ded7b09b65ed0fdd06e0d15949d2a44c143cd21d681bd3d04",
+    "R2-verify-lemma2": "a6e601034bf191e1d4d7395489a2d689e1de89ea35534eb89795712e4a3f382c",
+    "R2-verify-lemma3": "612538bfd742defc442d9235fd639f5d38623aa044138b3b4ce886f9628ff028",
+    "R2-verify-lemma4": "0781caca5175f4d1824149a57db87fb797918e4c52528d4e1d747064e4681c02",
+    "R2-verify-eq4": "667e20e1bd4fbb8fee44d1e6d929644e943bb0aa81b49e49df5e3268167bd348",
+    "R2-verify-eq9": "77a4ec73f52b6fc6adb6ac280396022dcdd19d8482c8384de92f13c1d60abd7d",
+    "R2-verify-section5": "fe0785a82b7fff4f1a07a97479906223344ff9b7dd226856277fc5dc5c03faa7",
+    "R2-verify-factorization": "b5c2b28d229b609bf47db6216a38c42edb6212cdda48ce677b604c5dcf8e1b91",
+    "R3-verify-theorem1": "962ba6830598cefe92c01b024a2e4dc77a4d8e013adf90e3916cde3651d4a09b",
+    "R3-verify-theorem2": "bad93f090e76695f4a2fe5794f78c6dcdea66165c5f1445c483539428a06bc86",
+    "R3-verify-lemma2": "01fadc73e81e671171845440f8579f07f1689e0671c1011a43534094edf1b288",
+    "R3-verify-lemma3": "5ecbfe8415834e121654e34bc269957ab41a919951a0e04d530d6ba6cb7366c1",
+    "R3-verify-lemma4": "0f3e93fc124f1c32a5f6ed966c3c86b93d6de730e56a8ededf874ea349e2643d",
+    "R3-verify-eq4": "2be1b2e6aeb646f65aa3d378f649f38450f528df702aab093f902baa88acd299",
+    "R3-verify-eq9": "85144d0fe2a6c8523902949a0958b2ce46d4fd71f41119263ad74819c50139ec",
+    "R3-verify-section5": "225784d39004d5b9af94329292d510af06c1cf54418dfd3705dcbe7596ef5ee8",
+    "R3-verify-factorization": "add9815a3fb79f406f54e9d761ef0a30f07bbc8f315ac4f55b993e08512614ac",
+    "R4-verify-theorem1": "c7960a4be098be254bfda36940e544822c3e68dba50868d62fdf83346714c88a",
+    "R4-verify-theorem2": "d3e981fc0d79472255686335362cf1b7d47ca87dda067ea14fec2dd05a5ea4cc",
+    "R4-verify-lemma2": "28e2caa6933c638fa34fc770435abf141a7fde3e82561e87b4bbb6edba6ec1de",
+    "R4-verify-lemma3": "d790efa2fc01599d2c8c569699ad5516ddbd72da32ab40271012fef488dca039",
+    "R4-verify-lemma4": "8f0282f7b7ac941cbc55efd40d481bc983d99fce31deb3467ca8c284d39186e7",
+    "R4-verify-eq4": "b5afc1c2fda6afc74e96276cf6dca556db8dee7d5c1bf63c6629ca796fe21a31",
+    "R4-verify-eq9": "8ad31fd4be97e4157c3940d54015d279dfe5f8ec184c6dad10233ce53103aae6",
+    "R4-verify-section5": "eed723d3c00d152d008aba640691f4264830a98ded40e7cc65b80d492e6e7594",
+    "R4-verify-factorization": "b42ede1da3b9b2fcee343438fb6c79e39f68d8c01938997b074a5969c0426248",
+    "R5-verify-theorem1": "412e8843677da56662f2aa1c733658f1b2710ad9b271c856bfc66d93ae7e207d",
+    "R5-verify-theorem2": "a3766df09205fa00db634dc81e78f9fc7c1b94fc52945439971a524e403cfa38",
+    "R5-verify-lemma2": "114372c508cfbc61bca8db8c211648572cb01bc0e497501e81cacd10d07efbda",
+    "R5-verify-lemma3": "e4ea84ad72757bc4f95c7812c9ddbe1d705b1993379ff09d625dbceeddb2c7ff",
+    "R5-verify-lemma4": "1f8d42b31f79059a718195d516d96946fba620cb03c1685fc2d343aa556200df",
+    "R5-verify-eq4": "7771e2a721ed043f85eab73cb61af49c5ca862731a1d84eae4de295b0b860706",
+    "R5-verify-eq9": "5d036451566a6cd260bad46c9de5ee9373a0362ce4157266c010a3861ecc151d",
+    "R5-verify-section5": "fb7c3c62cb542d82732503dc0b5e5c6deffb2d07cfdd7d3981e83e5ab91a5865",
+    "R5-verify-factorization": "05707ceab9ddd08ef20d3aa75effa4fca1ac141362839602f160891bc3413e75",
+    "R6-verify-theorem1": "0e20ea9a5862721d3752fe001a4d013ba9d13bc812b70d0defb414f615b917d3",
+    "R6-verify-theorem2": "9db6db97fb955a27d6e467d128e9a430ee609cb0159504a0fd2ec2f5674286f9",
+    "R6-verify-lemma2": "1fae5b8235407dec9a91016c832be5045b604353e1ad05d98b2572bcae6a05f3",
+    "R6-verify-lemma3": "f7aaa5456fc10e2eefb47aa04dc4bfe7c90f38155d86496438e8adafc0e208f3",
+    "R6-verify-lemma4": "df5c1b763d326dc382d8231490e014acd7b2ed071944d3e5317a26aa932ca0c6",
+    "R6-verify-eq4": "d0d88cd945a5cd83c2be3a325bf765fb7e79c913e06a6581af542388dda0d613",
+    "R6-verify-eq9": "0b67ff49b25eb58a2325ea30507b727b812f4ec5d1cfbbd81b784f301957ccd2",
+    "R6-verify-section5": "ad0940e606eae51bf5fa142464707bd90b429e35cb95af7103f7fc0dbcc35e39",
+    "R6-verify-factorization": "6a3c010dac9b8e953aea213d3b9e05c8393615495689a225a25100932abe51e4",
+    "M4-verify-theorem1": "af58dd4343e1038756284e131bb7bb6c3419f4a95dff1ebf5a490cc5a40d1159",
+    "M4-verify-theorem2": "196ab92d7fcba72deb99af6e1e89db72e3932539db0d44092bdebf045f943547",
+    "M4-verify-lemma2": "e76996c4ebe5d1e258cf3ca6740131f3256bac76e8f0161b875e8013411602ca",
+    "M4-verify-lemma3": "55fbee5f3350f94cfd67895103c2b2cdd24748de7634c1d229f06fd170820f1c",
+    "M4-verify-lemma4": "e20f187673379240bb39d4724093adf030dec1157eae7e59220df27bd68c433a",
+    "M4-verify-eq4": "196465af7f4abae1002d3dd5e45d7ae5cded41170270758f144ed44017355c52",
+    "M4-verify-eq9": "1f3b5f782d55ba1dba680009acae6302b65b18bfd9a1d30a14f03aace98e29a3",
+    "M4-verify-section5": "828b3bd1a676bc60a35a3bda4698d189fcfe1e3f21831953627b2a6a3b6eb078",
+    "M4-verify-factorization": "290ac5347d3c2a13212f8045dc2d73de7db9b573c157bebbfb8d4dd88a2d3bcc",
+    "M6-verify-theorem1": "d089026321600a060537ede823ec420c300dfb63a15a0a7eaed60fa87d146865",
+    "M6-verify-theorem2": "e8fff4aa505391629e02101654380862103538e38723b2518205f39068b392f1",
+    "M6-verify-lemma2": "c7cfdbf8dd834585743f9164ed979203e3c78d6451182e4716b511dbd976ec26",
+    "M6-verify-lemma3": "fa96eab32746897a445e6b5f373c8a08d59052b2e19b49baff258a0c59ccda35",
+    "M6-verify-lemma4": "c3d147a04cd31b823dc5958fc420497ee9497338fc134f099e87060ac992f002",
+    "M6-verify-eq4": "a1b31737ff5b4be985bc3b680c6880b07b5cdeb7548cfcb69bb3b93730c49142",
+    "M6-verify-eq9": "8ac51aae52786e28cf212b3d86680d00ce671fa3867c40d61548097ec0a14641",
+    "M6-verify-section5": "db693bf165228fc3bb4ac624876e5aa152676ff96a2179b216c9fcb1de0dfd6d",
+    "M6-verify-factorization": "e3535e9e8946980f69167b0bf548208a94bb9b958da6b7fde3a16ab9eb8de607",
+    "M8-verify-theorem1": "4bd309c94d67667a613822fa763750af8c0652bc7959e5bbea03ad45c271437f",
+    "M8-verify-theorem2": "f38b7d6cd51ab1aa73e56ac78e33ecf1636350ff18e03d2026e4ccb5d10475aa",
+    "M8-verify-lemma2": "e743dccd34e140ce3d41c5baca4f8cb4a287abb692c972c47c882370810f6dd1",
+    "M8-verify-lemma3": "f3f1fd0b9ed8a3203d040def8da1cafeb8926ee15e1ed0f643a4db96c00a0e08",
+    "M8-verify-lemma4": "a7011ed30601ae8216d70b48d3a3d9318727f00c0b4575e28a8a8fad2125153f",
+    "M8-verify-eq4": "bcd91fff330f405ffe3432522ae5aa7c680e49d6ff8cb6e569459b4bae1e8891",
+    "M8-verify-eq9": "598a569e1d2f9320d03987a03bf99315cdb78f0270748d5c371b0c6199a8a3c5",
+    "M8-verify-section5": "8636b1fc8e0d7adb0355fafaccfa0eac8ff8f2a986e0cf070de085fb556df521",
+    "M8-verify-factorization": "649af9b91ea7081687adeeaa356228611991c3df8f5339b99041cbe65bb367a1",
+    "F2-text-branches": "3d08a25e9870a28363bf3f30c100099a5b0ad809af5c1671a30fe10a8c7e1642",
+    "F2-text-tree": "3165224350783f2a4cc0260143aa4f0881a26a71ae12ad0bc966c15ae4933e9f",
+    "F2-text-classify": "e6b72bf2f0f7f485bf3e0342049b2d50b115a32e9aa83872f8659465f12979be",
+    "F2-text-valueset": "611a8e78ade98c2086196ea342d05d19f7e6385f35ceef727ad37ac477629d0b",
+    "F2-text-verify": "a54873953d8dd282e5f27e87ad815582bd7235c93b987b54e6d0bdc338c5431c",
+    "F2-text-oracle": "1e73951b79b6b10b4be1355700d832fe6d07bb16f9bfe76526e599c07fd1913f",
+    "M6-text-branches": "fabd1b7668c0ae14056e82f3908586f7244a329c0aa8982aaf3a929293ac493e",
+    "M6-text-tree": "49ba887a8bf8233f0fef3825c3e0517ef1f616c250a78b8dd31d2ec9e8e64e85",
+    "M6-text-valueset": "7db153274e1d12a5dc6772c985d3b5ae7d8f6435effc1d9dcdbc9ae2fd8f7c34",
+    "M6-text-verify": "332c277b5a0f15e6f47a62e56a959d56d317dddf0926d70780f805208476aa03",
+    "M6-text-oracle": "1b1c28946a8a05299ddddc147cea90b67742c7a9366d2ce9177939ace47b7784",
+    "help": "47df5526ed80d523c3d3e1bce6202f62349d45c374feafc700f6dd87eb229ad7",
+    "help-branches": "2a359c01e2c98519ac3aeabfea48b701d6fab2c35bcc4020511435798afc5471",
+    "help-tree": "c464c0d1dc8b7506e1e24e19ba1b7cb6b238b09364ded9a748c0034eacfeb895",
+    "help-classify": "811f4e2e3d8e9e1a6c86536174af89f991979b04b78c8cb20b21945b6696ab72",
+    "help-valueset": "389b826151d1a2d654224bb96a7099eeccf601dd360f71ab987093637d369bd4",
+    "help-verify": "9dbfe14edce038d06de155d8756e6447d9e425692d1aa6e77042fe03e3d8e0e0",
+    "help-oracle": "800808f8574a8c38f27294f5ee96f204f848d8241a6acf8dddedbfa73149d5d9",
 }
 
 
 def test_every_case_is_pinned():
-    assert sorted(GOLDEN) == sorted(case for case, _, _ in CASES)
+    assert sorted(GOLDEN) == sorted(case for case, _ in CASES)
 
 
-@pytest.mark.parametrize("case,text,args", CASES, ids=[c for c, _, _ in CASES])
-def test_output_digest(case, text, args):
-    assert output_digest(text, args) == GOLDEN[case]
+@pytest.mark.parametrize("case,argv", CASES, ids=[c for c, _ in CASES])
+def test_output_digest(case, argv, monkeypatch):
+    # argparse wraps help text at the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    assert output_digest(argv) == GOLDEN[case]
 
 
 if __name__ == "__main__":
-    for case, text, args in CASES:
-        print(f'    "{case}": "{output_digest(text, args)}",')
+    os.environ["COLUMNS"] = "80"
+    for case, argv in CASES:
+        print(f'    "{case}": "{output_digest(argv)}",')

@@ -141,7 +141,7 @@ def ref_sqrt_fraction(q: Fraction) -> Optional[Fraction]:
     return None
 
 
-def ref_sqrt_scalar(w: Scalar) -> Optional[Scalar]:
+def ref_square_root(w: Scalar) -> Optional[Scalar]:
     if w.is_zero():
         return ZERO
     n = ref_sqrt_fraction(w.re * w.re + w.im * w.im)
@@ -163,7 +163,7 @@ def ref_sqrt_scalar(w: Scalar) -> Optional[Scalar]:
 def ref_quadratic_roots(h: UniPoly) -> Optional[List[Scalar]]:
     a, b, c = h.coeff(2), h.coeff(1), h.coeff(0)
     disc = b * b - Scalar.of(4) * a * c
-    s = ref_sqrt_scalar(disc)
+    s = ref_square_root(disc)
     if s is None:
         return None
     two_a = (Scalar.of(2) * a).inverse()

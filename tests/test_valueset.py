@@ -419,6 +419,36 @@ class TestRunAllChecks:
         assert section5_total >= 2
         assert theorem1_met == 0  # genuinely scarce; synthetic tests cover it
 
+    @pytest.mark.parametrize("what", ["lemma5", "", "ALL", "theorem1,lemma2"])
+    def test_unknown_check_is_rejected(self, what):
+        # a typo must not read as a run with no counterexample
+        with pytest.raises(PreconditionFailed, match="theorem1, theorem2"):
+            run_all_checks(corpus_map("F2"), what=what)
+
+    def test_recorded_structure_flags_hold_on_the_corpus(self, monkeypatch):
+        # factor_ok, s2_ok and s3_ok are recorded, not read by any check
+        built = []
+        inner = valueset_mod.root_index_data
+
+        def recording(seq):
+            built.append((seq, inner(seq)))
+            return built[-1][1]
+
+        monkeypatch.setattr(valueset_mod, "root_index_data", recording)
+        chains = {}
+        for name in CORPUS_TEXT:
+            built.clear()
+            run_all_checks(corpus_map(name))
+            for seq, rid in built:
+                assert seq.all_structure_ok(), name
+                assert len(rid.levels) == len(seq.levels), name
+                assert all(lv.factor_ok for lv in rid.levels), name
+            if built:
+                chains[name] = [len(seq.levels) for seq, _ in built]
+        assert sorted(chains) == ["F2", "F2T", "F3p", "R3", "R6"]
+        assert sum(map(len, chains.values())) == 5
+        assert sum(map(sum, chains.values())) == 11
+
 
 class TestSharedWork:
     # F2 has one chain; R2 has none but a constant Jacobian, so eq4 runs
