@@ -444,12 +444,6 @@ class BiPoly:
             return -1
         return max(j for (_, j) in self.terms)
 
-    @property
-    def deg_x(self) -> int:
-        if not self.terms:
-            return -1
-        return max(i for (i, _) in self.terms)
-
     def coeff(self, i: int, j: int) -> Scalar:
         return self.terms.get((i, j), ZERO)
 

@@ -113,8 +113,11 @@ def config_from_args(argv: Sequence[str]) -> argparse.Namespace:
         radii = tuple(float(r) for r in config.radii.split(","))
     except ValueError:
         raise PreconditionFailed(f"radii are not numbers: {config.radii}") from None
-    if list(radii) != sorted(radii) or not all(0 < r < math.inf for r in radii):
-        raise PreconditionFailed("radii must be positive, finite and increasing")
+    # 0 < r_1 < ... < r_n < inf; a nan fails every comparison
+    if not all(a < b for a, b in zip((0.0, *radii), (*radii, math.inf))):
+        raise PreconditionFailed("radii must be positive, finite, strictly increasing")
+    if not 0 <= config.tol < math.inf:
+        raise PreconditionFailed(f"tol must be non-negative and finite: {config.tol}")
     config.radii = radii
     config.caps = Caps(config.max_mult, config.max_k, config.max_depth)
     if min(config.caps) <= 0:

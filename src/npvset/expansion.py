@@ -52,7 +52,7 @@ from .puiseux import (
     ROOT_WINDOW,
     SupportPoint,
     envelope_value,
-    envelope_zeros,
+    envelope_zero,
     expansion_points,
     is_refinement,
     leading_data,
@@ -285,11 +285,13 @@ def all_roots(h: UniPoly) -> Tuple[List[Tuple[Scalar, int]], UniPoly]:
     return sorted(roots, key=lambda rm: rm[0].sort_key()), h
 
 
-def roots_in_field(h: UniPoly) -> List[Tuple[Scalar, int]]:
-    """Roots over Q(i); raises ExtensionRequired when a factor fails to split."""
+def roots_in_field(
+    h: UniPoly, context: str = "irreducible factor over Q(i)"
+) -> List[Tuple[Scalar, int]]:
+    """Roots over Q(i); an unsplit factor raises ExtensionRequired(rest, context)."""
     roots, rest = all_roots(h)
     if rest.degree >= 1:
-        raise ExtensionRequired(rest, "irreducible factor over Q(i)")
+        raise ExtensionRequired(rest, context)
     return roots
 
 
@@ -403,9 +405,7 @@ def _expand_curve(
             # the truncation index is the last one known, just above e
             out.extend([ConcreteBranch(m_next, scaled, k_next - 1)] * span)
             continue
-        roots, rest = all_roots(edge.chi)
-        if rest.degree >= 1:
-            raise ExtensionRequired(rest, "characteristic polynomial of an edge")
+        roots = roots_in_field(edge.chi, "characteristic polynomial of an edge")
         produced = 0
         for c, root_mult in roots:
             if c.is_zero():
@@ -477,16 +477,12 @@ class CoordEvents(NamedTuple):
 def _coord_events(g: BiPoly, prefix: Prefix, e_cur: Fraction) -> CoordEvents:
     pts = expansion_points(g, prefix)
     edges = tuple(ed.slope for ed in hull_edges(pts) if ed.slope < e_cur)
-    zero = next((e for e in envelope_zeros(pts) if e < e_cur), None)
-    frozen = False
-    if pts[0].j == 0:
-        r0 = pts[0].top
-        a, b, den = e_cur.numerator, e_cur.denominator, pts[0].den
-        # terms added below the slot can cancel the constant part's top
-        # monomial only when some z-degree reaches above it at the slot:
-        # top_p + j_p*e_cur > r0, compared here times den*b
-        if r0 > 0 and all(p.top * b + p.j * a * den <= r0 * b for p in pts[1:]):
-            frozen = True
+    zero = envelope_zero(pts)
+    zero = zero if zero is not None and zero < e_cur else None
+    # terms added below the slot can cancel the constant part's top monomial
+    # only when some z-degree reaches above it at the slot
+    top0 = Fraction(pts[0].top, pts[0].den)
+    frozen = pts[0].j == 0 and top0 > 0 and envelope_value(pts, e_cur) == top0
     return CoordEvents(edges, zero, frozen, pts)
 
 
@@ -512,11 +508,12 @@ def next_event_exponent(
     # one of them has not gone negative
     live = [ev for ev in (ev_p, ev_q) if not ev.frozen]
     cands = [e for ev in live for e in (*ev.edges, ev.zero) if e is not None]
-    e_next = max(
-        (e for e in cands if max(envelope_value(ev.pts, e) for ev in live) >= 0),
-        default=None,
-    )
-    return e_next
+    if not cands:
+        return None
+    # envelopes never decrease in e: if any candidate keeps an exponent at or
+    # above zero, the largest one does
+    e_next = max(cands)
+    return e_next if any(envelope_value(ev.pts, e_next) >= 0 for ev in live) else None
 
 
 def expansion_tree(f: MapPair, caps: Caps = Caps()) -> ExpansionNode:

@@ -34,9 +34,9 @@ def _tokenize(text: str) -> List[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # int() reads every decimal digit, not "²"
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             out.append(_Token("num", text[i:j], i))
             i = j
@@ -87,7 +87,10 @@ class _Parser:
         return tok
 
     def parse(self) -> _Terms:
-        value = self.parse_sum()
+        try:
+            value = self.parse_sum()
+        except RecursionError:
+            raise ParseError("expression nested too deeply", 0) from None
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
@@ -152,8 +155,8 @@ class _Parser:
             if tok is not None and tok.kind == "op" and tok.text == "/":
                 self.take()
                 den = self.take()
-                if den.kind != "num":
-                    raise ParseError("expected a denominator", den.pos)
+                if den.kind != "num" or int(den.text) == 0:
+                    raise ParseError("expected a nonzero denominator", den.pos)
                 value = value / int(den.text)
             self.expect_op(")")
             return sign * value

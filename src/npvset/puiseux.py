@@ -19,11 +19,12 @@ denominator of its exponents, so a sum has one prefix.  Inside this layer
 an x-exponent is an integer numerator over that denominator; the
 expansion, its support points and the envelope and polygon scans work on
 these integers, and a Fraction is built only for an exponent handed out.
-The expansion sums its coefficients as Gaussian integers over one
-denominator per z-degree and normalizes each to a Scalar once.  Package
-code reads it only through ``expansion_points``, which tables the support
-points on the curve: each run parses a fresh map, so a (curve, prefix)
-pair is expanded once per run and no entry outlives the run.  Leading data
+The expansion kernel returns only the support points: for each z-degree j,
+the top x-exponent and its coefficient.  It sums each row as Gaussian
+integers over one denominator and normalizes only the top entry.  Package
+code reads it only through ``expansion_points``, which tables the points
+on the curve: each run parses a fresh map, so a (curve, prefix) pair is
+expanded once per run and no entry outlives the run.  Leading data
 substitutes the Jacobian only when a check first reads its lead.
 """
 
@@ -138,9 +139,7 @@ def series(
         raise ValueError("parameter term must sit strictly below every step")
     if param_index < 0:
         raise ValueError("parameter index must be non-negative")
-    g = math.gcd(mult, param_index)
-    for k in ks:
-        g = math.gcd(g, k)
+    g = math.gcd(mult, param_index, *ks)
     if g > 1:
         mult //= g
         param_index //= g
@@ -154,12 +153,8 @@ def series_from_exponents(
     """Build a canonical series from exponent/coefficient data."""
     steps = list(steps)
     m = math.lcm(*((1 - e).denominator for e, _ in steps), (1 - param_exp).denominator)
-    ks = []
-    for e, c in steps:
-        k = (1 - e) * m
-        ks.append((int(k), c))
-    n = (1 - param_exp) * m
-    return series(m, ks, int(n))
+    ks = [(int((1 - e) * m), c) for e, c in steps]
+    return series(m, ks, int((1 - param_exp) * m))
 
 
 ROOT_WINDOW = ParamSeries(1, (), 0)  # the series s*x, ancestor of every window
@@ -244,7 +239,7 @@ class SupportPoint(NamedTuple):
     """One z-degree of an expansion with its top x-exponent and coefficient.
 
     The top exponent is the integer ``top`` over ``den``; every point of one
-    expansion shares the expansion's ``den``.
+    expansion shares ``den``, the multiplicity of the prefix.
     """
 
     j: int
@@ -261,17 +256,7 @@ def expansion_points(f: BiPoly, prefix: Prefix) -> Tuple[SupportPoint, ...]:
         table = f.points = {}
     pts = table.get(prefix)
     if pts is None:
-        pts = table[prefix] = tuple(support_points(prefix_expansion(f, prefix)))
-    return pts
-
-
-def support_points(expansion: Expansion) -> List[SupportPoint]:
-    den, terms = expansion
-    pts = []
-    for j in sorted(terms):
-        row = terms[j]
-        top = max(row)
-        pts.append(SupportPoint(j, top, row[top], den))
+        pts = table[prefix] = prefix_expansion(f, prefix)
     return pts
 
 
@@ -301,33 +286,20 @@ def envelope_lead(pts: Sequence[SupportPoint], e: Fraction) -> Tuple[UniPoly, Fr
     return UniPoly.make(coeffs), Fraction(top, scale)
 
 
-def envelope_zeros(pts: Sequence[SupportPoint]) -> List[Fraction]:
-    """Exponents e where a z-degree j > 0 attains envelope value zero, descending.
+def envelope_zero(pts: Sequence[SupportPoint]) -> Optional[Fraction]:
+    """The exponent where a z-degree j > 0 attains envelope value zero, or None.
 
-    These include every polygon vertex at height zero: both lines meeting
-    at a vertex are maximal there and one of them has j > 0, so the hull
-    needs no separate scan.  At e = -top_j/(den*j) the line of point q has
-    height (top_q*j - top_j*q)/(den*j), so j's line is maximal at zero
-    exactly when no q makes that numerator positive.
+    Every line top_j + e*j has slope j >= 0, so the envelope never
+    decreases, and a j > 0 line that is maximal where the envelope is zero
+    makes it positive at every larger e: at most one such exponent exists.
+    It is where the first j > 0 line reaches zero, min_j -top_j/(den*j),
+    unless the j = 0 point keeps the envelope above zero.  It covers the
+    polygon vertex at height zero, if any: both lines meeting at a vertex
+    are maximal there and one of them has j > 0.
     """
-    den = pts[0].den
-    zeros = {
-        Fraction(-p.top, p.j * den)
-        for p in pts
-        if p.j > 0 and all(q.top * p.j <= p.top * q.j for q in pts)
-    }
-    return sorted(zeros, reverse=True)
-
-
-def _window_lead(pts: Sequence[SupportPoint], phi: ParamSeries) -> Tuple[UniPoly, int]:
-    lead, top = envelope_lead(pts, phi.param_exponent)
-    return lead, int(top * phi.mult)
-
-
-def _window_points(f: BiPoly, phi: ParamSeries) -> Tuple[SupportPoint, ...]:
-    if f.is_zero():
-        raise PreconditionFailed("cannot expand the zero polynomial")
-    return expansion_points(f, phi.fix_param(ZERO))
+    if pts[0].j == 0 and pts[0].top > 0:
+        return None
+    return min((Fraction(-p.top, p.j * p.den) for p in pts if p.j > 0), default=None)
 
 
 def substitute(f: BiPoly, phi: ParamSeries) -> Tuple[UniPoly, int]:
@@ -336,7 +308,11 @@ def substitute(f: BiPoly, phi: ParamSeries) -> Tuple[UniPoly, int]:
     Returns (lead, e) with f(x, phi(x, s)) = lead(s) * x^(e/mult) + lower
     terms in x, read off the envelope of f expanded around phi's fixed steps.
     """
-    return _window_lead(_window_points(f, phi), phi)
+    if f.is_zero():
+        raise PreconditionFailed("cannot expand the zero polynomial")
+    pts = expansion_points(f, phi.fix_param(ZERO))
+    lead, top = envelope_lead(pts, phi.param_exponent)
+    return lead, int(top * phi.mult)
 
 
 def leading_data(f: MapPair, phi: ParamSeries) -> LeadingData:
@@ -420,44 +396,30 @@ def window_at(phi: ParamSeries, e: Fraction) -> ParamSeries:
 # ---------------------------------------------------------------------------
 
 
-class Expansion(NamedTuple):
-    """f(x, s(x) + z) = sum_j sum_k terms[j][k] * x^(k/den) * z^j.
-
-    x-exponents are integer numerators over ``den``, the least common
-    denominator of the prefix exponents; only nonzero coefficients are kept
-    and only z-degrees with at least one of them.  ``prefix_expansion``
-    sums row j as Gaussian integers over the one denominator F * D^(N - j)
-    and normalizes each kept coefficient once.  Package code reads only its
-    support points, through ``expansion_points``, tabled per curve.
-    """
-
-    den: int
-    terms: Dict[int, Dict[int, Scalar]]
-
-
-def prefix_expansion(f: BiPoly, prefix: Prefix) -> Expansion:
-    """Exact expansion of f(x, s(x) + z) around a concrete prefix.
+def prefix_expansion(f: BiPoly, prefix: Prefix) -> Tuple[SupportPoint, ...]:
+    """Support points of f(x, s(x) + z) around a concrete prefix.
 
     s(x) is the sum the Prefix describes, its term coeff * x^(1 - k/mult)
     having exponent numerator mult - k over ``den = mult``; a prefix in
     lowest terms makes den the least common denominator of its exponents.
-    A repeated k keeps its last nonzero coefficient.  The result drives
-    Newton polygon steps: for each z-degree j, ``terms[j]`` lists all
-    surviving x-exponent numerators with exact coefficients.
+    A repeated k keeps its last nonzero coefficient.  For each z-degree j
+    with a nonzero coefficient the result holds one point, ascending in j:
+    the largest x-exponent numerator of that z-degree and its exact
+    coefficient.  These drive the Newton polygon steps and the envelopes.
 
     The sums run over the Gaussian integers: with s = S/D and F clearing
     f's denominators, c * x^dx * y^dy adds (F*c) * C(dy, j) * S^(dy-j) *
-    D^(N-dy) to row j (N = deg_y f), which stands over F * D^(N-j); each
-    surviving entry is normalized once.
+    D^(N-dy) to row j (N = deg_y f), which stands over F * D^(N-j); only
+    the top nonzero entry of each row is normalized.
     """
     den = prefix.mult
     base = {k: c for k, c in prefix.steps if not c.is_zero()}
     sd = math.lcm(*[c.d for c in base.values()])
     steps = [(den - k, c.a * (sd // c.d), c.b * (sd // c.d)) for k, c in base.items()]
-    top = f.deg_y
-    # spowers[n] = S(x)^n as {exponent numerator: (re, im)}
+    n = f.deg_y
+    # spowers[i] = S(x)^i as {exponent numerator: (re, im)}
     spowers: List[Dict[int, Tuple[int, int]]] = [{0: (1, 0)}]
-    for _ in range(top):
+    for _ in range(n):
         nxt: Dict[int, Tuple[int, int]] = {}
         for ka, (ar, ai) in spowers[-1].items():
             for kb, br, bi in steps:
@@ -468,10 +430,10 @@ def prefix_expansion(f: BiPoly, prefix: Prefix) -> Expansion:
         spowers.append(nxt)
 
     fd = math.lcm(*[c.d for c in f.terms.values()])
-    rows: List[Dict[int, Tuple[int, int]]] = [{} for _ in range(top + 1)]
+    rows: List[Dict[int, Tuple[int, int]]] = [{} for _ in range(n + 1)]
     for (dx, dy), c in f.terms.items():
         shift = dx * den
-        scale = (fd // c.d) * sd ** (top - dy)
+        scale = (fd // c.d) * sd ** (n - dy)
         cr, ci = c.a * scale, c.b * scale
         for j in range(dy + 1):
             b = math.comb(dy, j)
@@ -482,10 +444,10 @@ def prefix_expansion(f: BiPoly, prefix: Prefix) -> Expansion:
                 acc = row.get(k)
                 row[k] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
 
-    terms: Dict[int, Dict[int, Scalar]] = {}
+    pts = []
     for j, row in enumerate(rows):
-        d = fd * sd ** (top - j)
-        kept = {k: _reduced(re, im, d) for k, (re, im) in row.items() if re or im}
-        if kept:
-            terms[j] = kept
-    return Expansion(den, terms)
+        top = max((k for k, (re, im) in row.items() if re or im), default=None)
+        if top is not None:
+            re, im = row[top]
+            pts.append(SupportPoint(j, top, _reduced(re, im, fd * sd ** (n - j)), den))
+    return tuple(pts)

@@ -39,7 +39,7 @@ from .puiseux import (
     ParamSeries,
     Prefix,
     ROOT_WINDOW,
-    envelope_zeros,
+    envelope_zero,
     expansion_points,
     is_refinement,
     leading_data,
@@ -243,6 +243,11 @@ class Theorem1Certificate(NamedTuple):
         )
 
 
+def _positive_constant_jacobian(lead: LeadingData) -> bool:
+    """The hypothesis of Theorem 1 and Lemmas 3 and 4."""
+    return lead.p_exp > 0 and lead.q_exp > 0 and lead.jac_lead.degree == 0
+
+
 def theorem1_from_leads(
     lead_psi: LeadingData,
     lead_phi: LeadingData,
@@ -258,7 +263,7 @@ def theorem1_from_leads(
     existence is checked constructively.
     """
     a, b = lead_psi.p_exp, lead_psi.q_exp
-    hyp = a > 0 and b > 0 and lead_psi.jac_lead.degree == 0
+    hyp = _positive_constant_jacobian(lead_psi)
     if a <= 0 or b <= 0:
         return Theorem1Certificate(psi, phi, hyp)
     m_ = math.gcd(a, b)
@@ -335,12 +340,12 @@ def horizontal_q_prefixes(
         hi = 1 - Fraction(k_hi, phi.mult)
         lo = 1 - Fraction(k_lo, phi.mult)
         above = Prefix.of(phi.mult, [(k, c) for k, c in phi.steps if k < k_hi])
-        if hi in envelope_zeros(expansion_points(f.q, above)):
+        if envelope_zero(expansion_points(f.q, above)) == hi:
             _collect_window(f, phi, hi, out, seen)
         within = Prefix.of(phi.mult, [(k, c) for k, c in phi.steps if k <= k_hi])
-        for e in envelope_zeros(expansion_points(f.q, within)):
-            if lo < e < hi:
-                _collect_window(f, phi, e, out, seen)
+        e = envelope_zero(expansion_points(f.q, within))
+        if e is not None and lo < e < hi:
+            _collect_window(f, phi, e, out, seen)
     out.sort(key=lambda t: -t[0].param_exponent)
     return out
 
@@ -446,7 +451,7 @@ def check_lemma3(lead: LeadingData, param_index: int, sign: int = SIGMA) -> Chec
     jac lead; above balance it vanishes; it vanishes precisely when the two
     leading polynomials share a root, and then their reduced powers are
     proportional."""
-    if not (lead.p_exp > 0 and lead.q_exp > 0 and lead.jac_lead.degree == 0):
+    if not _positive_constant_jacobian(lead):
         raise PreconditionFailed("requires positive exponents and constant jac lead")
     dd = delta(lead, param_index)
     items = []
@@ -473,6 +478,16 @@ def check_lemma3(lead: LeadingData, param_index: int, sign: int = SIGMA) -> Chec
     return CheckReport.combine("lemma3", items, {"sign": sign})
 
 
+def _horizontal_orientation(lead: LeadingData) -> Optional[int]:
+    """1 when P's exponent is positive and Q is horizontal (exponent zero,
+    nonconstant lead), -1 the other way round, None otherwise."""
+    if lead.p_exp > 0 and lead.q_exp == 0 and lead.q_lead.degree > 0:
+        return 1
+    if lead.q_exp > 0 and lead.p_exp == 0 and lead.p_lead.degree > 0:
+        return -1
+    return None
+
+
 def check_section5_identity(
     lead: LeadingData, param_index: int, sign: int = SIGMA_PRIME
 ) -> CheckReport:
@@ -481,9 +496,10 @@ def check_section5_identity(
     equals sign times (positive exponent) * (that side's lead) * (derivative
     of the horizontal lead).  Orientation is detected; the swapped
     orientation flips the Jacobian's sign."""
-    if lead.p_exp > 0 and lead.q_exp == 0 and lead.q_lead.degree > 0:
+    orientation = _horizontal_orientation(lead)
+    if orientation == 1:
         a, p, q, j = lead.p_exp, lead.p_lead, lead.q_lead, lead.jac_lead
-    elif lead.q_exp > 0 and lead.p_exp == 0 and lead.p_lead.degree > 0:
+    elif orientation == -1:
         a, p, q, j = lead.q_exp, lead.q_lead, lead.p_lead, -lead.jac_lead
     else:
         raise PreconditionFailed("requires exponents (positive, zero) either way")
@@ -561,10 +577,14 @@ def check_eq9(seq: AssociatedSequence) -> CheckReport:
     return CheckReport.combine("eq9", items, {"orientation": "pq" if direct else "qp"})
 
 
+def _nonzero_constant_jacobian(f: MapPair) -> bool:
+    return f.jac.is_constant() and not f.jac.is_zero()
+
+
 def check_eq4(components: Sequence[ValueSetComponent], f: MapPair) -> CheckReport:
     """Degree-ratio law for constant-Jacobian maps: each component satisfies
     deg u / deg v = deg P / deg Q."""
-    if not (f.jac.is_constant() and not f.jac.is_zero()):
+    if not _nonzero_constant_jacobian(f):
         raise PreconditionFailed("requires a nonzero constant Jacobian")
     items = []
     for comp in components:
@@ -702,9 +722,8 @@ def run_all_checks(
         elif name == "lemma3":
             items = []
             for node in nodes:
-                lead = node.lead
-                if lead.p_exp > 0 and lead.q_exp > 0 and lead.jac_lead.degree == 0:
-                    rep = check_lemma3(lead, node.series.param_index, SIGMA)
+                if _positive_constant_jacobian(node.lead):
+                    rep = check_lemma3(node.lead, node.series.param_index, SIGMA)
                     items.append({"ok": rep.status == "pass"})
             checks.append(
                 CheckReport.combine("lemma3", items, {"sign": SIGMA,
@@ -714,8 +733,7 @@ def run_all_checks(
             reports = []
             vacuous = 0
             for _s, seq, rid in chains:
-                top = seq.levels[0].lead
-                if top.p_exp > 0 and top.q_exp > 0 and top.jac_lead.degree == 0:
+                if _positive_constant_jacobian(seq.levels[0].lead):
                     reports.append(check_lemma4(seq, rid))
                 else:
                     vacuous += 1
@@ -723,7 +741,7 @@ def run_all_checks(
             merged.data["hypothesis_vacuous_chains"] = vacuous
             checks.append(merged)
         elif name == "eq4":
-            if f.jac.is_constant() and not f.jac.is_zero():
+            if _nonzero_constant_jacobian(f):
                 checks.append(check_eq4(_merged_components(scan), f))
             else:
                 checks.append(
@@ -735,16 +753,9 @@ def run_all_checks(
         elif name == "section5":
             items = []
             for node in nodes:
-                lead = node.lead
-                direct = (
-                    lead.p_exp > 0 and lead.q_exp == 0 and lead.q_lead.degree > 0
-                )
-                swapped = (
-                    lead.q_exp > 0 and lead.p_exp == 0 and lead.p_lead.degree > 0
-                )
-                if direct or swapped:
+                if _horizontal_orientation(node.lead) is not None:
                     rep = check_section5_identity(
-                        lead, node.series.param_index, SIGMA_PRIME
+                        node.lead, node.series.param_index, SIGMA_PRIME
                     )
                     items.append({"ok": rep.status == "pass"})
             checks.append(

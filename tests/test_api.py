@@ -81,6 +81,18 @@ def test_no_unused_imports():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def names_read(trees) -> set:
+    """Loaded names and attribute names anywhere in the given syntax trees."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
 def definitions_never_read(sources: dict, private: bool, exported=()) -> list:
     """Module-level functions and classes that no module reads.
 
@@ -90,13 +102,7 @@ def definitions_never_read(sources: dict, private: bool, exported=()) -> list:
     the definition itself is not one.
     """
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    read = set(exported)
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    read = names_read(trees.values()) | set(exported)
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     return sorted(
         f"{name}:{node.name}"
@@ -131,7 +137,40 @@ def test_no_unread_public_definitions():
     assert definitions_never_read(synthetic, False, ["g"]) == ["m.py:C", "m.py:f"]
 
 
-KERNEL = {"prefix_expansion", "support_points"}
+def methods_never_read(sources: dict, readers: dict) -> list:
+    """Non-dunder methods of the module-level classes in ``sources`` that no
+    module of ``sources`` or ``readers`` reads, as a name or an attribute."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = names_read([*trees.values(), *map(ast.parse, readers.values())])
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return sorted(
+        f"{name}:{cls.name}.{node.name}"
+        for name, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, defs)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read
+    )
+
+
+def test_no_unread_methods():
+    # every method of a package class is read by the package or the tests
+    tests = {
+        path.name: path.read_text(encoding="utf-8")
+        for path in sorted(Path(__file__).parent.glob("*.py"))
+    }
+    assert methods_never_read(package_sources(), tests) == []
+    # the guard only means something if it sees the methods
+    synthetic = {
+        "m.py": "class C:\n    def __eq__(self, o): pass\n"
+        "    def used(self): pass\n    @property\n    def gone(self): pass\n"
+    }
+    assert methods_never_read(synthetic, {"t.py": "C().used()\n"}) == ["m.py:C.gone"]
+
+
+KERNEL = {"prefix_expansion"}
 
 
 def kernel_uses_outside_route(sources: dict) -> list:
@@ -167,10 +206,10 @@ def test_one_route_to_the_expansion_kernel():
     assert kernel_uses_outside_route(package_sources()) == []
     # the guard only means something if it sees a call and an import
     bypass = {
-        "expansion.py": "from .puiseux import support_points\n",
+        "expansion.py": "from .puiseux import prefix_expansion\n",
         "puiseux.py": "def leads(f, p):\n    return prefix_expansion(f, p)\n",
     }
     assert kernel_uses_outside_route(bypass) == [
-        "expansion.py:support_points",
+        "expansion.py:prefix_expansion",
         "puiseux.py:prefix_expansion",
     ]

@@ -157,8 +157,15 @@ class TestExitCodes:
             ["--map", "x+y; x*y+y^2", "--radii", "1,abc", "oracle"],
             ["--map", "x+y; x*y+y^2", "--radii", "1,10,inf", "oracle"],
             ["--map", "x+y; x*y+y^2", "--radii", "1,10,nan", "oracle"],
+            ["--map", "x+y; x*y+y^2", "--radii", "1,1,1", "oracle"],
+            ["--map", "x+y; x*y+y^2", "--tol=-1", "oracle"],
+            ["--map", "x+y; x*y+y^2", "--tol=nan", "oracle"],
+            ["--map", "x+y; x*y+y^2", "--tol=inf", "oracle"],
         ],
-        ids=["missing-file", "not-utf8", "radius-not-a-number", "radius-inf", "radius-nan"],
+        ids=[
+            "missing-file", "not-utf8", "radius-not-a-number", "radius-inf",
+            "radius-nan", "radii-equal", "tol-negative", "tol-nan", "tol-inf",
+        ],
     )
     def test_unusable_options_are_input_errors(self, args, tmp_path, capsys):
         latin1 = tmp_path / "latin1.txt"
@@ -167,6 +174,26 @@ class TestExitCodes:
         assert main([a.format(**paths) for a in args]) == EXIT_INPUT
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error: ")
+        assert "Traceback" not in out.err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--map", "2\u00b2+x; y", "valueset"],
+            ["--map", "x^(1/0); y", "valueset"],
+            ["--map", "x+y; x*y+y^2", "classify", "--series", "x^(1/0) + s"],
+            ["--map", "(" * 3000 + "x" + ")" * 3000 + "; y", "valueset"],
+            ["--map", "-" * 3000 + "x; y", "valueset"],
+        ],
+        ids=[
+            "superscript-digit", "zero-denominator", "series-zero-denominator",
+            "deep-parentheses", "many-signs",
+        ],
+    )
+    def test_malformed_text_is_an_input_error(self, args, capsys):
+        assert main(args) == EXIT_INPUT
+        out = capsys.readouterr()
+        assert out.out.startswith("error: ") and "position" in out.out
         assert "Traceback" not in out.err
 
     def test_other_engine_errors_stay_input_errors(self, capsys):

@@ -21,7 +21,7 @@ from npvset.algebra import ONE, ZERO, bipoly, normalize_monic
 from npvset.errors import EngineError, ExtensionRequired
 from npvset.expansion import all_roots, curve_branches, hull_edges
 from npvset.parsing import parse_map, parse_poly
-from npvset.puiseux import ConcreteBranch, prefix_expansion, series, support_points
+from npvset.puiseux import ConcreteBranch, prefix_expansion, series
 from npvset.valueset import check_newton_factorization, run_all_checks
 
 from conftest import CORPUS_TEXT, STRESS_TEXT, as_prefix, sc
@@ -59,12 +59,11 @@ def ref_curve_branches(f, depth_k):
 
 
 def ref_expand_curve(f, prefix, bound, depth_k, out):
-    expansion = prefix_expansion(f, as_prefix(prefix))
-    j0 = min(expansion.terms)
+    pts = prefix_expansion(f, as_prefix(prefix))  # the kernel returns support points
+    j0 = pts[0].j
     if j0 > 0:
         exact = ref_branch_from_prefix(prefix, None)
         out.extend([exact] * j0)
-    pts = support_points(expansion)
     cur_mult = ref_prefix_mult(prefix)
     for edge in hull_edges(pts):
         if bound is not None and edge.slope >= bound:

@@ -25,7 +25,7 @@ from npvset.puiseux import (
     SupportPoint,
     envelope_lead,
     envelope_value,
-    envelope_zeros,
+    envelope_zero,
     expansion_points,
     is_refinement,
     leading_data,
@@ -33,7 +33,6 @@ from npvset.puiseux import (
     refine,
     series,
     substitute,
-    support_points,
 )
 
 from conftest import M9_TEXT, STRESS_TEXT, as_fractions, as_prefix, sc
@@ -64,7 +63,7 @@ class TestSeriesConstruction:
         phi = series(2, [(0, sc(1)), (2, sc(-3))], 5)
         assert phi.fix_param(sc(0)) == Prefix(1, ((0, sc(1)), (1, sc(-3))))
         assert phi.fix_param(sc(2)) == Prefix(2, ((0, sc(1)), (2, sc(-3)), (5, sc(2))))
-        assert prefix_expansion(X_PLUS_Y, phi.fix_param(sc(0))).den == 1
+        assert {p.den for p in prefix_expansion(X_PLUS_Y, phi.fix_param(sc(0)))} == {1}
         assert Prefix.of(6, [(2, ONE), (4, ONE)]) == Prefix(3, ((1, ONE), (2, ONE)))
         assert Prefix.of(4, []) == Prefix(1, ())
 
@@ -175,15 +174,16 @@ class TestExpansionProperties:
         ).map(bipoly),
     )
     def test_substitution_additive(self, f, g):
-        # the expansion around a prefix is linear in the polynomial expanded
-        prefix = as_prefix(MINUS_X_WINDOW.step_exponents())
+        # the expansion around a prefix is linear in the polynomial expanded:
+        # the points of f + g are those of the summed reference expansions
+        steps = MINUS_X_WINDOW.step_exponents()
         if f.is_zero() or g.is_zero() or (f + g).is_zero():
             return
-        left = prefix_expansion(f + g, prefix)
+        left = prefix_expansion(f + g, as_prefix(steps))
         merged = {}
-        for part in (prefix_expansion(f, prefix), prefix_expansion(g, prefix)):
-            assert part.den == left.den  # the exponent grid depends on the prefix only
-            for j, row in part.terms.items():
+        for part in (reference_prefix_expansion(f, steps),
+                     reference_prefix_expansion(g, steps)):
+            for j, row in part.items():
                 slot = merged.setdefault(j, {})
                 for e, c in row.items():
                     slot[e] = slot.get(e, sc(0)) + c
@@ -191,7 +191,8 @@ class TestExpansionProperties:
             j: {e: c for e, c in row.items() if not c.is_zero()}
             for j, row in merged.items()
         }
-        assert left.terms == {j: row for j, row in merged.items() if row}
+        want = ref_points({j: row for j, row in merged.items() if row})
+        assert [(p.j, Fraction(p.top, p.den), p.lead) for p in left] == want
 
     def test_scaling_invariance(self):
         # leading data is unchanged under (m, k, n) -> (tm, tk, tn); the
@@ -313,19 +314,14 @@ def ref_coord_events(pts, e_cur):
 
 def assert_matches_reference(f, prefix, exponents=()):
     """prefix_expansion and the polygon scans agree with the Fraction versions."""
-    got = prefix_expansion(f, as_prefix(prefix))
-    ref = reference_prefix_expansion(f, prefix)
-    as_fractions = {
-        j: {Fraction(k, got.den): c for k, c in row.items()}
-        for j, row in got.terms.items()
-    }
-    assert as_fractions == ref
-    if not ref:
-        return
-    pts, rpts = support_points(got), ref_points(ref)
+    pts = prefix_expansion(f, as_prefix(prefix))
+    rpts = ref_points(reference_prefix_expansion(f, prefix))
     assert [(p.j, Fraction(p.top, p.den), p.lead) for p in pts] == rpts
-    assert all(p.den == got.den for p in pts)
-    assert envelope_zeros(pts) == ref_envelope_zeros(rpts)
+    if not rpts:
+        return
+    assert all(p.den == as_prefix(prefix).mult for p in pts)
+    zeros = ref_envelope_zeros(rpts)
+    assert len(zeros) <= 1 and envelope_zero(pts) == next(iter(zeros), None)
     edges = ref_hull_edges(rpts)
     assert hull_edges(pts) == edges
     for e in (*exponents, *(ed.slope for ed in edges)):
@@ -388,7 +384,7 @@ class TestIntegerExponents:
             (Fraction(-3, 5), sc(-1)),
             (Fraction(1, 2), sc(3)),
         ]
-        assert prefix_expansion(f, as_prefix(prefix)).den == 30
+        assert {p.den for p in prefix_expansion(f, as_prefix(prefix))} == {30}
         assert_matches_reference(f, prefix, [Fraction(-1, 7), Fraction(2, 3)])
         assert_matches_reference(f, [], [Fraction(1, 2)])
 
@@ -418,7 +414,7 @@ class TestIntegerExponents:
     def test_expansion_points_table(self, f, prefix):
         # the table entry is the kernel's answer, kept as an immutable tuple
         key = as_prefix(prefix)
-        fresh = tuple(support_points(prefix_expansion(f, key)))
+        fresh = prefix_expansion(f, key)
         first = expansion_points(f, key)
         assert type(first) is tuple
         assert all(type(p) is SupportPoint for p in first)
@@ -450,9 +446,9 @@ class TestIntegerExponents:
                 return inner(a, b)
 
             monkeypatch.setattr(Scalar, name, counting)
-        expansion = prefix_expansion(p, prefix)
+        pts = prefix_expansion(p, prefix)
         monkeypatch.undo()
-        assert expansion.terms
+        assert pts
         assert calls == []
 
 
@@ -492,3 +488,48 @@ class TestLazyJacobianLead:
         assert leading_data(f, phi) == eager and eager == leading_data(f, phi)
         assert repr(leading_data(f, phi)) == repr(eager)
         assert classify(leading_data(f, phi)) == classify(eager)
+
+
+def ref_next_event_exponent(f, parent, c):
+    """The all-candidates filter over the Fraction reference: the largest
+    candidate at which some live component's envelope is at least zero."""
+    prefix = parent.fix_param(c)
+    e_cur = parent.param_exponent
+    live = []
+    for g in (f.p, f.q):
+        rpts = ref_points(reference_prefix_expansion(g, as_fractions(prefix)))
+        edges, zero, frozen = ref_coord_events(rpts, e_cur)
+        if not frozen:
+            live.append((rpts, (*edges, zero)))
+    cands = [e for _, events in live for e in events if e is not None]
+    return max(
+        (e for e in cands if max(ref_envelope_value(r, e) for r, _ in live) >= 0),
+        default=None,
+    )
+
+
+class TestNextEventExponent:
+    @settings(max_examples=150, deadline=None)
+    @given(POLYS, POLYS, st.data())
+    def test_matches_all_candidates_filter(self, p, q, data):
+        # random windows are mostly frozen; the tree's own windows and
+        # directions reach the candidate filter
+        try:
+            f = normalize_monic(p, q)
+        except PreconditionFailed:
+            assume(False)
+        assume(not f.jac.is_zero())
+        node = data.draw(st.sampled_from(list(expansion_tree(f, Caps(4, 8, 4)).walk())))
+        phi = data.draw(st.one_of(st.just(node.series), WINDOWS))
+        taken = [child.chosen_c for child in node.children] or [ZERO]
+        c = data.draw(st.one_of(st.sampled_from(taken), SCALARS))
+        got = expansion_mod.next_event_exponent(f, phi, c)
+        assert got == ref_next_event_exponent(f, phi, c)
+
+    @pytest.mark.parametrize("name", ["M4", "M6", "M8", "M9"])
+    def test_every_tree_direction(self, name):
+        f = normalize_monic(*parse_map(TREE_MAPS[name]))
+        for node in expansion_tree(f, Caps()).walk():
+            for child in node.children:
+                got = expansion_mod.next_event_exponent(f, node.series, child.chosen_c)
+                assert got == ref_next_event_exponent(f, node.series, child.chosen_c)
