@@ -99,10 +99,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = _build_parser()  # parsing leaves it unchanged, so one serves every call
+
+
 def config_from_args(argv: Sequence[str]) -> argparse.Namespace:
     """The parsed options, with the map text in ``map`` and ``caps`` and
     ``radii`` built; the subcommand's own options keep their argparse names."""
-    config = _build_parser().parse_args(argv)
+    config = _PARSER.parse_args(argv)
     if config.map is None:
         try:
             with open(config.map_file, "r", encoding="utf-8") as fh:

@@ -51,12 +51,12 @@ from .puiseux import (
     Prefix,
     ROOT_WINDOW,
     SupportPoint,
-    envelope_value,
+    envelope_numerators,
     envelope_zero,
     expansion_points,
     is_refinement,
     leading_data,
-    refine_to_exponent,
+    refine,
     window_at,
 )
 
@@ -474,15 +474,23 @@ class CoordEvents(NamedTuple):
     pts: Tuple[SupportPoint, ...]
 
 
-def _coord_events(g: BiPoly, prefix: Prefix, e_cur: Fraction) -> CoordEvents:
+def _coord_events(g: BiPoly, prefix: Prefix, slot: int, mult: int) -> CoordEvents:
+    """Polygon data of g around prefix below the parent slot slot/mult (mult > 0)."""
     pts = expansion_points(g, prefix)
-    edges = tuple(ed.slope for ed in hull_edges(pts) if ed.slope < e_cur)
+    hull, den = upper_hull(pts), pts[0].den
+    # hull slopes rise/(run*den) and the zero crossing, compared on integers
+    edges = tuple(
+        Fraction(a.top - b.top, (b.j - a.j) * den)
+        for a, b in zip(hull, hull[1:])
+        if (a.top - b.top) * mult < slot * (b.j - a.j) * den
+    )
     zero = envelope_zero(pts)
-    zero = zero if zero is not None and zero < e_cur else None
+    if zero is not None and zero.numerator * mult >= slot * zero.denominator:
+        zero = None
     # terms added below the slot can cancel the constant part's top monomial
     # only when some z-degree reaches above it at the slot
-    top0 = Fraction(pts[0].top, pts[0].den)
-    frozen = pts[0].j == 0 and top0 > 0 and envelope_value(pts, e_cur) == top0
+    top0 = pts[0].top * mult if pts[0].j == 0 else 0
+    frozen = top0 > 0 and max(envelope_numerators(pts, slot, mult)) == top0
     return CoordEvents(edges, zero, frozen, pts)
 
 
@@ -500,9 +508,9 @@ def next_event_exponent(
     steps are the parent's with the parameter pinned to c.
     """
     prefix = parent.fix_param(c)
-    e_cur = parent.param_exponent
-    ev_p = _coord_events(f.p, prefix, e_cur)
-    ev_q = _coord_events(f.q, prefix, e_cur)
+    slot = parent.mult - parent.param_index
+    ev_p = _coord_events(f.p, prefix, slot, parent.mult)
+    ev_q = _coord_events(f.q, prefix, slot, parent.mult)
     # a frozen component contributes no events: only the live components
     # can still produce a horizontal window, and only while the exponent of
     # one of them has not gone negative
@@ -513,7 +521,10 @@ def next_event_exponent(
     # envelopes never decrease in e: if any candidate keeps an exponent at or
     # above zero, the largest one does
     e_next = max(cands)
-    return e_next if any(envelope_value(ev.pts, e_next) >= 0 for ev in live) else None
+    a, b = e_next.numerator, e_next.denominator
+    if any(max(envelope_numerators(ev.pts, a, b)) >= 0 for ev in live):
+        return e_next
+    return None
 
 
 def expansion_tree(f: MapPair, caps: Caps = Caps()) -> ExpansionNode:
@@ -555,7 +566,8 @@ def _expand_node(f: MapPair, node: ExpansionNode, caps: Caps, depth: int) -> Non
         synthetic = e_next is None
         if synthetic:
             e_next = node.series.param_exponent - 1
-        child_series = refine_to_exponent(node.series, c, e_next)
+        n_next, m_next = e_next.denominator - e_next.numerator, e_next.denominator
+        child_series = refine(node.series, c, n_next, m_next)
         child_lead = leading_data(f, child_series)
         child = ExpansionNode(child_series, child_lead, c, STATUS_OPEN)
         n_index = child_series.param_index

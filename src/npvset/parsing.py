@@ -19,6 +19,11 @@ from .puiseux import ConcreteBranch, ParamSeries, series_from_exponents
 # a term map: (x exponent, y degree, s degree) -> coefficient
 _Terms = Dict[Tuple[Fraction, int, int], Scalar]
 
+# powers and products are multiplied out term by term, at a cost cubic in the
+# degree: their degree is bounded, and so is the exponent of a constant power
+MAX_DEGREE = 32
+MAX_EXPONENT = 1024
+
 
 class _Token(NamedTuple):
     kind: str  # num | name | op
@@ -117,6 +122,8 @@ class _Parser:
             self.take()
             rhs = self.parse_factor()
             if tok.text == "*":
+                if _degree(value) + _degree(rhs) > MAX_DEGREE:
+                    raise ParseError(f"product of degree above {MAX_DEGREE}", tok.pos)
                 value = _mul(value, rhs)
             else:
                 scalar = _as_scalar(rhs, tok.pos)
@@ -218,7 +225,15 @@ def _as_scalar(t: _Terms, pos: int) -> Scalar:
     return t[(Fraction(0), 0, 0)]
 
 
+def _degree(t: _Terms) -> Fraction:
+    return max((xe + yd + sd for xe, yd, sd in t), default=0)
+
+
 def _pow(base: _Terms, expo: Fraction, pos: int, allow_fractional_x: bool) -> _Terms:
+    if expo > MAX_EXPONENT or expo * _degree(base) > MAX_DEGREE:
+        raise ParseError(
+            f"power of degree above {MAX_DEGREE} or exponent above {MAX_EXPONENT}", pos
+        )
     if len(base) == 1:
         (xe, yd, sd), coeff = next(iter(base.items()))
         if xe != 0 and yd == 0 and sd == 0 and coeff == ONE:

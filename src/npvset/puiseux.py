@@ -15,10 +15,11 @@ Newton polygon steps of the expansion tree and of the curve branches.
 
 A concrete prefix, the fixed part of a window or of a curve branch, is a
 ``Prefix(mult, steps)`` in lowest terms: mult is the least common
-denominator of its exponents, so a sum has one prefix.  Inside this layer
-an x-exponent is an integer numerator over that denominator; the
-expansion, its support points and the envelope and polygon scans work on
-these integers, and a Fraction is built only for an exponent handed out.
+denominator of its exponents, so a sum has one prefix.  Exponents are read
+as integers: an expansion's are numerators over its prefix's mult, and a
+window's parameter exponent is mult - param_index over the window's mult,
+a multiple of the prefix's.  ``substitute`` and ``leading_data`` build no
+Fraction; one is built only for an exponent a function returns.
 The expansion kernel returns only the support points: for each z-degree j,
 the top x-exponent and its coefficient.  It sums each row as Gaussian
 integers over one denominator and normalizes only the top entry.  Package
@@ -71,17 +72,14 @@ class ParamSeries(NamedTuple):
 
     @property
     def param_exponent(self) -> Fraction:
-        return 1 - Fraction(self.param_index, self.mult)
+        return Fraction(self.mult - self.param_index, self.mult)
 
     def step_exponents(self) -> List[Tuple[Fraction, Scalar]]:
         return [(1 - Fraction(k, self.mult), c) for k, c in self.steps]
 
     def coeff_at(self, e: Fraction) -> Scalar:
         """Coefficient of x^e among the fixed steps (zero when absent)."""
-        for k, c in self.steps:
-            if 1 - Fraction(k, self.mult) == e:
-                return c
-        return ZERO
+        return dict(self.steps).get((1 - e) * self.mult, ZERO)
 
     def fix_param(self, c: Scalar) -> Prefix:
         """Concrete prefix obtained by pinning the parameter to c."""
@@ -91,10 +89,8 @@ class ParamSeries(NamedTuple):
         return Prefix.of(self.mult, steps)
 
     def sort_key(self) -> tuple:
-        return (
-            self.param_exponent,
-            tuple((1 - Fraction(k, self.mult), c.sort_key()) for k, c in self.steps),
-        )
+        steps = tuple((e, c.sort_key()) for e, c in self.step_exponents())
+        return self.param_exponent, steps
 
     def conjugates(self) -> List["ParamSeries"]:
         """All windows obtained by x^(1/m) -> zeta * x^(1/m), zeta in Q(i).
@@ -182,29 +178,23 @@ class ConcreteBranch(NamedTuple):
         Indices up to truncation_k are complete; anything strictly below
         exponent 1 - truncation_k/mult is unknown.
         """
-        if self.truncation_k is not None:
-            known_floor = 1 - Fraction(self.truncation_k, self.mult)
-            if e < known_floor:
-                return None
-        for k, c in self.terms:
-            if 1 - Fraction(k, self.mult) == e:
-                return c
-        return ZERO
+        k = (1 - e) * self.mult  # the index of x^e
+        if self.truncation_k is not None and k > self.truncation_k:
+            return None
+        return dict(self.terms).get(k, ZERO)
 
     def sort_key(self) -> tuple:
-        return tuple(
-            (1 - Fraction(k, self.mult), c.sort_key()) for k, c in self.terms
-        )
+        return tuple((e, c.sort_key()) for e, c in self.exponents())
 
 
 class LeadingData:
     """Leading coefficient polynomials and x-exponents along a window.
 
-    Exponents are integer numerators over the window multiplicity: the first
-    map component grows like p_lead(s) * x^(p_exp/mult), and similarly for
-    the second component and the Jacobian determinant, whose pair
-    ``leading_data`` leaves to be substituted, through the curve's table, on
-    the first read of ``jac_lead`` or ``jac_exp``.
+    Exponents are integer numerators over the window multiplicity, read off
+    the envelopes with no Fraction built: the first component grows like
+    p_lead(s) * x^(p_exp/mult), and so do the second and the Jacobian, whose
+    pair ``leading_data`` leaves to be substituted, through the curve's
+    table, on the first read of ``jac_lead`` or ``jac_exp``.
     """
 
     __slots__ = ("p_lead", "p_exp", "q_lead", "q_exp", "_jac", "mult", "_source")
@@ -260,30 +250,10 @@ def expansion_points(f: BiPoly, prefix: Prefix) -> Tuple[SupportPoint, ...]:
     return pts
 
 
-def _envelope_numerators(
-    pts: Sequence[SupportPoint], e: Fraction
-) -> Tuple[List[int], int]:
-    """top_j + e*j for every point, as integers over one common denominator."""
-    a, b = e.numerator, e.denominator
+def envelope_numerators(pts: Sequence[SupportPoint], a: int, b: int) -> List[int]:
+    """top_j + (a/b)*j for every point, as integers over den*b (b > 0)."""
     den = pts[0].den
-    return [p.top * b + a * p.j * den for p in pts], den * b
-
-
-def envelope_value(pts: Sequence[SupportPoint], e: Fraction) -> Fraction:
-    """max_j (top_j + e*j): the x-exponent of the expansion at parameter slope e."""
-    nums, scale = _envelope_numerators(pts, e)
-    return Fraction(max(nums), scale)
-
-
-def envelope_lead(pts: Sequence[SupportPoint], e: Fraction) -> Tuple[UniPoly, Fraction]:
-    """Leading coefficient in s and x-exponent of the expansion at z = s*x^e."""
-    nums, scale = _envelope_numerators(pts, e)
-    top = max(nums)
-    coeffs = [ZERO] * (pts[-1].j + 1)
-    for p, num in zip(pts, nums):
-        if num == top:
-            coeffs[p.j] = p.lead
-    return UniPoly.make(coeffs), Fraction(top, scale)
+    return [p.top * b + a * p.j * den for p in pts]
 
 
 def envelope_zero(pts: Sequence[SupportPoint]) -> Optional[Fraction]:
@@ -299,20 +269,31 @@ def envelope_zero(pts: Sequence[SupportPoint]) -> Optional[Fraction]:
     """
     if pts[0].j == 0 and pts[0].top > 0:
         return None
-    return min((Fraction(-p.top, p.j * p.den) for p in pts if p.j > 0), default=None)
+    first = None  # -top/j is least where top/j is greatest
+    for p in pts:
+        if p.j > 0 and (first is None or p.top * first.j > first.top * p.j):
+            first = p
+    return None if first is None else Fraction(-first.top, first.j * first.den)
 
 
 def substitute(f: BiPoly, phi: ParamSeries) -> Tuple[UniPoly, int]:
     """Leading coefficient polynomial of f along the window and its exponent.
 
     Returns (lead, e) with f(x, phi(x, s)) = lead(s) * x^(e/mult) + lower
-    terms in x, read off the envelope of f expanded around phi's fixed steps.
+    terms in x, read off the envelope of f expanded around phi's fixed steps
+    at (mult - param_index)/mult.  The expansion's den divides mult, so each
+    envelope numerator over den*mult is den times an integer.
     """
     if f.is_zero():
         raise PreconditionFailed("cannot expand the zero polynomial")
     pts = expansion_points(f, phi.fix_param(ZERO))
-    lead, top = envelope_lead(pts, phi.param_exponent)
-    return lead, int(top * phi.mult)
+    nums = envelope_numerators(pts, phi.mult - phi.param_index, phi.mult)
+    top = max(nums)
+    coeffs = [ZERO] * (pts[-1].j + 1)
+    for p, num in zip(pts, nums):
+        if num == top:
+            coeffs[p.j] = p.lead
+    return UniPoly.make(coeffs), top // pts[0].den
 
 
 def leading_data(f: MapPair, phi: ParamSeries) -> LeadingData:
@@ -336,11 +317,10 @@ def refine(
 ) -> ParamSeries:
     """Pin psi's parameter to c and open a fresh parameter term lower down.
 
-    The new parameter exponent 1 - next_k/next_mult must be strictly smaller
-    than psi's; the result is re-canonicalized.
+    The new parameter exponent 1 - next_k/next_mult (next_mult > 0) must be
+    strictly smaller than psi's; the result is re-canonicalized.
     """
-    new_exp = 1 - Fraction(next_k, next_mult)
-    if new_exp >= psi.param_exponent:
+    if next_k * psi.mult <= psi.param_index * next_mult:
         raise PreconditionFailed("refinement must strictly decrease the exponent")
     m = math.lcm(psi.mult, next_mult)
     scale_old = m // psi.mult
@@ -349,11 +329,6 @@ def refine(
         steps.append((psi.param_index * scale_old, c))
     n = next_k * (m // next_mult)
     return series(m, steps, n)
-
-
-def refine_to_exponent(psi: ParamSeries, c: Scalar, e: Fraction) -> ParamSeries:
-    frac = 1 - e
-    return refine(psi, c, frac.numerator, frac.denominator)
 
 
 def is_refinement(

@@ -403,27 +403,19 @@ def check_lemma2(seq: AssociatedSequence, data: RootIndexData) -> CheckReport:
         prev, cur = seq.levels[i - 1], seq.levels[i]
         dprev, dcur = data.levels[i - 1], data.levels[i]
         c_prev = prev.c if prev.c is not None else ZERO
-        gap = Fraction(prev.n, prev.m) - Fraction(cur.n, cur.m)
+        # the exponent recurrence times prev.m * cur.m, on integers: drop is
+        # the slot's exponent drop times that product
+        drop = cur.n * prev.m - prev.n * cur.m
         s_count = len(dcur.s_members)
         t_count = len(dcur.t_members)
         s0_prev = dprev.s0_count
         t0_prev = dprev.t0_count
-        pbar_prev = dprev.pbar
-        qbar_prev = dprev.qbar
-        ok_a_lead = cur.lead.p_lead.lcoeff() == dprev.a_lead * pbar_prev.evaluate(
-            c_prev
-        )
-        ok_b_lead = cur.lead.q_lead.lcoeff() == dprev.b_lead * qbar_prev.evaluate(
-            c_prev
-        )
+        ok_a_lead = cur.lead.p_lead.lcoeff() == dprev.a_lead * dprev.pbar.evaluate(c_prev)
+        ok_b_lead = cur.lead.q_lead.lcoeff() == dprev.b_lead * dprev.qbar.evaluate(c_prev)
         ok_p_deg = cur.lead.p_lead.degree == s_count == s0_prev
         ok_q_deg = cur.lead.q_lead.degree == t_count == t0_prev
-        ok_a_exp = Fraction(cur.lead.p_exp, cur.m) == Fraction(
-            prev.lead.p_exp, prev.m
-        ) + s0_prev * gap
-        ok_b_exp = Fraction(cur.lead.q_exp, cur.m) == Fraction(
-            prev.lead.q_exp, prev.m
-        ) + t0_prev * gap
+        ok_a_exp = cur.lead.p_exp * prev.m == prev.lead.p_exp * cur.m - s0_prev * drop
+        ok_b_exp = cur.lead.q_exp * prev.m == prev.lead.q_exp * cur.m - t0_prev * drop
         items.append(
             {
                 "level": i,

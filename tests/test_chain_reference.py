@@ -135,7 +135,9 @@ def ref_segment_is_quiet(f, upper, c, e_next):
     return not any(
         e_next < slope
         for g in (f.p, f.q)
-        for slope in expansion_mod._coord_events(g, prefix, upper.param_exponent).edges
+        for slope in expansion_mod._coord_events(
+            g, prefix, upper.mult - upper.param_index, upper.mult
+        ).edges
     )
 
 

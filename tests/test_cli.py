@@ -264,22 +264,36 @@ HUGE_CONSTANT_MAPS = {
 }
 
 
-@pytest.mark.parametrize("text", HUGE_CONSTANT_MAPS)
-@pytest.mark.parametrize("command", ["valueset", "verify"])
-def test_quadratic_with_huge_constant_finishes(text, command):
+def run_cli_process(text, command):
+    """One CLI run with a JSON report in a fresh interpreter, with a 20 s
+    deadline."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "npvset.cli", "--map", text, command,
          "--format", "json"],
         capture_output=True, text=True, env=env, timeout=20,
     )
+
+
+@pytest.mark.parametrize("text", HUGE_CONSTANT_MAPS)
+@pytest.mark.parametrize("command", ["valueset", "verify"])
+def test_quadratic_with_huge_constant_finishes(text, command):
+    proc = run_cli_process(text, command)
     assert proc.returncode == EXIT_UNRESOLVED, proc.stderr
     unresolved = json.loads(proc.stdout)["unresolved"]
     assert {"status": "extension_required", "note": HUGE_CONSTANT_MAPS[text]} in unresolved
+
+
+@pytest.mark.parametrize("command", ["valueset", "verify"])
+def test_huge_power_is_refused_in_time(command):
+    # multiplied out, the power would have degree 400
+    proc = run_cli_process("(x+y+1)^400; y", command)
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert json.loads(proc.stdout)["error"].startswith("power of degree above")
 
 
 RUN_CONFIGS = [

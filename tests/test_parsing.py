@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from npvset.algebra import BiPoly, bipoly
 from npvset.errors import ParseError
 from npvset.parsing import (
+    MAX_DEGREE,
+    MAX_EXPONENT,
     format_poly,
     format_series,
     parse_map,
@@ -48,6 +50,28 @@ class TestParsePoly:
         with pytest.raises(ParseError) as err:
             parse_poly("x + ")
         assert err.value.pos == 4
+
+    @pytest.mark.parametrize(
+        "text,pos",
+        [
+            ("(x+y+1)^400", 7),
+            (f"x^{MAX_DEGREE + 1}", 1),
+            (f"(x^2+y)^{MAX_DEGREE // 2 + 1}", 7),
+            (f"2^{MAX_EXPONENT + 1}", 1),
+            (f"(x+y)^{MAX_DEGREE // 2}*(x+1)^{MAX_DEGREE // 2}*y", 17),
+        ],
+    )
+    def test_degree_bound(self, text, pos):
+        # a power or product is refused before it is multiplied out
+        with pytest.raises(ParseError) as err:
+            parse_poly(text)
+        assert err.value.pos == pos
+
+    def test_degree_bound_is_inclusive(self):
+        assert parse_poly(f"(x+y)^{MAX_DEGREE}").total_degree == MAX_DEGREE
+        half = MAX_DEGREE // 2
+        assert parse_poly(f"x^{half}*y^{half}").total_degree == MAX_DEGREE
+        assert parse_poly(f"2^{MAX_EXPONENT}") == bipoly({(0, 0): 2**MAX_EXPONENT})
 
     def test_map_splitting(self):
         p, q = parse_map("x+y; y")

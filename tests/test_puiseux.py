@@ -23,8 +23,6 @@ from npvset.puiseux import (
     Prefix,
     ROOT_WINDOW,
     SupportPoint,
-    envelope_lead,
-    envelope_value,
     envelope_zero,
     expansion_points,
     is_refinement,
@@ -325,10 +323,25 @@ def assert_matches_reference(f, prefix, exponents=()):
     edges = ref_hull_edges(rpts)
     assert hull_edges(pts) == edges
     for e in (*exponents, *(ed.slope for ed in edges)):
-        assert envelope_value(pts, e) == ref_envelope_value(rpts, e)
-        assert envelope_lead(pts, e) == ref_envelope_lead(rpts, e)
-        events = expansion_mod._coord_events(f, as_prefix(prefix), e)
+        # substitute reads the envelope at e through a window over the prefix
+        lead, top = ref_envelope_lead(rpts, e)
+        w = window_over(as_prefix(prefix), e)
+        assert substitute(f, w) == (lead, top * w.mult)
+        events = expansion_mod._coord_events(
+            f, as_prefix(prefix), e.numerator, e.denominator
+        )
         assert events[:3] == ref_coord_events(rpts, e)
+
+
+def window_over(prefix, e):
+    """A window whose fixed steps are prefix and whose parameter exponent is e.
+
+    It is not canonical, and e may sit above some steps: substitute reads
+    only the prefix, the multiplicity and the parameter slot.
+    """
+    m = math.lcm(prefix.mult, e.denominator)
+    steps = tuple((k * (m // prefix.mult), c) for k, c in prefix.steps)
+    return ParamSeries(m, steps, m - int(e * m))
 
 
 SCALARS = st.builds(lambda a, b: sc(a, b), st.integers(-3, 3), st.integers(-1, 1))
@@ -533,3 +546,62 @@ class TestNextEventExponent:
             for child in node.children:
                 got = expansion_mod.next_event_exponent(f, node.series, child.chosen_c)
                 assert got == ref_next_event_exponent(f, node.series, child.chosen_c)
+
+
+def ref_substitute(g, phi):
+    """substitute over the Fraction reference: the envelope lead at phi's
+    parameter exponent, with the exponent as a numerator over phi.mult."""
+    rpts = ref_points(reference_prefix_expansion(g, as_fractions(phi.fix_param(ZERO))))
+    lead, top = ref_envelope_lead(rpts, 1 - Fraction(phi.param_index, phi.mult))
+    return lead, top * phi.mult
+
+
+class TestIntegerSubstitute:
+    @settings(max_examples=150, deadline=None)
+    @given(POLYS, POLYS, st.data())
+    def test_matches_reference(self, p, q, data):
+        # the tree's own windows and random ones, canonical or not
+        try:
+            f = normalize_monic(p, q)
+        except PreconditionFailed:
+            assume(False)
+        assume(not f.jac.is_zero())
+        node = data.draw(st.sampled_from(list(expansion_tree(f, Caps(4, 8, 4)).walk())))
+        phi = data.draw(st.one_of(st.just(node.series), WINDOWS))
+        t = data.draw(st.integers(1, 3))
+        scaled = ParamSeries(
+            t * phi.mult, tuple((t * k, c) for k, c in phi.steps), t * phi.param_index
+        )
+        for g in (f.p, f.q, f.jac):
+            assert substitute(g, phi) == ref_substitute(g, phi)
+            assert substitute(g, scaled) == ref_substitute(g, scaled)
+
+    @pytest.mark.parametrize("name", ["M4", "M6", "M8", "M9"])
+    def test_every_tree_window(self, name):
+        f = normalize_monic(*parse_map(TREE_MAPS[name]))
+        for node in expansion_tree(f, Caps()).walk():
+            for g in (f.p, f.q, f.jac):
+                assert substitute(g, node.series) == ref_substitute(g, node.series)
+
+    @pytest.mark.parametrize("name", ["M4", "M8"])
+    def test_window_reads_build_no_fraction(self, monkeypatch, name):
+        # exponents stay integer numerators over the window multiplicity
+        f = normalize_monic(*parse_map(TREE_MAPS[name]))
+        windows = [node.series for node in expansion_tree(f, Caps()).walk()]
+        built = []
+        inner = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return inner(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        for phi in windows:
+            leading_data(f, phi).jac_exp
+            for g in (f.p, f.q, f.jac):
+                substitute(g, phi)
+        reads = len(built)
+        windows[-1].param_exponent  # the count only means something if it sees one
+        monkeypatch.undo()
+        assert len(windows) > 1
+        assert reads == 0 and len(built) == 1
