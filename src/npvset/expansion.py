@@ -229,7 +229,7 @@ def _low_degree_roots(
 
 
 def _integer_roots(h: UniPoly) -> Tuple[List[Tuple[Scalar, int]], UniPoly]:
-    """``all_roots`` for deg h >= 2 and h(0) != 0, on Gaussian integers."""
+    """``all_roots`` for deg h >= 1 and h(0) != 0, on Gaussian integers."""
     lcm = math.lcm(*(c.d for c in h.coeffs))
     H = [(c.a * (lcm // c.d), c.b * (lcm // c.d)) for c in h.coeffs]
     roots: List[Tuple[Scalar, int]] = []
@@ -275,10 +275,7 @@ def all_roots(h: UniPoly) -> Tuple[List[Tuple[Scalar, int]], UniPoly]:
     if v:
         roots.append((ZERO, v))
         h = UniPoly(h.coeffs[v:])
-    if h.degree == 1:
-        roots.append((-h.coeff(0) / h.coeff(1), 1))
-        h = UniPoly.const(h.lcoeff())
-    elif h.degree >= 2:
+    if h.degree >= 1:
         found, h = _integer_roots(h)
         roots += found
     # each root is found once, with its full multiplicity

@@ -2,27 +2,34 @@
 
 Polynomials use variables x, y with operators + - * ^ and parentheses;
 coefficients are integers, rationals a/b, and Gaussian literals built from
-i.  Series use x, the parameter symbol s, and rational exponents written
-x^(p/q).  The formatters emit canonical text the parsers accept, so
-round-tripping is exact.
+i.  Series use x and the parameter symbol s.  Both parse to a `BiPoly`
+whose second variable is y or s; exponents are ints, except that plain x
+may carry a rational power x^(p/q) inside a series.  The formatters emit
+canonical text the parsers accept, so round-tripping is exact.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple, Union
 
-from .algebra import BiPoly, ONE, Scalar, UniPoly, ZERO, join_terms
+from .algebra import BiPoly, ONE, Scalar, UniPoly, join_terms
 from .errors import ParseError
 from .puiseux import ConcreteBranch, ParamSeries, series_from_exponents
 
-# a term map: (x exponent, y degree, s degree) -> coefficient
-_Terms = Dict[Tuple[Fraction, int, int], Scalar]
-
-# powers and products are multiplied out term by term, at a cost cubic in the
-# degree: their degree is bounded, and so is the exponent of a constant power
+# powers and products are multiplied out, at a cost cubic in the degree: their
+# degree is bounded, and so are the exponent of a constant power and the
+# digits of every coefficient integer (int() refuses numerals above 4300)
 MAX_DEGREE = 32
 MAX_EXPONENT = 1024
+MAX_DIGITS = 1000
+
+_HUGE = 10**MAX_DIGITS  # the least integer of more than MAX_DIGITS digits
+_HUGE_MSG = f"coefficient of more than {MAX_DIGITS} digits"
+
+# the error for a symbol that is not the second variable of its grammar
+_WRONG_SYMBOL = {"y": "series may not involve y", "s": "the symbol s is reserved for series"}
 
 
 class _Token(NamedTuple):
@@ -43,6 +50,8 @@ def _tokenize(text: str) -> List[_Token]:
             j = i
             while j < len(text) and text[j].isdecimal():
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ParseError(f"numeral of more than {MAX_DIGITS} digits", i)
             out.append(_Token("num", text[i:j], i))
             i = j
             continue
@@ -62,18 +71,18 @@ def _tokenize(text: str) -> List[_Token]:
 
 
 class _Parser:
-    """Recursive-descent parser over the shared monomial algebra.
+    """Recursive-descent parser whose values are `BiPoly`s in x and
+    ``second``: y for polynomials, s for series.
 
-    Values are term maps over (x-exponent, y-degree, s-degree); which
-    variables and exponents are legal is decided by the caller afterwards,
-    keeping polynomial and series parsing on one code path.
+    The operators are `BiPoly`'s own.  Exponents are ints, except on plain
+    x inside a series, whose power may be a `Fraction`.
     """
 
-    def __init__(self, text: str, allow_fractional_x: bool):
+    def __init__(self, text: str, second: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.idx = 0
-        self.allow_fractional_x = allow_fractional_x
+        self.second = second
 
     def peek(self) -> Optional[_Token]:
         return self.tokens[self.idx] if self.idx < len(self.tokens) else None
@@ -85,13 +94,21 @@ class _Parser:
         self.idx += 1
         return tok
 
+    def take_op(self, ops: str) -> Optional[_Token]:
+        """The next token, taken, if it is one of the operators ``ops``."""
+        tok = self.peek()
+        if tok is None or tok.kind != "op" or tok.text not in ops:
+            return None
+        self.idx += 1
+        return tok
+
     def expect_op(self, op: str) -> _Token:
         tok = self.take()
         if tok.kind != "op" or tok.text != op:
             raise ParseError(f"expected {op!r}", tok.pos)
         return tok
 
-    def parse(self) -> _Terms:
+    def parse(self) -> BiPoly:
         try:
             value = self.parse_sum()
         except RecursionError:
@@ -101,90 +118,88 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
         return value
 
-    def parse_sum(self) -> _Terms:
+    def parse_sum(self) -> BiPoly:
         value = self.parse_product()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != "op" or tok.text not in "+-":
-                return value
-            self.take()
+        while (tok := self.take_op("+-")) is not None:
             rhs = self.parse_product()
-            if tok.text == "-":
-                rhs = {k: -v for k, v in rhs.items()}
-            value = _add(value, rhs)
+            value = value - rhs if tok.text == "-" else value + rhs
+        return value
 
-    def parse_product(self) -> _Terms:
+    def parse_product(self) -> BiPoly:
         value = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != "op" or tok.text not in "*/":
-                return value
-            self.take()
+        while (tok := self.take_op("*/")) is not None:
             rhs = self.parse_factor()
             if tok.text == "*":
-                if _degree(value) + _degree(rhs) > MAX_DEGREE:
+                if value.total_degree + rhs.total_degree > MAX_DEGREE:
                     raise ParseError(f"product of degree above {MAX_DEGREE}", tok.pos)
-                value = _mul(value, rhs)
+                value = value * rhs
+            elif not rhs.is_constant():
+                raise ParseError("divisor must be a constant", tok.pos)
+            elif rhs.is_zero():
+                raise ParseError("division by zero", tok.pos)
             else:
-                scalar = _as_scalar(rhs, tok.pos)
-                if scalar.is_zero():
-                    raise ParseError("division by zero", tok.pos)
-                value = {k: v / scalar for k, v in value.items()}
+                value = value.scale(rhs.coeff(0, 0).inverse())
+            if any(max(abs(c.a), abs(c.b), c.d) >= _HUGE for c in value.terms.values()):
+                raise ParseError(_HUGE_MSG, tok.pos)
+        return value
 
-    def parse_factor(self) -> _Terms:
-        tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text == "-":
-            self.take()
-            inner = self.parse_factor()
-            return {k: -v for k, v in inner.items()}
+    def parse_factor(self) -> BiPoly:
+        if self.take_op("-") is not None:
+            return -self.parse_factor()
         base = self.parse_atom()
-        tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text == "^":
-            self.take()
-            expo = self.parse_exponent()
-            return _pow(base, expo, tok.pos, self.allow_fractional_x)
-        return base
+        tok = self.take_op("^")
+        if tok is None:
+            return base
+        expo = self.parse_exponent()
+        if expo > MAX_EXPONENT or expo * base.total_degree > MAX_DEGREE:
+            msg = f"power of degree above {MAX_DEGREE} or exponent above {MAX_EXPONENT}"
+            raise ParseError(msg, tok.pos)
+        if len(base.terms) == 1:
+            ((xe, yd), coeff), = base.terms.items()
+            if xe and not yd and coeff == ONE:
+                if type(expo) is Fraction and self.second != "s":
+                    raise ParseError("fractional exponents are not allowed here", tok.pos)
+                return BiPoly({(xe * expo, 0): ONE})
+        if type(expo) is Fraction or expo < 0:
+            msg = "only plain x may carry a fractional or negative power"
+            raise ParseError(msg, tok.pos)
+        if expo * _power_digits(base) >= MAX_DIGITS:  # refused before multiplying
+            raise ParseError(_HUGE_MSG, tok.pos)
+        return base ** expo
 
-    def parse_exponent(self) -> Fraction:
-        tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text == "(":
-            self.take()
-            sign = 1
-            tok = self.peek()
-            if tok is not None and tok.kind == "op" and tok.text in "+-":
-                self.take()
-                sign = -1 if tok.text == "-" else 1
+    def parse_exponent(self) -> Union[int, Fraction]:
+        if self.take_op("(") is None:
             num = self.take()
             if num.kind != "num":
-                raise ParseError("expected a number in exponent", num.pos)
-            value = Fraction(int(num.text))
-            tok = self.peek()
-            if tok is not None and tok.kind == "op" and tok.text == "/":
-                self.take()
-                den = self.take()
-                if den.kind != "num" or int(den.text) == 0:
-                    raise ParseError("expected a nonzero denominator", den.pos)
-                value = value / int(den.text)
-            self.expect_op(")")
-            return sign * value
+                raise ParseError("expected an exponent", num.pos)
+            return int(num.text)
+        tok = self.take_op("+-")
         num = self.take()
         if num.kind != "num":
-            raise ParseError("expected an exponent", num.pos)
-        return Fraction(int(num.text))
+            raise ParseError("expected a number in exponent", num.pos)
+        value = -int(num.text) if tok is not None and tok.text == "-" else int(num.text)
+        if self.take_op("/") is not None:
+            den = self.take()
+            if den.kind != "num" or int(den.text) == 0:
+                raise ParseError("expected a nonzero denominator", den.pos)
+            frac = Fraction(value, int(den.text))
+            value = frac if frac.denominator != 1 else frac.numerator
+        self.expect_op(")")
+        return value
 
-    def parse_atom(self) -> _Terms:
+    def parse_atom(self) -> BiPoly:
         tok = self.take()
         if tok.kind == "num":
-            return {(Fraction(0), 0, 0): Scalar.of(int(tok.text))}
+            return BiPoly.const(Scalar.of(int(tok.text)))
         if tok.kind == "name":
             if tok.text == "x":
-                return {(Fraction(1), 0, 0): ONE}
-            if tok.text == "y":
-                return {(Fraction(0), 1, 0): ONE}
-            if tok.text == "s":
-                return {(Fraction(0), 0, 1): ONE}
+                return BiPoly({(1, 0): ONE})
+            if tok.text == self.second:
+                return BiPoly({(0, 1): ONE})
             if tok.text == "i":
-                return {(Fraction(0), 0, 0): Scalar.of(0, 1)}
+                return BiPoly.const(Scalar.of(0, 1))
+            if tok.text in _WRONG_SYMBOL:
+                raise ParseError(_WRONG_SYMBOL[tok.text], tok.pos)
             raise ParseError(f"unknown identifier {tok.text!r}", tok.pos)
         if tok.kind == "op" and tok.text == "(":
             value = self.parse_sum()
@@ -193,59 +208,13 @@ class _Parser:
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
 
 
-def _add(a: _Terms, b: _Terms) -> _Terms:
-    out = dict(a)
-    for k, v in b.items():
-        acc = out.get(k, ZERO) + v
-        if acc.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = acc
-    return out
-
-
-def _mul(a: _Terms, b: _Terms) -> _Terms:
-    out: _Terms = {}
-    for (xa, ya, sa), ca in a.items():
-        for (xb, yb, sb), cb in b.items():
-            k = (xa + xb, ya + yb, sa + sb)
-            acc = out.get(k, ZERO) + ca * cb
-            if acc.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = acc
-    return out
-
-
-def _as_scalar(t: _Terms, pos: int) -> Scalar:
-    if not t:
-        return ZERO
-    if set(t) != {(Fraction(0), 0, 0)}:
-        raise ParseError("divisor must be a constant", pos)
-    return t[(Fraction(0), 0, 0)]
-
-
-def _degree(t: _Terms) -> Fraction:
-    return max((xe + yd + sd for xe, yd, sd in t), default=0)
-
-
-def _pow(base: _Terms, expo: Fraction, pos: int, allow_fractional_x: bool) -> _Terms:
-    if expo > MAX_EXPONENT or expo * _degree(base) > MAX_DEGREE:
-        raise ParseError(
-            f"power of degree above {MAX_DEGREE} or exponent above {MAX_EXPONENT}", pos
-        )
-    if len(base) == 1:
-        (xe, yd, sd), coeff = next(iter(base.items()))
-        if xe != 0 and yd == 0 and sd == 0 and coeff == ONE:
-            if expo.denominator != 1 and not allow_fractional_x:
-                raise ParseError("fractional exponents are not allowed here", pos)
-            return {(xe * expo, 0, 0): ONE}
-    if expo.denominator != 1 or expo < 0:
-        raise ParseError("only plain x may carry a fractional or negative power", pos)
-    out = {(Fraction(0), 0, 0): ONE}
-    for _ in range(int(expo)):
-        out = _mul(out, base)
-    return out
+def _power_digits(base: BiPoly) -> float:
+    """Digits per unit of n bounding the coefficient integers of base^n: with
+    base = N/D, N in Z[i][x, y], they are at most (sum |N_k|)^n and D^n."""
+    cs = base.terms.values()
+    den = math.lcm(*(c.d for c in cs))
+    top = max(((c.a * c.a + c.b * c.b) * (den // c.d) ** 2 for c in cs), default=0)
+    return max(math.log10(len(cs) ** 2 * top or 1) / 2, math.log10(den))
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +224,10 @@ def _pow(base: _Terms, expo: Fraction, pos: int, allow_fractional_x: bool) -> _T
 
 def parse_poly(text: str) -> BiPoly:
     """Exact bivariate polynomial from text in x, y."""
-    terms = _Parser(text, allow_fractional_x=False).parse()
-    out: Dict[Tuple[int, int], Scalar] = {}
-    for (xe, yd, sd), c in terms.items():
-        if sd:
-            raise ParseError("the symbol s is reserved for series", 0)
-        if xe.denominator != 1 or xe < 0:
-            raise ParseError("polynomial exponents must be non-negative integers", 0)
-        out[(int(xe), yd)] = c
-    return BiPoly(out)
+    poly = _Parser(text, "y").parse()
+    if any(xe < 0 for xe, _ in poly.terms):
+        raise ParseError("polynomial exponents must be non-negative integers", 0)
+    return poly
 
 
 def parse_map(text: str) -> Tuple[BiPoly, BiPoly]:
@@ -276,18 +240,11 @@ def parse_map(text: str) -> Tuple[BiPoly, BiPoly]:
 
 def parse_series(text: str) -> ParamSeries:
     """Parametric series from text in x and the parameter symbol s."""
-    terms = _Parser(text, allow_fractional_x=True).parse()
-    steps: List[Tuple[Fraction, Scalar]] = []
-    param: List[Tuple[Fraction, Scalar]] = []
-    for (xe, yd, sd), c in terms.items():
-        if yd:
-            raise ParseError("series may not involve y", 0)
-        if sd == 0:
-            steps.append((xe, c))
-        elif sd == 1:
-            param.append((xe, c))
-        else:
-            raise ParseError("the parameter s must appear linearly", 0)
+    terms = _Parser(text, "s").parse().terms.items()  # keys (x-exponent, s-degree)
+    if any(sd > 1 for (_, sd), _ in terms):
+        raise ParseError("the parameter s must appear linearly", 0)
+    steps = [(xe, c) for (xe, sd), c in terms if sd == 0]
+    param = [(xe, c) for (xe, sd), c in terms if sd == 1]
     if len(param) != 1:
         raise ParseError("series needs exactly one parameter term", 0)
     (pe, pc) = param[0]

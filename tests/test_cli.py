@@ -184,10 +184,15 @@ class TestExitCodes:
             ["--map", "x+y; x*y+y^2", "classify", "--series", "x^(1/0) + s"],
             ["--map", "(" * 3000 + "x" + ")" * 3000 + "; y", "valueset"],
             ["--map", "-" * 3000 + "x; y", "valueset"],
+            ["--map", "1" * 5000 + "*x+y; y", "valueset"],
+            ["--map", "x^" + "1" * 5000 + "+y; y", "valueset"],
+            ["--map", "x+y; x*y+y^2", "classify", "--series", f"x^(1/{'1' * 5000}) + s"],
+            ["--map", "100000^1024*x+y; y", "valueset"],
         ],
         ids=[
             "superscript-digit", "zero-denominator", "series-zero-denominator",
-            "deep-parentheses", "many-signs",
+            "deep-parentheses", "many-signs", "huge-numeral", "huge-exponent",
+            "series-huge-denominator", "huge-constant-power",
         ],
     )
     def test_malformed_text_is_an_input_error(self, args, capsys):
@@ -288,12 +293,23 @@ def test_quadratic_with_huge_constant_finishes(text, command):
     assert {"status": "extension_required", "note": HUGE_CONSTANT_MAPS[text]} in unresolved
 
 
-@pytest.mark.parametrize("command", ["valueset", "verify"])
-def test_huge_power_is_refused_in_time(command):
+HUGE_POWERS = {
     # multiplied out, the power would have degree 400
-    proc = run_cli_process("(x+y+1)^400; y", command)
+    "(x+y+1)^400; y": "power of degree above",
+    # multiplied out, the constant would have 1024^3 digits
+    "((10^1024)^1024)^1024*x+y; y": "coefficient of more than",
+}
+
+
+@pytest.mark.parametrize(
+    "text,command",
+    [(text, command) for text in HUGE_POWERS for command in ("valueset", "verify")],
+    ids=["valueset", "verify", "constant-valueset", "constant-verify"],
+)
+def test_huge_power_is_refused_in_time(text, command):
+    proc = run_cli_process(text, command)
     assert proc.returncode == EXIT_INPUT, proc.stderr
-    assert json.loads(proc.stdout)["error"].startswith("power of degree above")
+    assert json.loads(proc.stdout)["error"].startswith(HUGE_POWERS[text])
 
 
 RUN_CONFIGS = [

@@ -12,6 +12,7 @@ from npvset.algebra import BiPoly, bipoly
 from npvset.errors import ParseError
 from npvset.parsing import (
     MAX_DEGREE,
+    MAX_DIGITS,
     MAX_EXPONENT,
     format_poly,
     format_series,
@@ -46,6 +47,19 @@ class TestParsePoly:
         with pytest.raises(ParseError):
             parse_poly("x + z")
 
+    @pytest.mark.parametrize(
+        "parse,text,message,pos",
+        [
+            (parse_poly, "x + s", "the symbol s is reserved for series", 4),
+            (parse_poly, "x + s - s", "the symbol s is reserved for series", 4),
+            (parse_series, "s + x*y", "series may not involve y", 6),
+        ],
+    )
+    def test_wrong_symbol_is_reported_where_it_stands(self, parse, text, message, pos):
+        with pytest.raises(ParseError, match=message) as err:
+            parse(text)
+        assert err.value.pos == pos
+
     def test_error_position(self):
         with pytest.raises(ParseError) as err:
             parse_poly("x + ")
@@ -72,6 +86,32 @@ class TestParsePoly:
         half = MAX_DEGREE // 2
         assert parse_poly(f"x^{half}*y^{half}").total_degree == MAX_DEGREE
         assert parse_poly(f"2^{MAX_EXPONENT}") == bipoly({(0, 0): 2**MAX_EXPONENT})
+
+    @pytest.mark.parametrize(
+        "text,pos",
+        [
+            ("1" * (MAX_DIGITS + 1) + "*x", 0),
+            (f"x^{'1' * (MAX_DIGITS + 1)}", 2),
+            (f"10^{MAX_DIGITS - 1}*10", 6),
+            (f"1/10^{MAX_DIGITS - 1}/10", 8),
+            ("100000^1024*x", 6),
+            ("((10^1024)^1024)^1024*x", 4),
+        ],
+    )
+    def test_digit_bound(self, text, pos):
+        # a numeral, product, quotient or power with a coefficient integer of
+        # more than MAX_DIGITS digits is refused; a power before it multiplies
+        with pytest.raises(ParseError, match="digits") as err:
+            parse_poly(text)
+        assert err.value.pos == pos
+
+    def test_digit_bound_is_inclusive(self):
+        largest = 10**MAX_DIGITS - 1
+        assert parse_poly(str(largest)) == bipoly({(0, 0): largest})
+        assert parse_poly(f"10^{MAX_DIGITS - 1}/3*x").coeff(1, 0) == sc(
+            Fraction(10 ** (MAX_DIGITS - 1), 3)
+        )
+        assert parse_poly("9^1024") == bipoly({(0, 0): 9**1024})  # 977 digits
 
     def test_map_splitting(self):
         p, q = parse_map("x+y; y")
@@ -101,28 +141,45 @@ class TestParseSeries:
             parse_series("x + 1")
 
 
+scalar_strategy = st.builds(
+    lambda a, b, c: sc(Fraction(a, c), b),
+    st.integers(-6, 6),
+    st.integers(-3, 3),
+    st.integers(1, 3),
+)
+
 poly_strategy = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 3)),
-    st.builds(
-        lambda a, b, c: sc(Fraction(a, c), b),
-        st.integers(-6, 6),
-        st.integers(-3, 3),
-        st.integers(1, 3),
-    ),
-    max_size=5,
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), scalar_strategy, max_size=5
 ).map(BiPoly)
+
+
+@st.composite
+def series_strategy(draw):
+    """series(mult, steps, param_index) with the parameter below every step."""
+    mult = draw(st.integers(1, 6))
+    ks = draw(st.lists(st.integers(0, 12), max_size=4, unique=True))
+    coeffs = draw(st.lists(scalar_strategy, min_size=len(ks), max_size=len(ks)))
+    param_index = draw(st.integers(max(ks, default=-1) + 1, 16))
+    return series(mult, zip(ks, coeffs), param_index)
 
 
 class TestRoundTrip:
     @settings(max_examples=120)
     @given(poly_strategy)
     def test_poly_round_trip(self, p):
-        assert parse_poly(format_poly(p)) == p
+        parsed = parse_poly(format_poly(p))
+        assert parsed == p
+        assert all(type(i) is int and type(j) is int for i, j in parsed.terms)
 
     def test_series_round_trip(self):
         for text in ("-x + s*x^(-1)", "x^(1/2) + s", "s*x", "i*x + s*x^(-2)"):
             w = parse_series(text)
             assert parse_series(format_series(w)) == w
+
+    @settings(max_examples=120)
+    @given(series_strategy())
+    def test_generated_series_round_trip(self, w):
+        assert parse_series(format_series(w)) == w
 
     def test_corpus_round_trip(self):
         from conftest import CORPUS_TEXT
