@@ -115,28 +115,38 @@ class Scalar:
             return self.inverse() ** (-n)
         return _power(self, n, ONE)
 
-    def sort_key(self) -> tuple:
-        """Total order used for deterministic output: lexicographic on (re, im)."""
-        return (self.re, self.im)
+    def __lt__(self, other: "Scalar") -> bool:
+        """Lexicographic on (re, im), compared exactly by cross-multiplying."""
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        d1, d2 = self.d, other.d
+        l, r = self.a * d2, other.a * d1
+        if l != r:
+            return l < r
+        return self.b * d2 < other.b * d1
+
+    def sort_key(self) -> "Scalar":
+        """Total order used for deterministic output: the scalar itself."""
+        return self
 
     def to_complex(self) -> complex:
         # int / int rounds the exact quotient, as float(Fraction) does
         return complex(self.a / self.d, self.b / self.d)
 
     def __str__(self) -> str:
-        re, im = self.re, self.im
-        if not im:
-            return str(re)
-        if im == 1:
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            return rational_text(a, d)
+        if b == d:
             imtxt = "i"
-        elif im == -1:
+        elif b == -d:
             imtxt = "-i"
         else:
-            imtxt = f"{im}i"
-        if not re:
+            imtxt = f"{rational_text(b, d)}i"
+        if not a:
             return imtxt
-        sign = "+" if im > 0 else ""
-        return f"{re}{sign}{imtxt}"
+        sign = "+" if b > 0 else ""
+        return f"{rational_text(a, d)}{sign}{imtxt}"
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
@@ -151,6 +161,15 @@ def _power(base, n: int, one):
         base = base * base
         n >>= 1
     return result
+
+
+def rational_text(n: int, d: int) -> str:
+    """n/d for d > 0 written as ``str(Fraction(n, d))`` writes it."""
+    g = math.gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def join_terms(parts: Sequence[str]) -> str:
@@ -385,7 +404,7 @@ class UniPoly:
                     parts.append(xtxt)
                 elif ctxt == "-1":
                     parts.append(f"-{xtxt}")
-                elif c.im and c.re:
+                elif c.a and c.b:
                     parts.append(f"({ctxt})*{xtxt}")
                 else:
                     parts.append(f"{ctxt}*{xtxt}")

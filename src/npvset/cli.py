@@ -12,9 +12,9 @@ reports.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import MapPair, Scalar, normalize_monic
@@ -315,9 +315,60 @@ def _run_oracle(f: MapPair, config: argparse.Namespace) -> dict:
 
 
 def render(report: dict, fmt: str) -> str:
+    """The report as text, or as JSON when ``fmt`` is "json".
+
+    The JSON is byte-identical to ``json.dumps(report, indent=2,
+    sort_keys=True)`` over the report's closed set of types: dicts with str
+    keys, lists, tuples, str, int, bool, None and float.  Any other type
+    raises TypeError.
+    """
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True)
+        out: List[str] = []
+        _emit_json(report, "\n", out)
+        return "".join(out)
     return _render_text(report)
+
+
+def _emit_json(o, nl: str, out: List[str]) -> None:
+    """Append the JSON of ``o`` to ``out``; ``nl`` is a newline followed by
+    the indent of the line ``o`` starts on."""
+    if isinstance(o, str):
+        out.append(_quote(o))
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(o):  # _quote raises TypeError on a key that is not str
+            out.append(sep + _quote(k) + ": ")
+            _emit_json(o[k], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _emit_json(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        text = float.__repr__(o)
+        out.append({"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text))
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _render_text(report: dict) -> str:

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Tuple, Union
 
-from .algebra import BiPoly, ONE, Scalar, UniPoly, join_terms
+from .algebra import BiPoly, ONE, Scalar, UniPoly, join_terms, rational_text
 from .errors import ParseError
 from .puiseux import ConcreteBranch, ParamSeries, series_from_exponents
 
@@ -262,17 +262,18 @@ def parse_series(text: str) -> ParamSeries:
 
 def format_scalar_factor(c: Scalar) -> str:
     """Scalar rendered as a parseable multiplicative factor."""
-    if c.im == 0:
-        return str(c.re)
-    if c.re == 0:
-        if c.im == 1:
+    a, b, d = c.a, c.b, c.d
+    if not b:
+        return rational_text(a, d)
+    if not a:
+        if b == d:
             return "i"
-        if c.im == -1:
+        if b == -d:
             return "-i"
-        return f"{c.im}*i"
-    imtxt = "i" if abs(c.im) == 1 else f"{abs(c.im)}*i"
-    sign = "+" if c.im > 0 else "-"
-    return f"({c.re}{sign}{imtxt})"
+        return f"{rational_text(b, d)}*i"
+    imtxt = "i" if abs(b) == d else f"{rational_text(abs(b), d)}*i"
+    sign = "+" if b > 0 else "-"
+    return f"({rational_text(a, d)}{sign}{imtxt})"
 
 
 def _format_exponent(e: Fraction) -> str:

@@ -39,6 +39,11 @@ from .algebra import BiPoly, MapPair, ONE, Scalar, UniPoly, ZERO, I, _reduced
 from .errors import PreconditionFailed
 
 
+def _exponent_key(k: int, mult: int) -> Scalar:
+    """The exponent 1 - k/mult as a real Scalar, ordered and hashed exactly."""
+    return _reduced(mult - k, 0, mult)
+
+
 class Prefix(NamedTuple):
     """The concrete sum of coeff * x^(1 - k/mult) over ``steps``.
 
@@ -89,8 +94,9 @@ class ParamSeries(NamedTuple):
         return Prefix.of(self.mult, steps)
 
     def sort_key(self) -> tuple:
-        steps = tuple((e, c.sort_key()) for e, c in self.step_exponents())
-        return self.param_exponent, steps
+        m = self.mult
+        steps = tuple([(_exponent_key(k, m), c) for k, c in self.steps])
+        return _exponent_key(self.param_index, m), steps
 
     def conjugates(self) -> List["ParamSeries"]:
         """All windows obtained by x^(1/m) -> zeta * x^(1/m), zeta in Q(i).
@@ -184,7 +190,8 @@ class ConcreteBranch(NamedTuple):
         return dict(self.terms).get(k, ZERO)
 
     def sort_key(self) -> tuple:
-        return tuple((e, c.sort_key()) for e, c in self.exponents())
+        m = self.mult
+        return tuple([(_exponent_key(k, m), c) for k, c in self.terms])
 
 
 class LeadingData:

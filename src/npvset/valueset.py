@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import BiPoly, MapPair, ONE, Scalar, UniPoly, ZERO, poly_gcd
+from .algebra import BiPoly, MapPair, ONE, Scalar, UniPoly, ZERO, poly_gcd, rational_text
 from .classify import delta, is_dicritical
 from .errors import ExtensionRequired, NotARefinement, PreconditionFailed
 from .expansion import (
@@ -354,9 +354,10 @@ def _collect_window(f, phi, e, out, seen) -> None:
     if e <= phi.param_exponent:
         return
     w = window_at(phi, e)
-    if w.sort_key() in seen:
+    key = w.sort_key()
+    if key in seen:
         return
-    seen.add(w.sort_key())
+    seen.add(key)
     lead = leading_data(f, w)
     if lead.q_exp == 0 and lead.q_lead.degree > 0:
         out.append((w, lead))
@@ -620,8 +621,8 @@ def check_newton_factorization(
             if tau is not None and a <= tau + (d - 1 - j) * m:
                 continue
             ok = coeff == other.coeff(a, j)
-            items.append({"monomial": f"x^{Fraction(a, m)}*y^{j}", "ok": ok})
-    exponent = None if tau is None else str(Fraction(tau, m))
+            items.append({"monomial": f"x^{rational_text(a, m)}*y^{j}", "ok": ok})
+    exponent = None if tau is None else rational_text(tau, m)
     data = {"exact": tau is None, "truncation_exponent": exponent}
     report = CheckReport.combine("factorization", items, data)
     if not items:

@@ -126,7 +126,9 @@ class TestScalarAgainstReference:
         assert _same(-x, _Ref(-rx.re, -rx.im))
         assert _same(x.conjugate(), _Ref(rx.re, -rx.im))
         assert x.norm2() == rx.norm2()
-        assert x.sort_key() == (rx.re, rx.im)
+        # the integer order agrees with the (re, im) Fraction order
+        assert (x.sort_key() < y.sort_key()) == ((rx.re, rx.im) < (ry.re, ry.im))
+        assert (x.sort_key() == y.sort_key()) == ((rx.re, rx.im) == (ry.re, ry.im))
         assert str(x) == rx.text()
         assert x.to_complex() == complex(float(rx.re), float(rx.im))
         if ry.norm2():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import resource
 import subprocess
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import npvset.cli as cli_mod
 import npvset.puiseux as puiseux_mod
@@ -417,3 +420,47 @@ class TestSeedPlumbing:
     def test_flag_beats_default(self):
         cfg = config_from_args(["--map", "x+y; y", "--seed", "99", "oracle"])
         assert cfg.seed == 99
+
+
+json_text = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\/\n\r\t\b\f\x00\x1f\x7f é😀\ud800'))
+)
+json_leaves = st.one_of(
+    json_text,
+    st.integers(-(2**80), 2**80),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 1e300, 5e-324]),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_text, children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+class TestJsonEmitter:
+    @settings(max_examples=300)
+    @given(json_values)
+    def test_matches_json_dumps(self, obj):
+        assert render(obj, "json") == json.dumps(obj, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("obj", [{"c": [ZERO]}, {"c": ZERO}, [{1: "one"}], {"s": {1, 2}}])
+    def test_other_types_raise(self, obj):
+        with pytest.raises(TypeError):
+            render(obj, "json")
+
+    def test_engine_error_report(self, monkeypatch, capsys):
+        error = EngineError('invariant "x" broke\n\tat \\ é')
+        monkeypatch.setattr(cli_mod, "nonproper_value_set", raising(error))
+        args = ["--map", "x+y; x*y+y^2", "valueset", "--format", "json"]
+        assert main(args) == EXIT_INTERNAL
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        assert report["error"] == str(error)
+        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"

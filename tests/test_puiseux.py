@@ -16,8 +16,9 @@ from npvset.algebra import ONE, ZERO, BiPoly, Scalar, UniPoly, bipoly, normalize
 from npvset.classify import classify
 from npvset.errors import PreconditionFailed
 from npvset.expansion import Caps, PolygonEdge, expansion_tree, hull_edges, upper_hull
-from npvset.parsing import parse_map
+from npvset.parsing import format_scalar_factor, parse_map
 from npvset.puiseux import (
+    ConcreteBranch,
     LeadingData,
     ParamSeries,
     Prefix,
@@ -604,4 +605,92 @@ class TestIntegerSubstitute:
         windows[-1].param_exponent  # the count only means something if it sees one
         monkeypatch.undo()
         assert len(windows) > 1
+        assert reads == 0 and len(built) == 1
+
+
+def _fraction_series_key(w: ParamSeries) -> tuple:
+    """The order of windows with Fraction exponents and (re, im) scalars."""
+    m = w.mult
+    steps = tuple((1 - Fraction(k, m), (c.re, c.im)) for k, c in w.steps)
+    return Fraction(m - w.param_index, m), steps
+
+
+def _fraction_branch_key(br: ConcreteBranch) -> tuple:
+    return tuple((1 - Fraction(k, br.mult), (c.re, c.im)) for k, c in br.terms)
+
+
+# few small values, so that equal exponents and coefficients occur often
+key_scalars = st.builds(
+    Scalar.of,
+    st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-2, 3)]),
+    st.sampled_from([0, 1, Fraction(-1, 2)]),
+)
+
+
+@st.composite
+def key_windows(draw):
+    mult = draw(st.integers(1, 4))
+    ks = draw(st.lists(st.integers(0, 5), max_size=3, unique=True))
+    coeffs = draw(st.lists(key_scalars, min_size=len(ks), max_size=len(ks)))
+    param_index = draw(st.integers(max(ks, default=-1) + 1, 7))
+    return series(mult, zip(ks, coeffs), param_index)
+
+
+@st.composite
+def key_branches(draw):
+    # not reduced: (k, mult) and (2k, 2mult) name the same exponent
+    mult = draw(st.integers(1, 4))
+    ks = sorted(draw(st.lists(st.integers(0, 6), max_size=3, unique=True)))
+    coeffs = draw(st.lists(key_scalars, min_size=len(ks), max_size=len(ks)))
+    return ConcreteBranch(mult, tuple(zip(ks, coeffs)), None)
+
+
+def _same_order(items, key, reference) -> None:
+    for a in items:
+        for b in items:
+            ka, kb, ra, rb = key(a), key(b), reference(a), reference(b)
+            assert (ka < kb) == (ra < rb)
+            assert (ka == kb) == (ra == rb)
+            if ka == kb:
+                assert hash(ka) == hash(kb)
+    assert sorted(items, key=key) == sorted(items, key=reference)
+
+
+class TestExactKeys:
+    @settings(max_examples=150)
+    @given(st.lists(key_windows(), min_size=1, max_size=6))
+    def test_series_key_orders_as_fraction_exponents(self, windows):
+        _same_order(windows, ParamSeries.sort_key, _fraction_series_key)
+
+    @settings(max_examples=150)
+    @given(st.lists(key_branches(), min_size=1, max_size=6))
+    def test_branch_key_orders_as_fraction_exponents(self, branches):
+        _same_order(branches, ConcreteBranch.sort_key, _fraction_branch_key)
+
+    def test_order_and_text_build_no_fraction(self, monkeypatch):
+        xs = [sc(Fraction(1, 2), -3), sc(0, Fraction(-2, 3)), sc(5), sc(Fraction(7, 4), 1)]
+        poly = UniPoly.make(xs)
+        windows = [series(4, [(0, xs[0]), (2, xs[1])], 3), series(2, [(1, xs[2])], 3)]
+        branches = [ConcreteBranch(2, ((0, xs[3]), (1, xs[1])), None),
+                    ConcreteBranch(4, ((0, xs[3]), (2, xs[2])), 3)]
+        built = []
+        inner = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return inner(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        for x in xs:
+            x.sort_key()
+            str(x)
+            format_scalar_factor(x)
+        sorted(xs, key=Scalar.sort_key)
+        min(xs), max(xs)
+        str(poly)
+        sorted(windows, key=ParamSeries.sort_key)
+        sorted(branches, key=ConcreteBranch.sort_key)
+        reads = len(built)
+        xs[0].re  # the count only means something if it sees one
+        monkeypatch.undo()
         assert reads == 0 and len(built) == 1
