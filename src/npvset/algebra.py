@@ -426,7 +426,7 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 class BiPoly:
     """Sparse polynomial in (x, y) over Q(i); keys are (deg_x, deg_y)."""
 
-    __slots__ = ("terms", "points")  # points: set by puiseux.expansion_points
+    __slots__ = ("terms", "points", "rows")  # tables set by puiseux
 
     def __init__(self, terms: Mapping[tuple, Scalar]):
         self.terms = {k: v for k, v in terms.items() if not v.is_zero()}

@@ -4,7 +4,8 @@ Three related computations live here:
 
 * ``curve_branches`` enumerates all Newton-Puiseux roots at infinity of a
   single curve that is monic in y, with conjugates listed explicitly and
-  exact termination or controlled truncation.
+  exact termination or controlled truncation.  Below a simple root a
+  branch grows by one monomial shift per term, with no Newton polygon.
 * ``expansion_tree`` grows the window tree of a map pair: children follow
   roots of the product of the two leading polynomials, stopping at the
   exponents where a leading polynomial changes shape or a leading exponent
@@ -50,13 +51,17 @@ from .puiseux import (
     ParamSeries,
     Prefix,
     ROOT_WINDOW,
+    Rows,
     SupportPoint,
     envelope_numerators,
     envelope_zero,
     expansion_points,
     is_refinement,
     leading_data,
+    prefix_rows,
     refine,
+    rows_points,
+    shift,
     window_at,
 )
 
@@ -385,16 +390,18 @@ def _expand_curve(
     depth_k: int,
     out: List[ConcreteBranch],
 ) -> None:
-    pts = expansion_points(f, Prefix(mult, terms))  # already lowest terms
+    prefix = Prefix(mult, terms)  # already lowest terms
+    pts = expansion_points(f, prefix)
     j0 = pts[0].j
     if j0 > 0:
         out.extend([ConcreteBranch(mult, terms, None)] * j0)
     for edge in hull_edges(pts):
         if bound is not None and edge.slope >= bound:
             continue
-        e = edge.slope
-        m_next = math.lcm(mult, (1 - e).denominator)
-        k_next = int((1 - e) * m_next)
+        # 1 - e = (q - p)/q in lowest terms, for the slope e = p/q
+        p, q = edge.slope.numerator, edge.slope.denominator
+        m_next = math.lcm(mult, q)
+        k_next = (q - p) * (m_next // q)
         # a list comprehension: a generator here raised peak RSS
         scaled = tuple([(k * (m_next // mult), c) for k, c in terms])
         span = edge.j_hi - edge.j_lo
@@ -408,13 +415,55 @@ def _expand_curve(
             if c.is_zero():
                 continue  # the edge polynomial never vanishes at zero
             before = len(out)
-            _expand_curve(f, m_next, scaled + ((k_next, c),), e, depth_k, out)
+            child = scaled + ((k_next, c),)
+            if root_mult == 1:
+                _simple_tail(f, prefix_rows(f, prefix), m_next, child, depth_k, out)
+            else:
+                _expand_curve(f, m_next, child, edge.slope, depth_k, out)
             got = len(out) - before
             if got != root_mult:
                 raise EngineError("edge multiplicity mismatch during expansion")
             produced += root_mult
         if produced != span:
             raise EngineError("edge span not exhausted by its roots")
+
+
+def _simple_tail(
+    f: BiPoly,
+    rows: Rows,
+    mult: int,
+    terms: Tuple[Tuple[int, Scalar], ...],
+    depth_k: int,
+    out: List[ConcreteBranch],
+) -> None:
+    """Append the one branch below a simple root: ``terms`` ends in the
+    root's term, and ``rows`` are f's rows around the terms before it.
+
+    Below a simple root the only polygon edge under the bound joins the
+    z-degrees 0 and 1 (Kung & Traub, J. ACM 25 (1978)): the next term is
+    -lead_0/lead_1 at index mult - (top_0 - top_1), and mult stays.  Each
+    term costs one shift of the rows, which stay local; the support points
+    are tabled on f, where chain reads find them.
+    """
+    table = f.points
+    k, c = terms[-1]
+    while True:
+        rows = shift(rows, mult, k, c)
+        prefix = Prefix(mult, terms)
+        pts = table.get(prefix)
+        if pts is None:
+            pts = table[prefix] = rows_points(rows)
+        if pts[0].j > 0:  # f(x, s(x)) = 0
+            out.extend([ConcreteBranch(mult, terms, None)] * pts[0].j)
+            return
+        if len(pts) < 2 or pts[1].j != 1:
+            raise EngineError("a simple root must continue along the edge (0, 1)")
+        k = mult - (pts[0].top - pts[1].top)
+        if k > depth_k:
+            out.append(ConcreteBranch(mult, terms, k - 1))
+            return
+        c = -(pts[0].lead / pts[1].lead)
+        terms += ((k, c),)
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,19 @@ as integers: an expansion's are numerators over its prefix's mult, and a
 window's parameter exponent is mult - param_index over the window's mult,
 a multiple of the prefix's.  ``substitute`` and ``leading_data`` build no
 Fraction; one is built only for an exponent a function returns.
-The expansion kernel returns only the support points: for each z-degree j,
-the top x-exponent and its coefficient.  It sums each row as Gaussian
-integers over one denominator and normalizes only the top entry.  Package
-code reads it only through ``expansion_points``, which tables the points
-on the curve: each run parses a fresh map, so a (curve, prefix) pair is
-expanded once per run and no entry outlives the run.  Leading data
-substitutes the Jacobian only when a check first reads its lead.
+The expansion kernel is one monomial shift: the rows of f(x, s + c*x^e + z)
+follow from those of f(x, s + z) by a Taylor shift in z, summed over the
+Gaussian integers with one denominator per row.  ``prefix_expansion``
+folds one shift per step from the nearest ancestor whose rows the curve
+has tabled (the empty prefix's rows are f's y-coefficients), tables the
+rows it reaches, and returns only the support points: for each z-degree j,
+the top x-exponent and its coefficient, with only that entry normalized.
+Package code reads the kernel only through ``expansion_points``, which
+tables the points on the curve; a branch below a simple root shifts its
+own rows term by term and tables only their points.  Each run parses a
+fresh map, so a (curve, prefix) pair is expanded once per run and no entry
+outlives the run.  Leading data substitutes the Jacobian only when a check
+first reads its lead.
 """
 
 from __future__ import annotations
@@ -378,58 +384,148 @@ def window_at(phi: ParamSeries, e: Fraction) -> ParamSeries:
 # ---------------------------------------------------------------------------
 
 
+class Rows(NamedTuple):
+    """f(x, s(x) + z) as Gaussian-integer rows, one per z-degree j.
+
+    Row j maps an exponent numerator k over ``mult`` to (re, im), the
+    coefficient (re + im*i) / (fden * scale^(N - j)) of x^(k/mult) z^j, where
+    N = deg_y f, fden clears f's denominators and scale is the lcm of the
+    prefix coefficients' denominators.  No entry is zero.
+    """
+
+    mult: int
+    scale: int
+    fden: int
+    rows: Tuple[Dict[int, Tuple[int, int]], ...]
+
+
+def _base_rows(f: BiPoly) -> Rows:
+    """The rows of the empty prefix: f's y-coefficients over one denominator."""
+    fden = math.lcm(*[c.d for c in f.terms.values()])
+    rows: List[Dict[int, Tuple[int, int]]] = [{} for _ in range(f.deg_y + 1)]
+    for (dx, dy), c in f.terms.items():
+        rows[dy][dx] = (c.a * (fden // c.d), c.b * (fden // c.d))
+    return Rows(1, 1, fden, tuple(rows))
+
+
+def _regrid(r: Rows, mult: int) -> Tuple[Dict[int, Tuple[int, int]], ...]:
+    """r's rows with their keys over mult, a multiple of r.mult."""
+    grid = mult // r.mult
+    if grid == 1:
+        return r.rows
+    return tuple([{k * grid: xy for k, xy in row.items()} for row in r.rows])
+
+
+def shift(r: Rows, mult: int, k: int, c: Scalar) -> Rows:
+    """The rows of f(x, s + t + z) from those of f(x, s + z), t = c*x^(1 - k/mult).
+
+    A Taylor shift: row'_i = sum over j >= i of C(j, i) * t^(j-i) * row_j.
+    r.mult must divide mult.  With scale' = lcm(scale, c.d), w = c * scale'
+    is a Gaussian integer, and row j adds C(j, i) * w^(j-i) *
+    (scale'/scale)^(N-j) times each entry, its key moved up (j-i)*(mult-k),
+    to row i over fden * scale'^(N-i).
+    """
+    e = mult - k
+    scale = math.lcm(r.scale, c.d)
+    u, v = scale // r.scale, scale // c.d
+    rows = _regrid(r, mult)
+    n = len(rows) - 1
+    wr, wi = c.a * v, c.b * v
+    wpow = [(1, 0)]
+    for _ in range(n):
+        pr, pi = wpow[-1]
+        wpow.append((pr * wr - pi * wi, pr * wi + pi * wr))
+    upow = [u ** (n - j) for j in range(n + 1)]
+    out = []
+    for i, row in enumerate(rows):
+        ui = upow[i]
+        acc = dict(row) if ui == 1 else {kk: (x * ui, y * ui) for kk, (x, y) in row.items()}
+        get = acc.get
+        for j in range(i + 1, n + 1):
+            if not rows[j]:
+                continue
+            b = math.comb(j, i) * upow[j]
+            fr, fi = wpow[j - i][0] * b, wpow[j - i][1] * b
+            off = (j - i) * e
+            if fi:
+                for kk, (x, y) in rows[j].items():
+                    kk += off
+                    a = get(kk)
+                    if a is None:
+                        acc[kk] = (x * fr - y * fi, x * fi + y * fr)
+                    else:
+                        acc[kk] = (a[0] + x * fr - y * fi, a[1] + x * fi + y * fr)
+            else:  # a real factor, as for every real c: half the products
+                for kk, (x, y) in rows[j].items():
+                    kk += off
+                    a = get(kk)
+                    if a is None:
+                        acc[kk] = (x * fr, y * fr)
+                    else:
+                        acc[kk] = (a[0] + x * fr, a[1] + y * fr)
+        out.append({kk: xy for kk, xy in acc.items() if xy[0] or xy[1]})
+    return Rows(mult, scale, r.fden, tuple(out))
+
+
+def rows_points(r: Rows) -> Tuple[SupportPoint, ...]:
+    """For each nonzero row, its top exponent numerator and coefficient."""
+    n = len(r.rows) - 1
+    pts = []
+    for j, row in enumerate(r.rows):
+        if row:
+            top = max(row)
+            lead = _reduced(*row[top], r.fden * r.scale ** (n - j))
+            pts.append(SupportPoint(j, top, lead, r.mult))
+    return tuple(pts)
+
+
+def prefix_rows(f: BiPoly, prefix: Prefix) -> Rows:
+    """The rows of f around prefix, over prefix.mult.
+
+    Folds one shift per canonical step (ascending k, zero coefficients
+    dropped, a repeated k keeping its last nonzero coefficient), starting
+    from the nearest ancestor whose rows are in f's table, or from f itself.
+    """
+    table = getattr(f, "rows", {})
+    if prefix in table:
+        return table[prefix]
+    den = prefix.mult
+    steps = sorted({k: c for k, c in prefix.steps if not c.is_zero()}.items())
+    r, i = None, len(steps) + 1
+    while r is None and i > 0:
+        i -= 1
+        r = table.get(Prefix.of(den, steps[:i]))
+    if r is None:
+        r = _base_rows(f)
+    for k, c in steps[i:]:
+        r = shift(r, den, k, c)
+    if r.mult != den:  # no step applied to rows on a coarser grid
+        r = Rows(den, r.scale, r.fden, _regrid(r, den))
+    return r
+
+
 def prefix_expansion(f: BiPoly, prefix: Prefix) -> Tuple[SupportPoint, ...]:
     """Support points of f(x, s(x) + z) around a concrete prefix.
 
     s(x) is the sum the Prefix describes, its term coeff * x^(1 - k/mult)
     having exponent numerator mult - k over ``den = mult``; a prefix in
     lowest terms makes den the least common denominator of its exponents.
-    A repeated k keeps its last nonzero coefficient.  For each z-degree j
-    with a nonzero coefficient the result holds one point, ascending in j:
-    the largest x-exponent numerator of that z-degree and its exact
-    coefficient.  These drive the Newton polygon steps and the envelopes.
+    A repeated k keeps its last nonzero coefficient, and zero coefficients
+    drop out.  For each z-degree j with a nonzero coefficient the result
+    holds one point, ascending in j: the largest x-exponent numerator of
+    that z-degree and its exact coefficient.  These drive the Newton
+    polygon steps and the envelopes.
 
-    The sums run over the Gaussian integers: with s = S/D and F clearing
-    f's denominators, c * x^dx * y^dy adds (F*c) * C(dy, j) * S^(dy-j) *
-    D^(N-dy) to row j (N = deg_y f), which stands over F * D^(N-j); only
-    the top nonzero entry of each row is normalized.
+    The rows come from ``prefix_rows``: one monomial shift per step below
+    the nearest ancestor in f's rows table, summed over the Gaussian
+    integers with one denominator per row.  They are tabled on f under
+    prefix, so a child prefix costs one shift; only the top entry of each
+    row is normalized.
     """
-    den = prefix.mult
-    base = {k: c for k, c in prefix.steps if not c.is_zero()}
-    sd = math.lcm(*[c.d for c in base.values()])
-    steps = [(den - k, c.a * (sd // c.d), c.b * (sd // c.d)) for k, c in base.items()]
-    n = f.deg_y
-    # spowers[i] = S(x)^i as {exponent numerator: (re, im)}
-    spowers: List[Dict[int, Tuple[int, int]]] = [{0: (1, 0)}]
-    for _ in range(n):
-        nxt: Dict[int, Tuple[int, int]] = {}
-        for ka, (ar, ai) in spowers[-1].items():
-            for kb, br, bi in steps:
-                k = ka + kb
-                re, im = ar * br - ai * bi, ar * bi + ai * br
-                acc = nxt.get(k)
-                nxt[k] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
-        spowers.append(nxt)
-
-    fd = math.lcm(*[c.d for c in f.terms.values()])
-    rows: List[Dict[int, Tuple[int, int]]] = [{} for _ in range(n + 1)]
-    for (dx, dy), c in f.terms.items():
-        shift = dx * den
-        scale = (fd // c.d) * sd ** (n - dy)
-        cr, ci = c.a * scale, c.b * scale
-        for j in range(dy + 1):
-            b = math.comb(dy, j)
-            br, bi, row = cr * b, ci * b, rows[j]
-            for k, (sr, si) in spowers[dy - j].items():
-                k += shift
-                re, im = br * sr - bi * si, br * si + bi * sr
-                acc = row.get(k)
-                row[k] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
-
-    pts = []
-    for j, row in enumerate(rows):
-        top = max((k for k, (re, im) in row.items() if re or im), default=None)
-        if top is not None:
-            re, im = row[top]
-            pts.append(SupportPoint(j, top, _reduced(re, im, fd * sd ** (n - j)), den))
-    return tuple(pts)
+    r = prefix_rows(f, prefix)
+    try:
+        table = f.rows
+    except AttributeError:
+        table = f.rows = {}
+    table[prefix] = r
+    return rows_points(r)

@@ -39,6 +39,15 @@ STRESS_TEXT = {
 }
 M9_TEXT = "(x*y^2+x+y)^3; x*y+y^2+x^2*y^3"
 
+# degree-12 maps; each curve's branch search meets deep simple roots
+DEGREE12_TEXT = {
+    "D12": "x^4*y^8+x*y^2+y; x^3*y^5+x",
+    "T12": "x^2*y^10+x*y^3+y; x*y^5+x",
+    "S12": "x^5*y^7+x^2*y^3+y+x; x^3*y^4+x*y+1",
+    "C12": "(x*y^3+x+y)^3; x*y^2+y^3+x^2*y^4",
+    "Z12": "(x*y-1)^3*y^3+x; (x*y-1)*y^2-y",
+}
+
 
 def corpus_map(name: str) -> MapPair:
     p, q = parse_map(CORPUS_TEXT[name])

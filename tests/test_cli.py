@@ -31,7 +31,7 @@ from npvset.cli import (
 from npvset.errors import EngineError, ParseError, PreconditionFailed, VerificationFailure
 from npvset.oracle import DEFAULT_SEED
 
-from conftest import CORPUS_TEXT, STRESS_TEXT
+from conftest import CORPUS_TEXT, DEGREE12_TEXT, STRESS_TEXT
 
 
 def run_cli(args):
@@ -272,18 +272,24 @@ HUGE_CONSTANT_MAPS = {
 }
 
 
-def run_cli_process(text, command):
+def run_cli_process(text, command, *extra, address_space=None):
     """One CLI run with a JSON report in a fresh interpreter, with a 20 s
-    deadline."""
+    deadline; ``extra`` follows the command, and ``address_space`` caps the
+    child's RLIMIT_AS in bytes."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run(
-        [sys.executable, "-m", "npvset.cli", "--map", text, command,
+        [sys.executable, "-m", "npvset.cli", "--map", text, command, *extra,
          "--format", "json"],
         capture_output=True, text=True, env=env, timeout=20,
+        preexec_fn=None if address_space is None else limit,
     )
 
 
@@ -313,6 +319,25 @@ def test_huge_power_is_refused_in_time(text, command):
     proc = run_cli_process(text, command)
     assert proc.returncode == EXIT_INPUT, proc.stderr
     assert json.loads(proc.stdout)["error"].startswith(HUGE_POWERS[text])
+
+
+@pytest.mark.parametrize("depth", ["200", "256"])
+def test_deep_branches_finish_in_time(depth):
+    # M4's branches to index 200 or 256: below each simple root every term
+    # costs one monomial shift, with no Newton polygon
+    proc = run_cli_process(
+        STRESS_TEXT["M4"], "branches", "--which", "P", "--depth", depth
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert len(json.loads(proc.stdout)["result"]["branches"]) == 3
+
+
+def test_degree12_verify_finishes_in_time_and_memory():
+    # D12's chain search descends about 60 terms below simple roots; each
+    # tail keeps its rows local, so a 1 GiB address space is ample
+    proc = run_cli_process(DEGREE12_TEXT["D12"], "verify", address_space=2**30)
+    assert proc.returncode == EXIT_UNRESOLVED, proc.stderr
+    assert len(json.loads(proc.stdout)["checks"]) == 9
 
 
 RUN_CONFIGS = [

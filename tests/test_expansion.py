@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import npvset.expansion as expansion_mod
+import npvset.puiseux as puiseux_mod
 from npvset.algebra import BiPoly, Scalar, UniPoly, bipoly, normalize_monic
 from npvset.errors import ExtensionRequired, PreconditionFailed, VerificationFailure
 from npvset.expansion import (
@@ -20,9 +21,9 @@ from npvset.expansion import (
     roots_in_field,
 )
 from npvset.parsing import parse_map
-from npvset.puiseux import LeadingData, ROOT_WINDOW, series, substitute
+from npvset.puiseux import LeadingData, Prefix, ROOT_WINDOW, series, substitute
 
-from conftest import CORPUS_TEXT, corpus_map, sc
+from conftest import CORPUS_TEXT, DEGREE12_TEXT, corpus_map, sc
 
 STRESS_TEXT = {
     "M4": "x+y^3+x*y^2; x*y+y^4",
@@ -157,6 +158,142 @@ class TestCurveBranches:
             f = corpus_map(name)
             for g in (f.p, f.q):
                 assert len(curve_branches(g, 10)) == g.total_degree
+
+
+def fresh_curves(*names):
+    """P and Q of each named stress or degree-12 map, parsed anew."""
+    texts = {**STRESS_TEXT, **DEGREE12_TEXT}
+    for name in names:
+        f = normalize_monic(*parse_map(texts[name]))
+        yield f"{name}.P", f.p
+        yield f"{name}.Q", f.q
+
+
+def branches_until_extension(g, depth):
+    try:
+        return curve_branches(g, depth)
+    except ExtensionRequired:
+        return None  # the tails before the unsplit edge have run
+
+
+def tail_work(monkeypatch, g, depth):
+    """Calls made inside simple tails during curve_branches(g, depth).
+
+    Returns the counts of ``hull_edges``, ``all_roots`` and ``shift`` calls
+    made inside a tail, and per tail its mult, its entry terms (ending in
+    the simple root's term) and the branches it appended.
+    """
+    inside = [0]
+    counts = {"hull_edges": 0, "all_roots": 0, "shift": 0}
+    tails = []
+    for name in counts:
+        inner = getattr(expansion_mod, name)
+
+        def counted(*args, inner=inner, name=name):
+            counts[name] += inside[0] > 0
+            return inner(*args)
+
+        monkeypatch.setattr(expansion_mod, name, counted)
+    inner_tail = expansion_mod._simple_tail
+
+    def tail(f, rows, mult, terms, depth_k, out):
+        start = len(out)
+        inside[0] += 1
+        try:
+            inner_tail(f, rows, mult, terms, depth_k, out)
+        finally:
+            inside[0] -= 1
+        tails.append((mult, terms, out[start:]))
+
+    monkeypatch.setattr(expansion_mod, "_simple_tail", tail)
+    branches_until_extension(g, depth)
+    monkeypatch.undo()
+    return counts, tails
+
+
+# curves whose branch search meets a simple root before any unsplit edge
+TAILED = {"M4.P", "D12.P", "T12.P", "S12.Q", "C12.Q", "Z12.Q"}
+
+
+class TestSimpleTails:
+    @pytest.mark.parametrize(
+        "label,g,depth",
+        [(label, g, depth) for depth in (16, 64)
+         for label, g in fresh_curves("M4", *DEGREE12_TEXT) if label in TAILED],
+        ids=lambda v: v if isinstance(v, (str, int)) else "",
+    )
+    def test_one_shift_per_tail_term_and_no_polygon(self, monkeypatch, label, g, depth):
+        counts, tails = tail_work(monkeypatch, g, depth)
+        assert tails, label
+        # each tail yields its one branch, which extends the entry terms
+        for mult, terms, got in tails:
+            [branch] = got
+            assert branch.mult == mult and branch.terms[: len(terms)] == terms
+        terms = sum(len(b.terms) - len(entry) + 1 for _, entry, [b] in tails)
+        assert counts == {"hull_edges": 0, "all_roots": 0, "shift": terms}
+
+    def test_work_is_linear_in_depth(self, monkeypatch):
+        # on a fresh M4.P, doubling the depth adds exactly one shift per
+        # term the deeper branches gain
+        shifts, terms = {}, {}
+        for depth in (64, 128):
+            [(_, g), _] = fresh_curves("M4")
+            calls = [0]
+            inner = expansion_mod.shift
+
+            def counted(*args):
+                calls[0] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(expansion_mod, "shift", counted)
+            monkeypatch.setattr(puiseux_mod, "shift", counted)
+            branches = curve_branches(g, depth)
+            monkeypatch.undo()
+            shifts[depth] = calls[0]
+            terms[depth] = sum(len(b.terms) for b in branches)
+        assert terms[128] > terms[64]
+        assert shifts[128] - shifts[64] == terms[128] - terms[64]
+
+    def test_tail_rows_stay_local(self, monkeypatch):
+        # the tail tables its support points, where chain reads find them,
+        # but none of its rows
+        [(_, g), _] = fresh_curves("D12")
+        _, tails = tail_work(monkeypatch, g, 64)
+        prefixes = {
+            Prefix(mult, branch.terms[:t])
+            for mult, terms, [branch] in tails
+            for t in range(len(terms), len(branch.terms) + 1)
+        }
+        assert len(prefixes) > 50
+        assert prefixes <= g.points.keys()
+        assert prefixes.isdisjoint(g.rows)
+        assert Prefix(1, ()) in g.rows  # the guard only means something if it sees rows
+
+    def test_branch_steps_build_no_fraction(self, monkeypatch):
+        # each edge slope is one Fraction; the steps m_next and k_next are
+        # read from its numerator and denominator
+        built, edges = [], [0]
+        inner_new, inner_edges = Fraction.__new__, expansion_mod.hull_edges
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return inner_new(cls, *args, **kwargs)
+
+        def hull_edges(pts):
+            out = inner_edges(pts)
+            edges[0] += len(out)
+            return out
+
+        curves = [*fresh_curves("M4", "M6", "M8", *DEGREE12_TEXT)]
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        monkeypatch.setattr(expansion_mod, "hull_edges", hull_edges)
+        for _, g in curves:
+            branches_until_extension(g, 16)
+        steps = len(built) - edges[0]
+        Fraction(1, 2)  # the count only means something if it sees one
+        monkeypatch.undo()
+        assert edges[0] > len(curves)
+        assert steps == 0 and len(built) == edges[0] + 1
 
 
 class TestExpansionTree:

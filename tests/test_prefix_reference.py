@@ -24,7 +24,7 @@ from npvset.parsing import parse_map, parse_poly
 from npvset.puiseux import ConcreteBranch, prefix_expansion, series
 from npvset.valueset import check_newton_factorization, run_all_checks
 
-from conftest import CORPUS_TEXT, STRESS_TEXT, as_prefix, sc
+from conftest import CORPUS_TEXT, DEGREE12_TEXT, STRESS_TEXT, as_prefix, sc
 
 MAPS = {**CORPUS_TEXT, **STRESS_TEXT}
 
@@ -39,7 +39,7 @@ REPEATED_ROOT_CURVES = {
 
 
 def curves():
-    for name, text in MAPS.items():
+    for name, text in {**MAPS, **DEGREE12_TEXT}.items():
         f = normalize_monic(*parse_map(text))
         yield f"{name}.P", f.p
         yield f"{name}.Q", f.q
@@ -129,9 +129,13 @@ def branches_or_extension(fn, g, depth):
         return ("extension_required", exc.factor)
 
 
+# deep descents: M4's curves are simple below their first edges
+DEEPER = {"M4.P": (64,), "M4.Q": (64,)}
+
+
 @pytest.mark.parametrize("label,g", list(curves()), ids=lambda v: v if isinstance(v, str) else "")
 def test_curve_branches_match_reference(label, g):
-    for depth in range(11):
+    for depth in (*range(11), 16, 32, *DEEPER.get(label, ())):
         got = branches_or_extension(curve_branches, g, depth)
         assert got == branches_or_extension(ref_curve_branches, g, depth), (label, depth)
 
