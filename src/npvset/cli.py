@@ -3,10 +3,10 @@
 Exit codes: 0 success, 1 verification counterexample, 2 input error, 3
 unresolved: cap exhaustion left open leaves or a root lies outside Q(i)
 (results are then lower bounds), 4 internal failure: a structural
-condition could not be established or an engine invariant broke.  JSON
-output is canonical: sorted keys, exact scalars as strings, stable
-ordering everywhere, so identical configurations produce byte-identical
-reports.
+condition could not be established, an engine invariant broke or memory
+ran out.  JSON output is canonical: sorted keys, exact scalars as
+strings, stable ordering everywhere, so identical configurations produce
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -452,10 +452,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PreconditionFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (EngineError, MemoryError) as exc:
+        message = "out of memory" if isinstance(exc, MemoryError) else str(exc)
+        print(f"error: {message}", file=sys.stderr)
         if config.fmt == "json":
-            print(render(_report(config, error=str(exc)), "json"))
+            print(render(_report(config, error=message), "json"))
         return EXIT_INTERNAL
     print(render(report, config.fmt))
     return code

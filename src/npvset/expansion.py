@@ -412,8 +412,6 @@ def _expand_curve(
         roots = roots_in_field(edge.chi, "characteristic polynomial of an edge")
         produced = 0
         for c, root_mult in roots:
-            if c.is_zero():
-                continue  # the edge polynomial never vanishes at zero
             before = len(out)
             child = scaled + ((k_next, c),)
             if root_mult == 1:
@@ -720,12 +718,17 @@ def _departures(
 def _branches_for_matching(
     f: MapPair, phi: ParamSeries
 ) -> Tuple[List[ConcreteBranch], List[ConcreteBranch]]:
-    """Roots of both components, deep enough to match against phi's window."""
-    dmax = max(f.deg_p, f.deg_q)
-    depth = math.ceil((1 - phi.param_exponent) * dmax) + dmax + 4
+    """Roots of both components, complete down to phi's parameter slot.
+
+    A search to index depth knows a root of multiplicity m down to the
+    exponent 1 - depth/m at least, and a root of g has multiplicity at most
+    deg g.  So depth = (1 - e) * deg g, rounded up, reaches phi's parameter
+    exponent e on every root.
+    """
+    gap = 1 - phi.param_exponent
     return (
-        curve_branches(f.p, depth),
-        curve_branches(f.q, depth),
+        curve_branches(f.p, math.ceil(gap * f.deg_p)),
+        curve_branches(f.q, math.ceil(gap * f.deg_q)),
     )
 
 

@@ -27,12 +27,14 @@ folds one shift per step from the nearest ancestor whose rows the curve
 has tabled (the empty prefix's rows are f's y-coefficients), tables the
 rows it reaches, and returns only the support points: for each z-degree j,
 the top x-exponent and its coefficient, with only that entry normalized.
-Package code reads the kernel only through ``expansion_points``, which
-tables the points on the curve; a branch below a simple root shifts its
-own rows term by term and tables only their points.  Each run parses a
-fresh map, so a (curve, prefix) pair is expanded once per run and no entry
-outlives the run.  Leading data substitutes the Jacobian only when a check
-first reads its lead.
+Package code reads the kernel through ``expansion_points``, which tables
+the points on the curve, with one exception: below a simple root the
+branch search (``expansion._expand_curve`` and ``_simple_tail``) takes the
+parent's rows from ``prefix_rows``, shifts them term by term with
+``shift``, reads each step's points with ``rows_points`` and tables only
+those points.  Each run parses a fresh map, so a (curve, prefix) pair is
+expanded once per run and no entry outlives the run.  Leading data
+substitutes the Jacobian only when a check first reads its lead.
 """
 
 from __future__ import annotations

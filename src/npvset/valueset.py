@@ -27,7 +27,6 @@ from .expansion import (
     STATUS_CAPPED,
     STATUS_DICRITICAL,
     STATUS_EXTENSION,
-    all_roots,
     associated_sequence,
     curve_branches,
     expansion_tree,
@@ -140,11 +139,14 @@ class ValueSet(NamedTuple):
 
 
 def nonproper_value_set(f: MapPair, caps: Caps = Caps()) -> ValueSet:
-    """Components of the non-proper value set, merged when images coincide.
+    """Components of the non-proper value set, one per image curve.
 
-    Merging is decided exactly: components whose constant coordinate and
-    image line agree are one; otherwise two parameterizations are merged
-    only when an affine change of parameter transforms one into the other.
+    The image of a component is an irreducible curve of degree at most
+    max(deg u, deg v), and two distinct such curves share at most the
+    product of their degrees in points (Bezout).  So a component is merged
+    into a kept one exactly when that many points of its image plus one, all
+    distinct, lie on the kept curve.  This holds for every parameterization,
+    injective or not.
     """
     scan = dicritical_series(f, caps)
     return ValueSet(_merged_components(scan), scan.unresolved)
@@ -160,42 +162,22 @@ def _merged_components(scan: DicriticalScan) -> List[ValueSetComponent]:
 
 
 def _same_image(c1: ValueSetComponent, c2: ValueSetComponent) -> bool:
-    u1c, v1c = c1.u.is_constant(), c1.v.is_constant()
-    u2c, v2c = c2.u.is_constant(), c2.v.is_constant()
-    if u1c != u2c or v1c != v2c:
-        return False
-    if u1c and not v1c:
-        # vertical line u = const: a nonconstant polynomial covers all of C
-        return c1.u.coeff(0) == c2.u.coeff(0)
-    if v1c and not u1c:
-        return c1.v.coeff(0) == c2.v.coeff(0)
-    return _affinely_equal(c1, c2)
-
-
-def _affinely_equal(c1: ValueSetComponent, c2: ValueSetComponent) -> bool:
-    """Is (u1, v1) = (u2, v2) composed with some affine reparameterization?"""
-    du, dv = c1.u.degree, c1.v.degree
-    if (du, dv) != (c2.u.degree, c2.v.degree):
-        return False
-    ru = c1.u.lcoeff() / c2.u.lcoeff()
-    rv = c1.v.lcoeff() / c2.v.lcoeff()
-    try:
-        alphas = _common_roots(du, dv, ru, rv)
-    except ZeroDivisionError:
-        return False
-    for alpha in alphas:
-        # solve for the shift from the next-highest coefficient of the
-        # higher-degree coordinate, then verify both identities exactly
-        lead_poly_1, lead_poly_2, dd = (
-            (c1.u, c2.u, du) if du >= dv else (c1.v, c2.v, dv)
-        )
-        beta = (
-            lead_poly_1.coeff(dd - 1) / (alpha ** (dd - 1)) - lead_poly_2.coeff(dd - 1)
-        ) / (lead_poly_2.lcoeff() * Scalar.of(dd))
-        sub = UniPoly.make([beta, alpha])
-        if c2.u.compose(sub) == c1.u and c2.v.compose(sub) == c1.v:
-            return True
-    return False
+    """Do the two components parameterize one curve?  Checked on the distinct
+    points (u2(t), v2(t)) for t = 0, 1, 2, ...; each point has at most
+    deg c2 parameters, so the search ends."""
+    need = max(c1.u.degree, c1.v.degree) * max(c2.u.degree, c2.v.degree) + 1
+    seen: set = set()
+    t = 0
+    while len(seen) < need:
+        s = Scalar.of(t)
+        a, b = c2.u.evaluate(s), c2.v.evaluate(s)
+        if (a, b) not in seen:
+            # (a, b) is on the first curve when u1 - a and v1 - b share a root
+            if poly_gcd(c1.u - UniPoly.const(a), c1.v - UniPoly.const(b)).degree < 1:
+                return False
+            seen.add((a, b))
+        t += 1
+    return True
 
 
 def _bezout(a: int, b: int) -> Tuple[int, int]:
@@ -203,20 +185,6 @@ def _bezout(a: int, b: int) -> Tuple[int, int]:
         return 1, 0
     x, y = _bezout(b, a % b)
     return y, x - (a // b) * y
-
-
-def _common_roots(d: int, e: int, r1: Scalar, r2: Scalar) -> List[Scalar]:
-    """Every alpha in Q(i) with alpha^d = r1 and alpha^e = r2.
-
-    With g = gcd(d, e) = x*d + y*e (Bezout), such an alpha has
-    alpha^g = r1^x * r2^y, so the candidates are the g-th roots of that
-    value in Q(i); each is checked against both equations.
-    """
-    x, y = _bezout(d, e)
-    target = (r1 ** x) * (r2 ** y)
-    g = math.gcd(d, e)
-    roots, _rest = all_roots(UniPoly.make([-target] + [ZERO] * (g - 1) + [ONE]))
-    return [a for a, _ in roots if a ** d == r1 and a ** e == r2]
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +227,9 @@ def theorem1_from_leads(
     With both coarse exponents positive, (a, b) = (M*d, M*e) in lowest terms
     (d, e); the law predicts degree pairs proportional to (d, e) at both
     ends and leading coefficients scaled by C^d and C^e for one common C.
-    Since gcd(d, e) = 1, a consistent C is unique and solvable by Bezout, so
-    existence is checked constructively.
+    Since gcd(d, e) = 1 = x*d + y*e (Bezout), a consistent C equals
+    C^(x*d + y*e) = ru^x * rv^y for the ratios ru, rv of the leading
+    coefficients, so the one candidate is checked against both equations.
     """
     a, b = lead_psi.p_exp, lead_psi.q_exp
     hyp = _positive_constant_jacobian(lead_psi)
@@ -284,8 +253,10 @@ def theorem1_from_leads(
         big_d = dpk // d
         ru = lead_phi.p_lead.lcoeff() / lead_psi.p_lead.lcoeff()
         rv = lead_phi.q_lead.lcoeff() / lead_psi.q_lead.lcoeff()
-        big_c = next(iter(_common_roots(d, e, ru, rv)), None)
-        coeff_ok = big_c is not None
+        x, y = _bezout(d, e)
+        c = ru ** x * rv ** y
+        coeff_ok = c ** d == ru and c ** e == rv
+        big_c = c if coeff_ok else None
     return Theorem1Certificate(
         psi, phi, hyp, m_, d, e, big_n, big_d, big_c,
         conclusion_i_ok, exps_zero and degs_ok and coeff_ok,

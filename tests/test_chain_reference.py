@@ -245,9 +245,9 @@ def test_chain_matches_reference_on_every_tree_pair():
             total += 1
             raised += got[0] == "raised"
             assert got[0] != "raised" or got[1] is ExtensionRequired, got
-    # the census pins the comparison's reach: 35 pairs need a field extension
+    # the census pins the comparison's reach: 32 pairs need a field extension
     # to list the roots, none reaches a verification failure
-    assert (total, raised) == (249, 35)
+    assert (total, raised) == (249, 32)
 
 
 F2_PHI = series(1, [(0, sc(-1))], 2)  # -x + s*x^(-1)

@@ -217,6 +217,18 @@ class TestExitCodes:
         monkeypatch.setattr(cli_mod, "nonproper_value_set", raising(error))
         assert main(["--map", "x+y; x*y+y^2", "valueset"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_out_of_memory_exits_4(self, monkeypatch, capsys, fmt):
+        monkeypatch.setattr(cli_mod, "nonproper_value_set", raising(MemoryError()))
+        args = ["--map", "x+y; x*y+y^2", "valueset", "--format", fmt]
+        assert main(args) == EXIT_INTERNAL
+        out = capsys.readouterr()
+        assert out.err == "error: out of memory\n"
+        if fmt == "json":
+            assert json.loads(out.out)["error"] == "out of memory"
+        else:
+            assert out.out == ""
+
     @pytest.mark.parametrize(
         "error",
         [
@@ -338,6 +350,17 @@ def test_degree12_verify_finishes_in_time_and_memory():
     proc = run_cli_process(DEGREE12_TEXT["D12"], "verify", address_space=2**30)
     assert proc.returncode == EXIT_UNRESOLVED, proc.stderr
     assert len(json.loads(proc.stdout)["checks"]) == 9
+
+
+def test_out_of_memory_is_an_internal_failure():
+    # the divisor search for the 1000-digit constant's roots outgrows a 1 GiB
+    # address space; the run ends like any internal failure, no traceback
+    proc = run_cli_process(
+        "(x*y-1)^2*y+10^999*x; x*y^2-y", "valueset", address_space=2**30
+    )
+    assert proc.returncode == EXIT_INTERNAL, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["error"] == "out of memory"
 
 
 RUN_CONFIGS = [

@@ -381,6 +381,16 @@ class TestAssociatedSequence:
         seq = associated_sequence(phi, phi, f)
         assert seq.K == 0
 
+    @pytest.mark.parametrize("name", sorted(STRESS_TEXT))
+    def test_trivial_chain_at_the_root(self, name):
+        # phi's slot is the top exponent 1: the branch search stops at index
+        # 0 and splits no edge polynomial below the top one
+        f = normalize_monic(*parse_map(STRESS_TEXT[name]))
+        seq = associated_sequence(ROOT_WINDOW, ROOT_WINDOW, f)
+        assert seq.K == 0 and seq.levels[0].series == ROOT_WINDOW
+        assert len(seq.p_roots) == f.deg_p and len(seq.q_roots) == f.deg_q
+        assert root_index_data(seq).levels[0].factor_ok
+
     def test_f2t_horizontal_prefix_endpoint(self):
         f = corpus_map("F2T")
         phi = series(1, [(0, sc(-1))], 1)  # -x + s

@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import npvset.expansion as expansion_mod
-import npvset.valueset as valueset_mod
 from npvset.algebra import ONE, ZERO, Scalar, UniPoly
 from npvset.cli import config_from_args, run
 from npvset.errors import EngineError, PreconditionFailed
@@ -242,7 +241,6 @@ def recorded_searches(monkeypatch, text, command) -> List[UniPoly]:
         return inner(h)
 
     monkeypatch.setattr(expansion_mod, "all_roots", recording)
-    monkeypatch.setattr(valueset_mod, "all_roots", recording)
     run(config_from_args(["--map", text, command]))
     monkeypatch.undo()
     return seen

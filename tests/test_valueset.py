@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from npvset.algebra import BiPoly, MapPair, UniPoly, ZERO, bipoly, normalize_monic
 from npvset.classify import classify
@@ -29,6 +31,7 @@ from npvset.valueset import (
     check_lemma4,
     check_newton_factorization,
     check_section5_identity,
+    DicriticalScan,
     dicritical_series,
     horizontal_q_prefixes,
     nonproper_value_set,
@@ -110,6 +113,70 @@ class TestNonProperValueSet:
     def test_capped_run_is_lower_bound(self):
         vs = nonproper_value_set(corpus_map("F2"), Caps(max_depth=1))
         assert vs.unresolved
+
+
+def merged(*pairs):
+    """The components kept when windows with these limit maps are merged."""
+    found = [
+        (F2_PHI, LeadingData(u, 0, v, 0, up(1), 0, 1)) for u, v in pairs
+    ]
+    kept = valueset_mod._merged_components(DicriticalScan(found, [], None))
+    return [(c.u, c.v) for c in kept]
+
+
+S = up(0, 1)
+
+
+class TestComponentMerge:
+    """Two components are one exactly when their images are one curve."""
+
+    def test_affine_reparameterization_merges(self):
+        u, v = up(1, 0, 1), up(0, -1, 0, 1)
+        ell = UniPoly.make([sc(3), sc(2, 1)])
+        assert merged((u, v), (u.compose(ell), v.compose(ell))) == [(u, v)]
+
+    def test_same_parabola_merges(self):
+        # (s^2, s^4) covers the parabola twice; no affine change of parameter
+        # turns it into (s, s^2)
+        assert merged((S, S ** 2), (S ** 2, S ** 4)) == [(S, S ** 2)]
+        assert merged((S ** 2, S ** 4), (S, S ** 2)) == [(S ** 2, S ** 4)]
+
+    def test_repeated_parameter_values_merge(self):
+        # w = s^2 - s takes the value 0 at s = 0 and s = 1
+        w = up(0, -1, 1)
+        assert merged((S, S ** 2), (w, w ** 2)) == [(S, S ** 2)]
+
+    def test_parabola_and_cubic_stay_apart(self):
+        assert merged((S, S ** 2), (S, S ** 3)) == [(S, S ** 2), (S, S ** 3)]
+
+    def test_vertical_lines_merge_when_constants_agree(self):
+        two, three = up(2), up(3)
+        assert merged((two, S), (two, up(1, 0, 5))) == [(two, S)]
+        assert merged((two, S), (three, S)) == [(two, S), (three, S)]
+        zero = UniPoly.const(ZERO)
+        assert merged((zero, S), (zero, up(0, -1))) == [(zero, S)]
+
+    def test_line_and_diagonal_stay_apart(self):
+        zero = UniPoly.const(ZERO)
+        assert merged((S, zero), (S, S)) == [(S, zero), (S, S)]
+        assert merged((up(2), S), (S, S)) == [(up(2), S), (S, S)]
+
+
+gaussian = st.builds(sc, st.integers(-3, 3), st.integers(-3, 3))
+small_poly = st.lists(gaussian, min_size=1, max_size=4).map(UniPoly.make)
+
+
+class TestComponentMergeProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(small_poly, small_poly, gaussian, gaussian, st.integers(1, 3))
+    def test_reparameterizations_merge(self, u, v, a, b, k):
+        assume(not (u.is_constant() and v.is_constant()) and not a.is_zero())
+        ell = UniPoly.make([b, a])
+        power = UniPoly.make([ZERO] * k + [sc(1)])
+        for inner in (ell, power):
+            other = (u.compose(inner), v.compose(inner))
+            assert merged((u, v), other) == [(u, v)]
+            assert merged(other, (u, v)) == [other]
 
 
 class TestTheorem1:
