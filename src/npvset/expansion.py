@@ -10,9 +10,10 @@ Three related computations live here:
   roots of the product of the two leading polynomials, stopping at the
   exponents where a leading polynomial changes shape or a leading exponent
   crosses zero.
-* ``associated_sequence`` / ``root_index_data`` extract the maximal chain of
-  windows between two series together with branch bookkeeping, and verify
-  the structural side conditions.
+* ``associated_sequence`` / ``root_index_data`` read the maximal chain of
+  windows between two series off the Newton polygons along the finer one,
+  and the roots tracking each level off that level's two leads, with no
+  branch search, and verify the structural side conditions.
 
 Root extraction over Q(i) runs on Gaussian integers: the coefficients are
 cleared of denominators once, degree <= 2 is solved in closed form, and
@@ -30,7 +31,6 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 from .algebra import (
     BiPoly,
     MapPair,
-    ONE,
     Scalar,
     UniPoly,
     ZERO,
@@ -328,6 +328,17 @@ def upper_hull(pts: Sequence[SupportPoint]) -> List[SupportPoint]:
     return hull
 
 
+def _slopes_below(pts: Sequence[SupportPoint], slot: int, mult: int) -> List[Fraction]:
+    """Upper-hull edge slopes of pts strictly below the exponent slot/mult."""
+    hull, den = upper_hull(pts), pts[0].den
+    # slopes rise/(run*den), compared with slot/mult on integers
+    return [
+        Fraction(a.top - b.top, (b.j - a.j) * den)
+        for a, b in zip(hull, hull[1:])
+        if (a.top - b.top) * mult < slot * (b.j - a.j) * den
+    ]
+
+
 def hull_edges(pts: Sequence[SupportPoint]) -> List[PolygonEdge]:
     """All edges of the upper hull, with characteristic polynomials.
 
@@ -440,8 +451,8 @@ def _simple_tail(
     Below a simple root the only polygon edge under the bound joins the
     z-degrees 0 and 1 (Kung & Traub, J. ACM 25 (1978)): the next term is
     -lead_0/lead_1 at index mult - (top_0 - top_1), and mult stays.  Each
-    term costs one shift of the rows, which stay local; the support points
-    are tabled on f, where chain reads find them.
+    term costs one shift of the rows, which stay local; only the support
+    points are tabled on f.
     """
     table = f.points
     k, c = terms[-1]
@@ -521,13 +532,8 @@ class CoordEvents(NamedTuple):
 def _coord_events(g: BiPoly, prefix: Prefix, slot: int, mult: int) -> CoordEvents:
     """Polygon data of g around prefix below the parent slot slot/mult (mult > 0)."""
     pts = expansion_points(g, prefix)
-    hull, den = upper_hull(pts), pts[0].den
-    # hull slopes rise/(run*den) and the zero crossing, compared on integers
-    edges = tuple(
-        Fraction(a.top - b.top, (b.j - a.j) * den)
-        for a, b in zip(hull, hull[1:])
-        if (a.top - b.top) * mult < slot * (b.j - a.j) * den
-    )
+    edges = tuple(_slopes_below(pts, slot, mult))
+    # the zero crossing, compared on integers
     zero = envelope_zero(pts)
     if zero is not None and zero.numerator * mult >= slot * zero.denominator:
         zero = None
@@ -648,20 +654,12 @@ class SequenceLevel(NamedTuple):
 class AssociatedSequence(NamedTuple):
     """A chain of windows from a coarse series down to a fine one.
 
-    ``p_departures``/``q_departures`` run parallel to the root lists: each is
-    the largest exponent above the final window's parameter slot where the
-    root differs from the window's fixed steps, or None where it agrees with
-    all of them.  A root tracks the level at exponent e exactly when its
-    departure is None or at most e; ``root_index_data`` reads membership
-    from these, so roots given by hand need their departures too.
+    Each level holds its window, the coefficient phi pins at its slot and
+    the leading data there; ``root_index_data`` reads the roots that track
+    a level off its two leading polynomials.
     """
 
     levels: List[SequenceLevel]
-    # roots of both components, deep enough to match against the final window
-    p_roots: Sequence[ConcreteBranch] = ()
-    q_roots: Sequence[ConcreteBranch] = ()
-    p_departures: Sequence[Optional[Fraction]] = ()
-    q_departures: Sequence[Optional[Fraction]] = ()
 
     @property
     def K(self) -> int:
@@ -673,131 +671,68 @@ class AssociatedSequence(NamedTuple):
         )
 
 
-def _branch_departure(
-    u: ConcreteBranch, phi: ParamSeries
-) -> Tuple[Optional[Fraction], bool]:
-    """Largest exponent where branch and window disagree, above phi's slot.
-
-    Returns (exponent, known).  exponent None with known=True means the
-    branch agrees with the window everywhere above the parameter slot; known
-    False means the branch was truncated before the comparison finished.
-    Both sides are compared as indices over the lcm of their multiplicities.
-    """
-    m = math.lcm(u.mult, phi.mult)
-    su, sp = m // u.mult, m // phi.mult
-    u_at = {k * su: c for k, c in u.terms}
-    phi_at = {k * sp: c for k, c in phi.steps}
-    slot = phi.param_index * sp
-    # indices up to ``known`` are complete on the branch
-    known = slot if u.truncation_k is None else u.truncation_k * su
-    for k in sorted(u_at.keys() | phi_at.keys()):
-        if k >= slot:
-            break
-        if k > known:
-            return None, False
-        if u_at.get(k, ZERO) != phi_at.get(k, ZERO):
-            return 1 - Fraction(k, m), True
-    return None, known >= slot
-
-
-def _departures(
-    roots: Sequence[ConcreteBranch], phi: ParamSeries
-) -> Tuple[Optional[Fraction], ...]:
-    """Each root's departure from phi; a truncated comparison is an error."""
-    out = []
-    for u in roots:
-        d, known = _branch_departure(u, phi)
-        if not known:
-            raise VerificationFailure(
-                "branch truncated before the matching window; increase depth"
-            )
-        out.append(d)
-    return tuple(out)
-
-
-def _branches_for_matching(
-    f: MapPair, phi: ParamSeries
-) -> Tuple[List[ConcreteBranch], List[ConcreteBranch]]:
-    """Roots of both components, complete down to phi's parameter slot.
-
-    A search to index depth knows a root of multiplicity m down to the
-    exponent 1 - depth/m at least, and a root of g has multiplicity at most
-    deg g.  So depth = (1 - e) * deg g, rounded up, reaches phi's parameter
-    exponent e on every root.
-    """
-    gap = 1 - phi.param_exponent
-    return (
-        curve_branches(f.p, math.ceil(gap * f.deg_p)),
-        curve_branches(f.q, math.ceil(gap * f.deg_q)),
-    )
-
-
 def associated_sequence(
     psi: ParamSeries, phi: ParamSeries, f: MapPair
 ) -> AssociatedSequence:
     """The maximal admissible chain of windows from psi down to phi.
 
-    An interior exponent becomes a level when a root of either component
-    tracks the window that far: exponents carrying a nonzero coefficient of
-    phi require a root matching the window above them, and zero-coefficient
-    exponents require a root departing exactly there (so padding levels
-    cannot be inserted for free).  Structural conditions: multiplicity
-    bookkeeping is enforced, and the two polynomial shape conditions are
+    Between psi and phi, a level sits wherever a root of either component
+    leaves phi and at every nonzero coefficient of phi.  The chain is
+    walked top down along phi's own Newton polygons, with no branch
+    search: at a level with exponent e and pinned coefficient c, the roots
+    carrying c leave the level's fixed steps with c appended at the
+    upper-hull slopes below e of P and Q around them, and leave phi there
+    or at a nonzero coefficient of phi above that.  So the next level is
+    the largest such slope or nonzero exponent of phi above phi's own
+    exponent.  Between two levels
+    phi has no nonzero coefficient, so the lower window's fixed steps are
+    the upper window's with c pinned: the support points read for the
+    upper level's slopes also give the lower level's leads.  A level at a
+    nonzero coefficient of phi that no root tracks (both leads constant) is
+    a verification failure.  The two polynomial shape conditions are
     recorded per level (they are theorems only under the hypotheses of the
     calling context, so violations are flags, not errors).
-
-    The chain is built top down.  Between two levels phi has no nonzero
-    coefficient, so the lower window's fixed steps are the upper window's
-    with its parameter pinned to c: the support points that decide the upper
-    level's segment condition also give the lower level's leads.
     """
     ok, _, _ = is_refinement(psi, phi)
     if not ok:
         raise NotARefinement("second series does not refine the first")
-    p_roots, q_roots = _branches_for_matching(f, phi)
-    p_deps = _departures(p_roots, phi)
-    q_deps = _departures(q_roots, phi)
-    departures = p_deps + q_deps
-
-    e_top = psi.param_exponent
     e_bot = phi.param_exponent
-    candidates = {e for e, _ in phi.step_exponents() if e_bot < e < e_top}
-    candidates.update(d for d in departures if d is not None and e_bot < d < e_top)
-    # a zero coefficient of phi is a candidate only where a root departs;
-    # a nonzero one needs a root matching the window above it
-    exps = [e_top, *sorted(candidates, reverse=True)]
-    for e in exps[1:]:
-        if not phi.coeff_at(e).is_zero() and all(
-            d is not None and d > e for d in departures
-        ):
-            raise VerificationFailure(
-                "nonzero coefficient level without a tracking root"
-            )
-    if e_bot < e_top:
-        exps.append(e_bot)
+    coeff_exps = [e for e, _ in phi.step_exponents()]
 
     def window(e: Fraction) -> ParamSeries:
         return phi if e == e_bot else window_at(phi, e)
 
     levels: List[SequenceLevel] = []
-    w = window(e_top)
+    w = window(psi.param_exponent)
     lead = leading_data(f, w)
-    for e_next in exps[1:]:
+    while w is not phi:
+        e, slot = w.param_exponent, w.mult - w.param_index
         # the coefficient pinned at this level's slot when descending
-        c = phi.coeff_at(w.param_exponent)
+        c = phi.coeff_at(e)
         prefix = w.fix_param(c)
-        p_pts = expansion_points(f.p, prefix)
-        q_pts = expansion_points(f.q, prefix)
+        slopes = _slopes_below(expansion_points(f.p, prefix), slot, w.mult)
+        slopes += _slopes_below(expansion_points(f.q, prefix), slot, w.mult)
+        e_next = max(
+            (x for x in (*slopes, *coeff_exps) if e_bot < x < e), default=e_bot
+        )
         # a polynomial has a nonzero root iff it is neither constant nor a
         # monomial; no polygon edge may lie strictly between two levels
         s2_ok = _has_nonzero_root(lead.p_lead) or _has_nonzero_root(lead.q_lead)
-        edges = hull_edges(p_pts) + hull_edges(q_pts)
-        s3_ok = not any(e_next < ed.slope < w.param_exponent for ed in edges)
+        s3_ok = not any(e_next < x for x in slopes)
         levels.append(SequenceLevel(w, c, w.param_index, w.mult, lead, s2_ok, s3_ok))
         w = window(e_next)
         lead = leading_data(f, w)
+        if (
+            lead.p_lead.is_constant()
+            and lead.q_lead.is_constant()
+            and w is not phi
+            and not phi.coeff_at(e_next).is_zero()
+        ):
+            raise VerificationFailure(
+                "nonzero coefficient level without a tracking root"
+            )
     levels.append(SequenceLevel(w, None, w.param_index, w.mult, lead))
-    return AssociatedSequence(levels, p_roots, q_roots, p_deps, q_deps)
+    return AssociatedSequence(levels)
 
 
 def _has_nonzero_root(p: UniPoly) -> bool:
@@ -813,7 +748,6 @@ class LevelIndexData(NamedTuple):
     b_lead: Scalar
     pbar: UniPoly
     qbar: UniPoly
-    factor_ok: bool
 
 
 class RootIndexData(NamedTuple):
@@ -821,54 +755,40 @@ class RootIndexData(NamedTuple):
 
 
 def root_index_data(seq: AssociatedSequence) -> RootIndexData:
-    """Branch membership per chain level plus the exact factorization check.
+    """Branch membership per chain level, read off the level's leads.
 
-    For each level the matching roots of each component are collected with
-    their coefficient at the level slot; the leading polynomial must equal
-    lead_coeff * (s - c_i)^(count at c_i) * prod (s - other coefficients);
-    whether it does is recorded exactly as ``factor_ok``.  The roots and
-    their departures are the ones the sequence was built from.
+    A root of a component tracks a level when it agrees with the window's
+    fixed steps; its coefficient at the level slot is then a root of the
+    component's leading polynomial there, and each tracking root is one
+    factor (s - a) of that lead.  So the members are the lead's roots over
+    Q(i), with multiplicity, and pbar/qbar are the monic leads with
+    (s - c)^(count at c) divided out.  A lead that does not split raises
+    ExtensionRequired.
     """
     out = []
     for lv in seq.levels:
-        e = lv.series.param_exponent
-        s_members = _matching_coeffs(seq.p_roots, seq.p_departures, e)
-        t_members = _matching_coeffs(seq.q_roots, seq.q_departures, e)
-        c = lv.c
-        s0 = sum(1 for a in s_members if c is not None and a == c)
-        t0 = sum(1 for b in t_members if c is not None and b == c)
+        s_members, s0, pbar = _level_members(lv.lead.p_lead, lv.c)
+        t_members, t0, qbar = _level_members(lv.lead.q_lead, lv.c)
         a_lead = lv.lead.p_lead.lcoeff()
         b_lead = lv.lead.q_lead.lcoeff()
-        pbar = UniPoly.const(ONE)
-        for a in s_members:
-            if c is None or a != c:
-                pbar = pbar * UniPoly.make([-a, ONE])
-        qbar = UniPoly.const(ONE)
-        for b in t_members:
-            if c is None or b != c:
-                qbar = qbar * UniPoly.make([-b, ONE])
-        rebuilt_p = pbar.scale(a_lead)
-        rebuilt_q = qbar.scale(b_lead)
-        if c is not None:
-            fac = UniPoly.make([-c, ONE])
-            rebuilt_p = rebuilt_p * fac ** s0
-            rebuilt_q = rebuilt_q * fac ** t0
-        ok = rebuilt_p == lv.lead.p_lead and rebuilt_q == lv.lead.q_lead
         out.append(
-            LevelIndexData(s_members, t_members, s0, t0, a_lead, b_lead, pbar, qbar, ok)
+            LevelIndexData(s_members, t_members, s0, t0, a_lead, b_lead, pbar, qbar)
         )
     return RootIndexData(out)
 
 
-def _matching_coeffs(
-    roots: Sequence[ConcreteBranch],
-    departures: Sequence[Optional[Fraction]],
-    e: Fraction,
-) -> List[Scalar]:
-    """Coefficients at x^e of the roots that track the window with slot e."""
-    out = [
-        u.coeff_at(e)
-        for u, d in zip(roots, departures, strict=True)
-        if d is None or d <= e
-    ]
-    return sorted(out, key=lambda s: s.sort_key())
+def _level_members(
+    lead: UniPoly, c: Optional[Scalar]
+) -> Tuple[List[Scalar], int, UniPoly]:
+    """The lead's roots with multiplicity, the multiplicity of c, and the
+    monic lead with (s - c) to that power divided out."""
+    roots = roots_in_field(lead, "leading polynomial of a chain level")
+    members = [r for r, mult in roots for _ in range(mult)]
+    count = next((mult for r, mult in roots if r == c), 0)
+    coeffs = list(lead.monic().coeffs)
+    for _ in range(count):
+        # synthetic division by s - c, whose remainder coeffs[0] is zero
+        for k in range(len(coeffs) - 2, -1, -1):
+            coeffs[k] += c * coeffs[k + 1]
+        del coeffs[0]
+    return members, count, UniPoly.make(coeffs)

@@ -642,10 +642,9 @@ def run_all_checks(
     for s, _lead in scan.found:
         try:
             seq = associated_sequence(ROOT_WINDOW, s, f)
+            chains.append((s, seq, root_index_data(seq)))
         except ExtensionRequired as exc:
             chain_skips.append({"series": repr(s), "reason": str(exc)})
-            continue
-        chains.append((s, seq, root_index_data(seq)))
 
     checks: List[CheckReport] = []
     for name in wanted:

@@ -345,11 +345,29 @@ def test_deep_branches_finish_in_time(depth):
 
 
 def test_degree12_verify_finishes_in_time_and_memory():
-    # D12's chain search descends about 60 terms below simple roots; each
-    # tail keeps its rows local, so a 1 GiB address space is ample
+    # D12's factorization check descends below simple roots; each tail
+    # keeps its rows local, so a 1 GiB address space is ample
     proc = run_cli_process(DEGREE12_TEXT["D12"], "verify", address_space=2**30)
     assert proc.returncode == EXIT_UNRESOLVED, proc.stderr
     assert len(json.loads(proc.stdout)["checks"]) == 9
+
+
+@pytest.mark.parametrize(
+    "text",
+    [STRESS_TEXT["M6"], DEGREE12_TEXT["D12"], DEGREE12_TEXT["Z12"]],
+    ids=["M6", "D12", "Z12"],
+)
+def test_chains_past_unsplit_roots_are_checked(text):
+    # some root of P leaves each chain's window at its top level through an
+    # edge polynomial with no root in Q(i) (s^3+1, s^6+1, s^5+1), but every
+    # level's own leads split, so the chain is checked; the run still ends
+    # in exit 3 for the tree's unsplit factor
+    code, report, _ = run_cli(["--map", text, "verify", "--format", "json"])
+    assert code == EXIT_UNRESOLVED
+    statuses = report["result"]["statuses"]
+    assert [statuses[c] for c in ("lemma2", "eq9", "theorem1")] == ["pass"] * 3
+    assert not any("skipped_chains" in c["data"] for c in report["checks"])
+    assert [u["status"] for u in report["unresolved"]] == ["extension_required"]
 
 
 def test_out_of_memory_is_an_internal_failure():

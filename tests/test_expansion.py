@@ -383,13 +383,13 @@ class TestAssociatedSequence:
 
     @pytest.mark.parametrize("name", sorted(STRESS_TEXT))
     def test_trivial_chain_at_the_root(self, name):
-        # phi's slot is the top exponent 1: the branch search stops at index
-        # 0 and splits no edge polynomial below the top one
+        # phi's slot is the top exponent 1: the one level's members are the
+        # roots of the top forms, every root of P and Q once
         f = normalize_monic(*parse_map(STRESS_TEXT[name]))
         seq = associated_sequence(ROOT_WINDOW, ROOT_WINDOW, f)
         assert seq.K == 0 and seq.levels[0].series == ROOT_WINDOW
-        assert len(seq.p_roots) == f.deg_p and len(seq.q_roots) == f.deg_q
-        assert root_index_data(seq).levels[0].factor_ok
+        [level] = root_index_data(seq).levels
+        assert len(level.s_members) == f.deg_p and len(level.t_members) == f.deg_q
 
     def test_f2t_horizontal_prefix_endpoint(self):
         f = corpus_map("F2T")
@@ -424,7 +424,6 @@ class TestRootIndexData:
         assert lv0.t_members == [sc(-1), sc(0)] and lv0.t0_count == 1
         assert lv0.a_lead == sc(1) and lv0.b_lead == sc(1)
         assert lv0.pbar == up(1) and lv0.qbar == up(0, 1)
-        assert lv0.factor_ok and lv1.factor_ok
         assert lv1.s_members == [sc(0)] and lv1.t_members == [sc(0)]
 
     def test_degrees_match_counts(self):

@@ -149,7 +149,7 @@ GOLDEN: Dict[str, str] = {
     "M4-branchesQ": "50bc1022b1410da2a308f9f26290f827cf098f8420171fc971ff2a51e035562d",
     "M6-tree": "6c110e53507ab745c32146e50b92b249c6aff2e73fd20c727e51e0823b9fd8b8",
     "M6-valueset": "f1668b132eab3f5d9ed62e48202f858e6e508583dd1859be369d5289cb3cb8ab",
-    "M6-verify": "e677b88b6480bfa7d93dd9b903c041787e7e69949bd60afd957210f9154d41fe",
+    "M6-verify": "fe1c8b3a1fa25c1187d0da400a095f687321bcea3cd5dc756300b69153c9142a",
     "M6-branchesP": "136616a511159b3119ed2415be2054292a6aefb61672a545d60f68cf22148e61",
     "M6-branchesQ": "b96b45b2863a4babf309c5d769f73dc0ea77d14c43a8498dcb4b7cf13593bbcb",
     "M8-tree": "8e58ba23e0c7b495be2748ce0b020dd7a66e46936cad09eb4644d64c2b3cca9c",
@@ -267,15 +267,15 @@ GOLDEN: Dict[str, str] = {
     "M4-verify-eq9": "1f3b5f782d55ba1dba680009acae6302b65b18bfd9a1d30a14f03aace98e29a3",
     "M4-verify-section5": "828b3bd1a676bc60a35a3bda4698d189fcfe1e3f21831953627b2a6a3b6eb078",
     "M4-verify-factorization": "290ac5347d3c2a13212f8045dc2d73de7db9b573c157bebbfb8d4dd88a2d3bcc",
-    "M6-verify-theorem1": "d089026321600a060537ede823ec420c300dfb63a15a0a7eaed60fa87d146865",
-    "M6-verify-theorem2": "e8fff4aa505391629e02101654380862103538e38723b2518205f39068b392f1",
-    "M6-verify-lemma2": "c7cfdbf8dd834585743f9164ed979203e3c78d6451182e4716b511dbd976ec26",
-    "M6-verify-lemma3": "fa96eab32746897a445e6b5f373c8a08d59052b2e19b49baff258a0c59ccda35",
-    "M6-verify-lemma4": "c3d147a04cd31b823dc5958fc420497ee9497338fc134f099e87060ac992f002",
-    "M6-verify-eq4": "a1b31737ff5b4be985bc3b680c6880b07b5cdeb7548cfcb69bb3b93730c49142",
-    "M6-verify-eq9": "8ac51aae52786e28cf212b3d86680d00ce671fa3867c40d61548097ec0a14641",
-    "M6-verify-section5": "db693bf165228fc3bb4ac624876e5aa152676ff96a2179b216c9fcb1de0dfd6d",
-    "M6-verify-factorization": "e3535e9e8946980f69167b0bf548208a94bb9b958da6b7fde3a16ab9eb8de607",
+    "M6-verify-theorem1": "b69c6189c7bf1ec2e00faf2eb92838b5647e1c17ead92fc22bf1cea15e0eb67c",
+    "M6-verify-theorem2": "48bc5a716b0deb0048ee6bd81b558de40f3b3fe62816848071042856dd296ace",
+    "M6-verify-lemma2": "3843cd78be629c709188b7a892aaff45d141ef4c89503d82c4224ac1b4b6a95e",
+    "M6-verify-lemma3": "6fb49a31f30b2a6553fc92ed5f7c369890eb58cbc248e86ce767284826b9d96a",
+    "M6-verify-lemma4": "7251cbdf2fee0362d25a68acbef87d99ac15bb43c14979963693cdca75e9a612",
+    "M6-verify-eq4": "a9f02da78e0676cfdea29415bf2b6e19eb9350dc53ab5b6bff703c3a1a9a0760",
+    "M6-verify-eq9": "f489a2873f98714bc1105cf71f0009aaaf3b291751c627ff383cbc7c98aa8d9c",
+    "M6-verify-section5": "62bca16f86ad8e2c3a5e21c307bd0c1b8c0a791a9791c2fb215c3c5f69ce5796",
+    "M6-verify-factorization": "500be69d5deaec4e9f92591e1dbd7a8c5a64e7781151b6e902526d71a0c68e0a",
     "M8-verify-theorem1": "4bd309c94d67667a613822fa763750af8c0652bc7959e5bbea03ad45c271437f",
     "M8-verify-theorem2": "f38b7d6cd51ab1aa73e56ac78e33ecf1636350ff18e03d2026e4ccb5d10475aa",
     "M8-verify-lemma2": "e743dccd34e140ce3d41c5baca4f8cb4a287abb692c972c47c882370810f6dd1",
@@ -294,7 +294,7 @@ GOLDEN: Dict[str, str] = {
     "M6-text-branches": "fabd1b7668c0ae14056e82f3908586f7244a329c0aa8982aaf3a929293ac493e",
     "M6-text-tree": "49ba887a8bf8233f0fef3825c3e0517ef1f616c250a78b8dd31d2ec9e8e64e85",
     "M6-text-valueset": "7db153274e1d12a5dc6772c985d3b5ae7d8f6435effc1d9dcdbc9ae2fd8f7c34",
-    "M6-text-verify": "332c277b5a0f15e6f47a62e56a959d56d317dddf0926d70780f805208476aa03",
+    "M6-text-verify": "c7ad12f6fcb40b61ff02245019cddd6365b0caee5796cec37172f55ca6d4d688",
     "M6-text-oracle": "1b1c28946a8a05299ddddc147cea90b67742c7a9366d2ce9177939ace47b7784",
     "help": "47df5526ed80d523c3d3e1bce6202f62349d45c374feafc700f6dd87eb229ad7",
     "help-branches": "2a359c01e2c98519ac3aeabfea48b701d6fab2c35bcc4020511435798afc5471",

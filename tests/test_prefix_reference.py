@@ -1,9 +1,8 @@
 """The integer-prefix paths against the Fraction-keyed code they replaced.
 
 Each reference below is the earlier implementation, kept as written except
-where noted: the curve-branch recursion over (exponent, coeff) lists, the
-branch/window departure scan over Fraction exponents, and the Newton
-factorization product in a Fraction-keyed dict algebra.
+where noted: the curve-branch recursion over (exponent, coeff) lists and
+the Newton factorization product in a Fraction-keyed dict algebra.
 """
 
 from __future__ import annotations
@@ -13,16 +12,13 @@ from fractions import Fraction
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-import npvset.expansion as expansion_mod
 from npvset.algebra import ONE, ZERO, bipoly, normalize_monic
 from npvset.errors import EngineError, ExtensionRequired
 from npvset.expansion import all_roots, curve_branches, hull_edges
 from npvset.parsing import parse_map, parse_poly
-from npvset.puiseux import ConcreteBranch, prefix_expansion, series
-from npvset.valueset import check_newton_factorization, run_all_checks
+from npvset.puiseux import ConcreteBranch, prefix_expansion
+from npvset.valueset import check_newton_factorization
 
 from conftest import CORPUS_TEXT, DEGREE12_TEXT, STRESS_TEXT, as_prefix, sc
 
@@ -138,82 +134,6 @@ def test_curve_branches_match_reference(label, g):
     for depth in (*range(11), 16, 32, *DEEPER.get(label, ())):
         got = branches_or_extension(curve_branches, g, depth)
         assert got == branches_or_extension(ref_curve_branches, g, depth), (label, depth)
-
-
-# ---------------------------------------------------------------------------
-# Branch departure from a window
-# ---------------------------------------------------------------------------
-
-
-def ref_branch_departure(u, phi):
-    exps = set(e for e, _ in u.exponents())
-    exps.update(e for e, _ in phi.step_exponents())
-    floor = phi.param_exponent
-    for e in sorted((e for e in exps if e > floor), reverse=True):
-        cu = u.coeff_at(e)
-        if cu is None:
-            return None, False
-        if cu != phi.coeff_at(e):
-            return e, True
-    if u.truncation_k is not None:
-        known_floor = 1 - Fraction(u.truncation_k, u.mult)
-        if known_floor > floor:
-            return None, False
-    return None, True
-
-
-def recorded_departures(monkeypatch):
-    """Every (branch, window) pair the chain code compares in `verify`."""
-    seen = []
-    inner = expansion_mod._branch_departure
-
-    def recording(u, phi):
-        seen.append((u, phi))
-        return inner(u, phi)
-
-    monkeypatch.setattr(expansion_mod, "_branch_departure", recording)
-    for text in MAPS.values():
-        run_all_checks(normalize_monic(*parse_map(text)))
-    monkeypatch.undo()
-    return seen
-
-
-def test_departure_on_every_verify_pair(monkeypatch):
-    pairs = recorded_departures(monkeypatch)
-    assert pairs
-    for u, phi in pairs:
-        assert expansion_mod._branch_departure(u, phi) == ref_branch_departure(u, phi)
-
-
-COEFFS = st.sampled_from([sc(0), sc(1), sc(-1), sc(0, 1), sc(2)])
-
-
-@st.composite
-def branch_and_window(draw):
-    """A window and a branch that copies some of its terms, so departures
-    fall at every depth; multiplicities differ and branches may be truncated."""
-    mp = draw(st.integers(1, 6))
-    steps = {k: draw(COEFFS) for k in range(draw(st.integers(0, 3 * mp)))}
-    param = draw(st.integers(max(steps, default=-1) + 1, 3 * mp + 2))
-    phi = series(mp, steps.items(), param)
-    mu = draw(st.integers(1, 6))
-    terms = []
-    for k in range(draw(st.integers(0, 4 * mu))):
-        e = 1 - Fraction(k, mu)
-        c = phi.coeff_at(e) if draw(st.booleans()) else draw(COEFFS)
-        if not c.is_zero():
-            terms.append((k, c))
-    trunc = draw(st.one_of(st.none(), st.integers(0, 4 * mu)))
-    if trunc is not None:
-        terms = [(k, c) for k, c in terms if k <= trunc]
-    return ConcreteBranch(mu, tuple(terms), trunc), phi
-
-
-@settings(max_examples=300, deadline=None)
-@given(branch_and_window())
-def test_departure_on_drawn_pairs(pair):
-    u, phi = pair
-    assert expansion_mod._branch_departure(u, phi) == ref_branch_departure(u, phi)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from npvset.algebra import BiPoly, MapPair, UniPoly, ZERO, bipoly, normalize_monic
+from npvset.algebra import BiPoly, MapPair, ONE, UniPoly, ZERO, bipoly, normalize_monic
 from npvset.classify import classify
 from npvset.errors import NotARefinement, PreconditionFailed
 from npvset.expansion import (
@@ -343,9 +343,9 @@ def synthetic_chain(a0, b0, s_count, t_count, s0=None, t0=None):
     s0 = s_count if s0 is None else s0
     t0 = t_count if t0 is None else t0
     d0 = LevelIndexData(
-        [c0] * s_count, [c0] * t_count, s0, t0, sc(1), sc(1), pbar, qbar, True
+        [c0] * s_count, [c0] * t_count, s0, t0, sc(1), sc(1), pbar, qbar
     )
-    d1 = LevelIndexData([sc(0)], [sc(0)], 0, 0, sc(1), sc(1), up(1), up(1), True)
+    d1 = LevelIndexData([sc(0)], [sc(0)], 0, 0, sc(1), sc(1), up(1), up(1))
     return seq, RootIndexData([d0, d1])
 
 
@@ -493,7 +493,8 @@ class TestRunAllChecks:
             run_all_checks(corpus_map("F2"), what=what)
 
     def test_recorded_structure_flags_hold_on_the_corpus(self, monkeypatch):
-        # factor_ok, s2_ok and s3_ok are recorded, not read by any check
+        # s2_ok and s3_ok are recorded, not read by any check; each level's
+        # members and off-slot factors rebuild its two leads
         built = []
         inner = valueset_mod.root_index_data
 
@@ -509,7 +510,11 @@ class TestRunAllChecks:
             for seq, rid in built:
                 assert seq.all_structure_ok(), name
                 assert len(rid.levels) == len(seq.levels), name
-                assert all(lv.factor_ok for lv in rid.levels), name
+                for lv, d in zip(seq.levels, rid.levels):
+                    slot = UniPoly.make([-lv.c, ONE]) if lv.c is not None else up(1)
+                    p = d.pbar.scale(d.a_lead) * slot ** d.s0_count
+                    q = d.qbar.scale(d.b_lead) * slot ** d.t0_count
+                    assert (p, q) == (lv.lead.p_lead, lv.lead.q_lead), name
             if built:
                 chains[name] = [len(seq.levels) for seq, _ in built]
         assert sorted(chains) == ["F2", "F2T", "F3p", "R3", "R6"]
@@ -518,8 +523,9 @@ class TestRunAllChecks:
 
 
 class TestSharedWork:
-    # F2 has one chain; R2 has none but a constant Jacobian, so eq4 runs
-    @pytest.mark.parametrize("name", ["F2", "R2"])
+    # F2 and M6 have one chain each; R2 has none but a constant Jacobian, so
+    # eq4 runs
+    @pytest.mark.parametrize("name", ["F2", "M6", "R2"])
     def test_run_all_checks_builds_tree_and_branches_once(self, monkeypatch, name):
         calls = {"expansion_tree": 0, "curve_branches": 0}
 
@@ -534,22 +540,18 @@ class TestSharedWork:
 
         counting(valueset_mod, "expansion_tree")
         counting(valueset_mod, "curve_branches")  # the factorization check
-        counting(expansion_mod, "curve_branches")  # chain matching
-        run = run_all_checks(corpus_map(name))
-        chains = next(c for c in run.checks if c.name == "lemma2").data["chains"]
-        assert calls["expansion_tree"] == 1
-        # one call per component per chain, plus one per component for the
-        # factorization check
-        assert calls["curve_branches"] == 2 * chains + 2
+        counting(expansion_mod, "curve_branches")  # no chain searches roots
+        texts = {**CORPUS_TEXT, **STRESS_TEXT}
+        run_all_checks(normalize_monic(*parse_map(texts[name])))
+        assert calls == {"expansion_tree": 1, "curve_branches": 2}
 
-    def test_chains_compare_and_expand_once(self, monkeypatch):
-        # every root is compared with its chain's final window once, and a
-        # level reads two expansions outside the branch search: P and Q (at
-        # the top, or pinned below the upper level).  After the tree both
-        # are already in their curve's table, and no chain reads the
-        # Jacobian.
-        inside = {"chain": 0, "branches": 0}
-        counts = {"departures": 0, "runs": 0}
+    def test_chains_run_no_kernel_expansion(self, monkeypatch):
+        # a level reads two expansions: P and Q (at the top, or pinned below
+        # the upper level).  After the tree both are already in their
+        # curve's table, so no chain runs the kernel, and no chain reads
+        # the Jacobian or searches a curve's roots.
+        inside = {"chain": 0}
+        counts = {"branches": 0, "runs": 0}
         seqs = []
         reads = []  # per chain: the (curve, prefix) pairs it read
         kernel = []  # every kernel run: ((curve, prefix), expansion)
@@ -567,7 +569,7 @@ class TestSharedWork:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        def counted(module, name, key, when=lambda: True):
+        def counted(module, name, key, when):
             inner = getattr(module, name)
 
             def wrapper(*args):
@@ -592,25 +594,24 @@ class TestSharedWork:
             seqs.append((args, inner_seq(*args)))
             return seqs[-1][1]
 
+        def in_chain():
+            return inside["chain"] > 0
+
         monkeypatch.setattr(valueset_mod, "associated_sequence", recording)
         nested(valueset_mod, "associated_sequence", "chain")
-        nested(expansion_mod, "curve_branches", "branches")
-        counted(expansion_mod, "_branch_departure", "departures")
+        counted(expansion_mod, "curve_branches", "branches", in_chain)
         recorded(valueset_mod, "dicritical_series", scans)
-
-        def in_chain_only():
-            return inside["chain"] > 0 and not inside["branches"]
 
         for module in (puiseux_mod, expansion_mod):
             inner_points = module.expansion_points
 
             def reading(f, prefix, inner_points=inner_points):
-                if in_chain_only():
+                if in_chain():
                     reads[-1].add((id(f), prefix))
                 return inner_points(f, prefix)
 
             monkeypatch.setattr(module, "expansion_points", reading)
-        counted(puiseux_mod, "prefix_expansion", "runs", in_chain_only)
+        counted(puiseux_mod, "prefix_expansion", "runs", in_chain)
         recorded(puiseux_mod, "prefix_expansion", kernel)
 
         texts = {**CORPUS_TEXT, **STRESS_TEXT}.values()
@@ -621,14 +622,11 @@ class TestSharedWork:
             run_all_checks(f)
             ran = kernel[start:]
             jac_runs.append({prefix for (g, prefix), _ in ran if g is f.jac})
-        levels = sum(len(seq.levels) for _, seq in seqs)
-        roots = sum(len(seq.p_roots) + len(seq.q_roots) for _, seq in seqs)
-        assert (len(seqs), levels, roots) == (5, 11, 16)
-        # a sixth chain (M6) needs a field extension in its branch search
-        # and reads nothing
         per_level = [2 * len(seq.levels) for _, seq in seqs]
-        assert [len(keys) for keys in reads] == per_level + [0] == [4, 4, 4, 6, 4, 0]
-        assert counts == {"departures": roots, "runs": 0}
+        # the sixth chain is M6's, which the branch search could not match
+        assert per_level == [4, 4, 4, 6, 4, 6]
+        assert [len(keys) for keys in reads] == per_level
+        assert counts == {"branches": 0, "runs": 0}
 
         # the checks then expand the Jacobian exactly at the windows whose
         # check reads its lead: tree nodes with both exponents positive
@@ -667,9 +665,8 @@ class TestSharedWork:
             checked += len(want)
         assert checked == 33
 
-        # the same chains on fresh curves, with no tree first: the chain's
-        # own branch search has already expanded P and Q around every prefix
-        # but one (x*y+y^2+y; x+y, Q at -x-1), and no level reads the Jacobian
+        # the same chains on fresh curves, with no tree first: each read
+        # runs the kernel once, and no level reads the Jacobian
         chains = [args for args, _ in seqs]
         seqs.clear()
         reads.clear()
@@ -677,6 +674,5 @@ class TestSharedWork:
         for psi, phi, f in chains:
             fresh = MapPair(*[BiPoly(g.terms) for g in (f.p, f.q, f.jac)], f.shear)
             valueset_mod.associated_sequence(psi, phi, fresh)
-        assert [len(seq.levels) for _, seq in seqs] == [2, 2, 2, 3, 2]
         assert [len(keys) for keys in reads] == per_level
-        assert counts == {"departures": roots, "runs": 1}
+        assert counts == {"branches": 0, "runs": sum(per_level)}
