@@ -7,9 +7,10 @@ Three related computations live here:
   exact termination or controlled truncation.  Below a simple root a
   branch grows by one monomial shift per term, with no Newton polygon.
 * ``expansion_tree`` grows the window tree of a map pair: children follow
-  roots of the product of the two leading polynomials, stopping at the
-  exponents where a leading polynomial changes shape or a leading exponent
-  crosses zero.
+  the roots of each lead, stopping at the exponents where a leading
+  polynomial changes shape or a leading exponent crosses zero.  Each child's
+  fixed steps are expanded once, and the same support points give its
+  event exponent, as an integer pair, and its leading data.
 * ``associated_sequence`` / ``root_index_data`` read the maximal chain of
   windows between two series off the Newton polygons along the finer one,
   and the roots tracking each level off that level's two leads, with no
@@ -63,6 +64,7 @@ from .puiseux import (
     rows_points,
     shift,
     window_at,
+    window_lead,
 )
 
 # ---------------------------------------------------------------------------
@@ -328,12 +330,15 @@ def upper_hull(pts: Sequence[SupportPoint]) -> List[SupportPoint]:
     return hull
 
 
-def _slopes_below(pts: Sequence[SupportPoint], slot: int, mult: int) -> List[Fraction]:
-    """Upper-hull edge slopes of pts strictly below the exponent slot/mult."""
+def _slopes_below(
+    pts: Sequence[SupportPoint], slot: int, mult: int
+) -> List[Tuple[int, int]]:
+    """Upper-hull edge slopes of pts strictly below the exponent slot/mult,
+    each as an integer pair (rise, run*den)."""
     hull, den = upper_hull(pts), pts[0].den
     # slopes rise/(run*den), compared with slot/mult on integers
     return [
-        Fraction(a.top - b.top, (b.j - a.j) * den)
+        (a.top - b.top, (b.j - a.j) * den)
         for a, b in zip(hull, hull[1:])
         if (a.top - b.top) * mult < slot * (b.j - a.j) * den
     ]
@@ -426,7 +431,7 @@ def _expand_curve(
             before = len(out)
             child = scaled + ((k_next, c),)
             if root_mult == 1:
-                _simple_tail(f, prefix_rows(f, prefix), m_next, child, depth_k, out)
+                _simple_tail(prefix_rows(f, prefix), m_next, child, depth_k, out)
             else:
                 _expand_curve(f, m_next, child, edge.slope, depth_k, out)
             got = len(out) - before
@@ -438,7 +443,6 @@ def _expand_curve(
 
 
 def _simple_tail(
-    f: BiPoly,
     rows: Rows,
     mult: int,
     terms: Tuple[Tuple[int, Scalar], ...],
@@ -446,22 +450,18 @@ def _simple_tail(
     out: List[ConcreteBranch],
 ) -> None:
     """Append the one branch below a simple root: ``terms`` ends in the
-    root's term, and ``rows`` are f's rows around the terms before it.
+    root's term, and ``rows`` are the curve's rows around the terms before it.
 
     Below a simple root the only polygon edge under the bound joins the
     z-degrees 0 and 1 (Kung & Traub, J. ACM 25 (1978)): the next term is
     -lead_0/lead_1 at index mult - (top_0 - top_1), and mult stays.  Each
-    term costs one shift of the rows, which stay local; only the support
-    points are tabled on f.
+    term costs one shift of the rows; rows and points stay local, as no
+    other search reads a tail's prefixes.
     """
-    table = f.points
     k, c = terms[-1]
     while True:
         rows = shift(rows, mult, k, c)
-        prefix = Prefix(mult, terms)
-        pts = table.get(prefix)
-        if pts is None:
-            pts = table[prefix] = rows_points(rows)
+        pts = rows_points(rows)
         if pts[0].j > 0:  # f(x, s(x)) = 0
             out.extend([ConcreteBranch(mult, terms, None)] * pts[0].j)
             return
@@ -520,69 +520,61 @@ class ExpansionNode:
             yield from ch.walk()
 
 
-class CoordEvents(NamedTuple):
-    """Per-component polygon data for one direction of refinement."""
-
-    edges: Tuple[Fraction, ...]   # edge slopes strictly below the parent slot
-    zero: Optional[Fraction]      # exponent-zero crossing below the slot
-    frozen: bool                  # exponent is pinned positive forever
-    pts: Tuple[SupportPoint, ...]
-
-
-def _coord_events(g: BiPoly, prefix: Prefix, slot: int, mult: int) -> CoordEvents:
-    """Polygon data of g around prefix below the parent slot slot/mult (mult > 0)."""
+def _coord_events(g: BiPoly, prefix: Prefix, slot: int, mult: int) -> tuple:
+    """Polygon data of g around prefix below the parent slot slot/mult (mult > 0):
+    the edge slopes below the slot, the exponent-zero crossing below it or
+    None, each as an integer pair (num, den) with den > 0, whether the
+    exponent is pinned positive forever, and the support points."""
     pts = expansion_points(g, prefix)
-    edges = tuple(_slopes_below(pts, slot, mult))
-    # the zero crossing, compared on integers
     zero = envelope_zero(pts)
-    if zero is not None and zero.numerator * mult >= slot * zero.denominator:
+    if zero is not None and zero[0] * mult >= slot * zero[1]:
         zero = None
     # terms added below the slot can cancel the constant part's top monomial
     # only when some z-degree reaches above it at the slot
     top0 = pts[0].top * mult if pts[0].j == 0 else 0
     frozen = top0 > 0 and max(envelope_numerators(pts, slot, mult)) == top0
-    return CoordEvents(edges, zero, frozen, pts)
+    return _slopes_below(pts, slot, mult), zero, frozen, pts
 
 
-def next_event_exponent(
-    f: MapPair, parent: ParamSeries, c: Scalar
-) -> Optional[Fraction]:
+def next_event_exponent(f: MapPair, parent: ParamSeries, prefix: Prefix) -> tuple:
     """Largest exponent below the parent slot where the leading data of either
     component changes shape (polygon edge) or its exponent crosses zero.
 
-    Directions that can never reach a window with both exponents at most
-    zero are cut: a component frozen at a positive exponent blocks every
-    descendant, and once both exponents have gone negative nothing can fire
-    again (leading exponents only decrease under refinement).  The support
-    points read here are those of any child in this direction: its fixed
-    steps are the parent's with the parameter pinned to c.
+    ``prefix`` is the parent's fixed steps with the parameter pinned to the
+    direction's coefficient, so the support points read here are those of
+    any child in this direction; they are returned with the exponent, an
+    integer pair (num, den) with den > 0 or None.  Directions that can
+    never reach a window with both exponents at most zero are cut: a
+    component frozen at a positive exponent blocks every descendant, and
+    once both exponents have gone negative nothing can fire again (leading
+    exponents only decrease under refinement).
     """
-    prefix = parent.fix_param(c)
-    slot = parent.mult - parent.param_index
-    ev_p = _coord_events(f.p, prefix, slot, parent.mult)
-    ev_q = _coord_events(f.q, prefix, slot, parent.mult)
-    # a frozen component contributes no events: only the live components
-    # can still produce a horizontal window, and only while the exponent of
-    # one of them has not gone negative
-    live = [ev for ev in (ev_p, ev_q) if not ev.frozen]
-    cands = [e for ev in live for e in (*ev.edges, ev.zero) if e is not None]
-    if not cands:
-        return None
+    slot, mult = parent.mult - parent.param_index, parent.mult
+    live, best, pts = [], None, []
+    for g in (f.p, f.q):
+        edges, zero, frozen, g_pts = _coord_events(g, prefix, slot, mult)
+        pts.append(g_pts)
+        # a frozen component contributes no events: only the live components
+        # can still produce a horizontal window, and only while the exponent
+        # of one of them has not gone negative
+        if not frozen:
+            live.append(g_pts)
+            for e in (*edges, zero):
+                if e is not None and (best is None or e[0] * best[1] > best[0] * e[1]):
+                    best = e
     # envelopes never decrease in e: if any candidate keeps an exponent at or
     # above zero, the largest one does
-    e_next = max(cands)
-    a, b = e_next.numerator, e_next.denominator
-    if any(max(envelope_numerators(ev.pts, a, b)) >= 0 for ev in live):
-        return e_next
-    return None
+    if best is not None and any(max(envelope_numerators(p, *best)) >= 0 for p in live):
+        return best, *pts
+    return None, *pts
 
 
 def expansion_tree(f: MapPair, caps: Caps = Caps()) -> ExpansionNode:
     """Grow the window tree from the root window s*x.
 
-    Children of a node follow the Q(i)-roots of the product of its two
-    leading polynomials (zero always included); each child sits at the next
-    event exponent of its direction.  Leaves are dicritical windows, dead
+    Children of a node follow the Q(i)-roots of each of its two leading
+    polynomials (zero always included); each child sits at the next event
+    exponent of its direction.  Leaves are dicritical windows, dead
     directions, cap hits, or unsplittable root polynomials.
     """
     root_lead = leading_data(f, ROOT_WINDOW)
@@ -599,26 +591,22 @@ def _expand_node(f: MapPair, node: ExpansionNode, caps: Caps, depth: int) -> Non
         node.status = STATUS_CAPPED
         node.note = "max_depth"
         return
-    product = node.lead.p_lead * node.lead.q_lead
-    try:
-        roots = roots_in_field(product)
-    except ExtensionRequired as exc:
+    p_roots, p_rest = all_roots(node.lead.p_lead)
+    q_roots, q_rest = all_roots(node.lead.q_lead)
+    if p_rest.degree >= 1 or q_rest.degree >= 1:
+        # the unsplit remainder of the product of the two leads
         node.status = STATUS_EXTENSION
-        node.note = str(exc.factor)
+        node.note = str(p_rest * q_rest)
         return
-    cands = [r for r, _ in roots]
-    if not any(r.is_zero() for r in cands):
-        cands.append(ZERO)
-    cands.sort(key=lambda s: s.sort_key())
-    children = []
-    for c in cands:
-        e_next = next_event_exponent(f, node.series, c)
+    cands = {r for r, _ in p_roots} | {r for r, _ in q_roots} | {ZERO}
+    parent, children = node.series, []
+    for c in sorted(cands, key=lambda s: s.sort_key()):
+        e_next, p_pts, q_pts = next_event_exponent(f, parent, parent.fix_param(c))
         synthetic = e_next is None
-        if synthetic:
-            e_next = node.series.param_exponent - 1
-        n_next, m_next = e_next.denominator - e_next.numerator, e_next.denominator
-        child_series = refine(node.series, c, n_next, m_next)
-        child_lead = leading_data(f, child_series)
+        if synthetic:  # one below the parent's exponent
+            e_next = (-parent.param_index, parent.mult)
+        child_series = refine(parent, c, e_next[1] - e_next[0], e_next[1])
+        child_lead = window_lead(f, child_series, p_pts, q_pts)
         child = ExpansionNode(child_series, child_lead, c, STATUS_OPEN)
         n_index = child_series.param_index
         if child_series.mult > caps.max_mult or n_index > caps.max_k:
@@ -710,8 +698,11 @@ def associated_sequence(
         # the coefficient pinned at this level's slot when descending
         c = phi.coeff_at(e)
         prefix = w.fix_param(c)
-        slopes = _slopes_below(expansion_points(f.p, prefix), slot, w.mult)
-        slopes += _slopes_below(expansion_points(f.q, prefix), slot, w.mult)
+        slopes = [
+            Fraction(*e)
+            for g in (f.p, f.q)
+            for e in _slopes_below(expansion_points(g, prefix), slot, w.mult)
+        ]
         e_next = max(
             (x for x in (*slopes, *coeff_exps) if e_bot < x < e), default=e_bot
         )

@@ -10,16 +10,22 @@ the fixed terms: putting z = s * x^e for the parameter exponent e, the
 z-degree j contributes top_j + e*j as its highest x-exponent, so the lead
 exponent is the envelope max_j (top_j + e*j) and the lead polynomial collects
 lead_j * s^j over the j on that envelope.  Distinct j carry distinct powers
-of s, so nothing on the envelope cancels.  The same support points drive the
-Newton polygon steps of the expansion tree and of the curve branches.
+of s, so nothing on the envelope cancels.  ``envelope_lead`` reads that
+pair off the support points; ``substitute`` and ``leading_data`` take the
+points from the curve's table (one prefix for both components), and the
+expansion tree hands ``window_lead`` the points it already read for a
+child's event exponent.  The same support points drive the Newton polygon
+steps of the expansion tree and of the curve branches.
 
 A concrete prefix, the fixed part of a window or of a curve branch, is a
 ``Prefix(mult, steps)`` in lowest terms: mult is the least common
 denominator of its exponents, so a sum has one prefix.  Exponents are read
 as integers: an expansion's are numerators over its prefix's mult, and a
 window's parameter exponent is mult - param_index over the window's mult,
-a multiple of the prefix's.  ``substitute`` and ``leading_data`` build no
-Fraction; one is built only for an exponent a function returns.
+a multiple of the prefix's.  ``substitute``, ``leading_data`` and
+``refine`` build no Fraction, and ``envelope_zero`` returns an integer pair
+(num, den); a Fraction is built only for a window exponent a method
+returns as one (``param_exponent``, ``step_exponents``).
 The expansion kernel is one monomial shift: the rows of f(x, s + c*x^e + z)
 follow from those of f(x, s + z) by a Taylor shift in z, summed over the
 Gaussian integers with one denominator per row.  ``prefix_expansion``
@@ -31,8 +37,8 @@ Package code reads the kernel through ``expansion_points``, which tables
 the points on the curve, with one exception: below a simple root the
 branch search (``expansion._expand_curve`` and ``_simple_tail``) takes the
 parent's rows from ``prefix_rows``, shifts them term by term with
-``shift``, reads each step's points with ``rows_points`` and tables only
-those points.  Each run parses a fresh map, so a (curve, prefix) pair is
+``shift``, reads each step's points with ``rows_points`` and tables
+nothing.  Each run parses a fresh map, so a (curve, prefix) pair is
 expanded once per run and no entry outlives the run.  Leading data
 substitutes the Jacobian only when a check first reads its lead.
 """
@@ -67,6 +73,8 @@ class Prefix(NamedTuple):
         """The prefix with mult and every k divided by their gcd."""
         # list comprehensions: generators here raised curve_branches' peak RSS
         g = math.gcd(mult, *[k for k, _ in steps])
+        if g == 1:
+            return Prefix(mult, tuple(steps))
         return Prefix(mult // g, tuple([(k // g, c) for k, c in steps]))
 
 
@@ -271,8 +279,9 @@ def envelope_numerators(pts: Sequence[SupportPoint], a: int, b: int) -> List[int
     return [p.top * b + a * p.j * den for p in pts]
 
 
-def envelope_zero(pts: Sequence[SupportPoint]) -> Optional[Fraction]:
-    """The exponent where a z-degree j > 0 attains envelope value zero, or None.
+def envelope_zero(pts: Sequence[SupportPoint]) -> Optional[Tuple[int, int]]:
+    """The exponent where a z-degree j > 0 attains envelope value zero, as an
+    integer pair (num, den) with den > 0, or None.
 
     Every line top_j + e*j has slope j >= 0, so the envelope never
     decreases, and a j > 0 line that is maximal where the envelope is zero
@@ -288,20 +297,15 @@ def envelope_zero(pts: Sequence[SupportPoint]) -> Optional[Fraction]:
     for p in pts:
         if p.j > 0 and (first is None or p.top * first.j > first.top * p.j):
             first = p
-    return None if first is None else Fraction(-first.top, first.j * first.den)
+    return None if first is None else (-first.top, first.j * first.den)
 
 
-def substitute(f: BiPoly, phi: ParamSeries) -> Tuple[UniPoly, int]:
-    """Leading coefficient polynomial of f along the window and its exponent.
-
-    Returns (lead, e) with f(x, phi(x, s)) = lead(s) * x^(e/mult) + lower
-    terms in x, read off the envelope of f expanded around phi's fixed steps
-    at (mult - param_index)/mult.  The expansion's den divides mult, so each
-    envelope numerator over den*mult is den times an integer.
+def envelope_lead(pts: Sequence[SupportPoint], phi: ParamSeries) -> Tuple[UniPoly, int]:
+    """The envelope of pts at phi's parameter exponent: (lead, e) such that
+    lead(s) * x^(e/mult) leads f(x, phi(x, s)), for pts of f around phi's
+    fixed steps.  Their den divides mult, so each envelope numerator over
+    den*mult is den times an integer.
     """
-    if f.is_zero():
-        raise PreconditionFailed("cannot expand the zero polynomial")
-    pts = expansion_points(f, phi.fix_param(ZERO))
     nums = envelope_numerators(pts, phi.mult - phi.param_index, phi.mult)
     top = max(nums)
     coeffs = [ZERO] * (pts[-1].j + 1)
@@ -311,13 +315,33 @@ def substitute(f: BiPoly, phi: ParamSeries) -> Tuple[UniPoly, int]:
     return UniPoly.make(coeffs), top // pts[0].den
 
 
+def substitute(f: BiPoly, phi: ParamSeries) -> Tuple[UniPoly, int]:
+    """Leading coefficient polynomial of f along the window and its exponent:
+    (lead, e) with f(x, phi(x, s)) = lead(s) * x^(e/mult) + lower terms."""
+    if f.is_zero():
+        raise PreconditionFailed("cannot expand the zero polynomial")
+    return envelope_lead(expansion_points(f, phi.fix_param(ZERO)), phi)
+
+
 def leading_data(f: MapPair, phi: ParamSeries) -> LeadingData:
     """Leading data of both map components and the Jacobian along a window."""
     if f.jac.is_zero():
         raise PreconditionFailed("map has identically vanishing Jacobian")
-    p_lead, p_exp = substitute(f.p, phi)
-    q_lead, q_exp = substitute(f.q, phi)
-    lead = LeadingData(p_lead, p_exp, q_lead, q_exp, None, None, phi.mult)
+    prefix = phi.fix_param(ZERO)
+    p_pts, q_pts = expansion_points(f.p, prefix), expansion_points(f.q, prefix)
+    return window_lead(f, phi, p_pts, q_pts)
+
+
+def window_lead(
+    f: MapPair,
+    phi: ParamSeries,
+    p_pts: Sequence[SupportPoint],
+    q_pts: Sequence[SupportPoint],
+) -> LeadingData:
+    """Leading data along phi from the support points of both components
+    around phi's fixed steps; the Jacobian waits for its first read."""
+    p_lead, q_lead = envelope_lead(p_pts, phi), envelope_lead(q_pts, phi)
+    lead = LeadingData(*p_lead, *q_lead, None, None, phi.mult)
     lead._source = (f.jac, phi)
     return lead
 
@@ -333,9 +357,10 @@ def refine(
     """Pin psi's parameter to c and open a fresh parameter term lower down.
 
     The new parameter exponent 1 - next_k/next_mult (next_mult > 0) must be
-    strictly smaller than psi's; the result is re-canonicalized.
+    strictly smaller than psi's.  psi's steps stay sorted and nonzero with c
+    appended below them, so canonicalizing is one division by a gcd.
     """
-    if next_k * psi.mult <= psi.param_index * next_mult:
+    if next_mult <= 0 or next_k * psi.mult <= psi.param_index * next_mult:
         raise PreconditionFailed("refinement must strictly decrease the exponent")
     m = math.lcm(psi.mult, next_mult)
     scale_old = m // psi.mult
@@ -343,7 +368,8 @@ def refine(
     if not c.is_zero():
         steps.append((psi.param_index * scale_old, c))
     n = next_k * (m // next_mult)
-    return series(m, steps, n)
+    g = math.gcd(m, n, *[k for k, _ in steps])
+    return ParamSeries(m // g, tuple([(k // g, coeff) for k, coeff in steps]), n // g)
 
 
 def is_refinement(
@@ -493,7 +519,7 @@ def prefix_rows(f: BiPoly, prefix: Prefix) -> Rows:
         return table[prefix]
     den = prefix.mult
     steps = sorted({k: c for k, c in prefix.steps if not c.is_zero()}.items())
-    r, i = None, len(steps) + 1
+    r, i = None, len(steps)  # the full prefix missed the table above
     while r is None and i > 0:
         i -= 1
         r = table.get(Prefix.of(den, steps[:i]))

@@ -311,10 +311,12 @@ def horizontal_q_prefixes(
         hi = 1 - Fraction(k_hi, phi.mult)
         lo = 1 - Fraction(k_lo, phi.mult)
         above = Prefix.of(phi.mult, [(k, c) for k, c in phi.steps if k < k_hi])
-        if envelope_zero(expansion_points(f.q, above)) == hi:
+        z = envelope_zero(expansion_points(f.q, above))
+        if z is not None and Fraction(*z) == hi:
             _collect_window(f, phi, hi, out, seen)
         within = Prefix.of(phi.mult, [(k, c) for k, c in phi.steps if k <= k_hi])
-        e = envelope_zero(expansion_points(f.q, within))
+        z = envelope_zero(expansion_points(f.q, within))
+        e = None if z is None else Fraction(*z)
         if e is not None and lo < e < hi:
             _collect_window(f, phi, e, out, seen)
     out.sort(key=lambda t: -t[0].param_exponent)
@@ -467,10 +469,10 @@ def check_section5_identity(
         a, p, q, j = lead.q_exp, lead.q_lead, lead.p_lead, -lead.jac_lead
     else:
         raise PreconditionFailed("requires exponents (positive, zero) either way")
-    lhs = j.scale(Scalar.of(lead.mult))
-    rhs = (p * q.derivative()).scale(Scalar.of(sign * a))
+    pdq = p * q.derivative()
+    lhs, rhs = j.scale(Scalar.of(lead.mult)), pdq.scale(Scalar.of(sign * a))
     items = [{"case": "identity", "ok": lhs == rhs}]
-    qual = (j.degree > 0) == ((p * q.derivative()).degree > 0)
+    qual = (j.degree > 0) == (pdq.degree > 0)
     items.append({"case": "degree_correspondence", "ok": qual})
     return CheckReport.combine("section5", items, {"sign": sign})
 

@@ -183,11 +183,11 @@ def ref_segment_is_quiet(f, upper, c, e_next):
         return True
     prefix = upper.fix_param(c)
     return not any(
-        e_next < slope
+        e_next < Fraction(*slope)
         for g in (f.p, f.q)
         for slope in expansion_mod._coord_events(
             g, prefix, upper.mult - upper.param_index, upper.mult
-        ).edges
+        )[0]
     )
 
 

@@ -6,10 +6,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import npvset.expansion as expansion_mod
 import npvset.puiseux as puiseux_mod
-from npvset.algebra import BiPoly, Scalar, UniPoly, bipoly, normalize_monic
+from npvset.algebra import ONE, BiPoly, Scalar, UniPoly, bipoly, normalize_monic
 from npvset.errors import ExtensionRequired, PreconditionFailed, VerificationFailure
 from npvset.expansion import (
     Caps,
@@ -21,7 +23,14 @@ from npvset.expansion import (
     roots_in_field,
 )
 from npvset.parsing import parse_map
-from npvset.puiseux import LeadingData, Prefix, ROOT_WINDOW, series, substitute
+from npvset.puiseux import (
+    LeadingData,
+    ParamSeries,
+    Prefix,
+    ROOT_WINDOW,
+    series,
+    substitute,
+)
 
 from conftest import CORPUS_TEXT, DEGREE12_TEXT, corpus_map, sc
 
@@ -98,6 +107,70 @@ class TestRootsInField:
         # apart from the stripped zero, every Scalar returned was built once
         returned = [r for r, _ in roots if not r.is_zero()] + list(rest.coeffs)
         assert sorted(map(id, returned)) == sorted(map(id, built))
+
+
+gaussian_roots = st.builds(
+    sc, st.sampled_from([0, 1, -1, 2, Fraction(1, 2)]), st.sampled_from([0, 1, -1])
+)
+# irreducible over Q(i): s^2 + s + 1, s^2 - s + 1, s^2 - 2, s^2 + 2
+irreducible_quadratics = st.sampled_from(
+    [up(1, 1, 1), up(1, -1, 1), up(-2, 0, 1), up(2, 0, 1)]
+)
+
+
+@st.composite
+def leads(draw, shared) -> UniPoly:
+    """A nonzero constant times linear factors, some drawn from ``shared``,
+    and irreducible quadratics."""
+    h = UniPoly.const(draw(st.sampled_from([sc(1), sc(-2), sc(0, 3), sc(Fraction(1, 2))])))
+    roots = st.one_of(st.sampled_from(shared), gaussian_roots)
+    for r in draw(st.lists(roots, max_size=3)):
+        h = h * UniPoly.make([-r, ONE])
+    for q in draw(st.lists(irreducible_quadratics, max_size=2)):
+        h = h * q
+    return h
+
+
+class TestRootsPerLead:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(gaussian_roots, min_size=1, max_size=2), st.data())
+    def test_product_roots_are_the_union(self, shared, data):
+        # the tree searches each lead's roots: their union, with the
+        # multiplicities added, is the product's, and the product's unsplit
+        # remainder is the product of the two remainders
+        p, q = data.draw(leads(shared)), data.draw(leads(shared))
+        (p_roots, p_rest), (q_roots, q_rest) = all_roots(p), all_roots(q)
+        roots, rest = all_roots(p * q)
+        counts = dict(p_roots)
+        for r, m in q_roots:
+            counts[r] = counts.get(r, 0) + m
+        assert dict(roots) == counts
+        assert rest == p_rest * q_rest
+
+    def test_tree_walk_builds_no_fraction_and_no_lead_product(self, monkeypatch):
+        # each node's prefix is built once, event exponents are integer
+        # pairs, and the roots are searched per lead
+        maps = [corpus_map(name) for name in CORPUS_TEXT]
+        counts = {"Fraction": 0, "UniPoly.__mul__": 0, "fix_param": 0}
+
+        def counted(key, inner):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        new, mul, fix = Fraction.__new__, UniPoly.__mul__, ParamSeries.fix_param
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted("Fraction", new)))
+        monkeypatch.setattr(UniPoly, "__mul__", counted("UniPoly.__mul__", mul))
+        monkeypatch.setattr(ParamSeries, "fix_param", counted("fix_param", fix))
+        nodes = sum(len(list(expansion_tree(f, Caps()).walk())) for f in maps)
+        Fraction(1, 2)  # the counts only mean something if they see calls
+        up(1, 1) * up(1, 1)
+        ROOT_WINDOW.fix_param(sc(0))
+        monkeypatch.undo()
+        assert nodes == 77
+        assert counts == {"Fraction": 1, "UniPoly.__mul__": 1, "fix_param": nodes + 1}
 
 
 class TestCurveBranches:
@@ -196,11 +269,11 @@ def tail_work(monkeypatch, g, depth):
         monkeypatch.setattr(expansion_mod, name, counted)
     inner_tail = expansion_mod._simple_tail
 
-    def tail(f, rows, mult, terms, depth_k, out):
+    def tail(rows, mult, terms, depth_k, out):
         start = len(out)
         inside[0] += 1
         try:
-            inner_tail(f, rows, mult, terms, depth_k, out)
+            inner_tail(rows, mult, terms, depth_k, out)
         finally:
             inside[0] -= 1
         tails.append((mult, terms, out[start:]))
@@ -255,8 +328,8 @@ class TestSimpleTails:
         assert shifts[128] - shifts[64] == terms[128] - terms[64]
 
     def test_tail_rows_stay_local(self, monkeypatch):
-        # the tail tables its support points, where chain reads find them,
-        # but none of its rows
+        # the tail tables neither the rows nor the support points of its
+        # prefixes: no other search reads them
         [(_, g), _] = fresh_curves("D12")
         _, tails = tail_work(monkeypatch, g, 64)
         prefixes = {
@@ -265,9 +338,10 @@ class TestSimpleTails:
             for t in range(len(terms), len(branch.terms) + 1)
         }
         assert len(prefixes) > 50
-        assert prefixes <= g.points.keys()
+        assert prefixes.isdisjoint(g.points)
         assert prefixes.isdisjoint(g.rows)
-        assert Prefix(1, ()) in g.rows  # the guard only means something if it sees rows
+        # the guard only means something if it sees both tables
+        assert Prefix(1, ()) in g.rows and Prefix(1, ()) in g.points
 
     def test_branch_steps_build_no_fraction(self, monkeypatch):
         # each edge slope is one Fraction; the steps m_next and k_next are

@@ -136,6 +136,11 @@ class TestRefine:
         with pytest.raises(PreconditionFailed):
             refine(series(1, [], 1), sc(1), 1, 1)
 
+    @pytest.mark.parametrize("next_mult", [0, -1])
+    def test_rejects_non_positive_multiplicity(self, next_mult):
+        with pytest.raises(PreconditionFailed):
+            refine(series(1, [], 1), sc(1), 1, next_mult)
+
 
 class TestIsRefinement:
     def test_f2_chain(self):
@@ -320,7 +325,7 @@ def assert_matches_reference(f, prefix, exponents=()):
         return
     assert all(p.den == as_prefix(prefix).mult for p in pts)
     zeros = ref_envelope_zeros(rpts)
-    assert len(zeros) <= 1 and envelope_zero(pts) == next(iter(zeros), None)
+    assert len(zeros) <= 1 and as_fraction(envelope_zero(pts)) == next(iter(zeros), None)
     edges = ref_hull_edges(rpts)
     assert hull_edges(pts) == edges
     for e in (*exponents, *(ed.slope for ed in edges)):
@@ -328,10 +333,16 @@ def assert_matches_reference(f, prefix, exponents=()):
         lead, top = ref_envelope_lead(rpts, e)
         w = window_over(as_prefix(prefix), e)
         assert substitute(f, w) == (lead, top * w.mult)
-        events = expansion_mod._coord_events(
+        edges, zero, frozen, _ = expansion_mod._coord_events(
             f, as_prefix(prefix), e.numerator, e.denominator
         )
-        assert events[:3] == ref_coord_events(rpts, e)
+        events = (tuple(map(as_fraction, edges)), as_fraction(zero), frozen)
+        assert events == ref_coord_events(rpts, e)
+
+
+def as_fraction(pair):
+    """An integer pair (num, den) as the Fraction num/den; None stays None."""
+    return None if pair is None else Fraction(*pair)
 
 
 def window_over(prefix, e):
@@ -477,6 +488,19 @@ WINDOWS = st.builds(
 )
 
 
+class TestRefineCanonical:
+    @settings(max_examples=150, deadline=None)
+    @given(WINDOWS, SCALARS, st.integers(1, 12), st.integers(1, 6))
+    def test_matches_validated_constructor(self, psi, c, next_k, next_mult):
+        # refine divides by one gcd where series() sorts, checks and reduces
+        assume(next_k * psi.mult > psi.param_index * next_mult)
+        m = math.lcm(psi.mult, next_mult)
+        steps = [(k * (m // psi.mult), coeff) for k, coeff in psi.steps]
+        steps.append((psi.param_index * (m // psi.mult), c))
+        want = series(m, steps, next_k * (m // next_mult))
+        assert refine(psi, c, next_k, next_mult) == want
+
+
 class TestLazyJacobianLead:
     @settings(max_examples=80, deadline=None)
     @given(POLYS, POLYS, WINDOWS)
@@ -537,16 +561,20 @@ class TestNextEventExponent:
         phi = data.draw(st.one_of(st.just(node.series), WINDOWS))
         taken = [child.chosen_c for child in node.children] or [ZERO]
         c = data.draw(st.one_of(st.sampled_from(taken), SCALARS))
-        got = expansion_mod.next_event_exponent(f, phi, c)
-        assert got == ref_next_event_exponent(f, phi, c)
+        got, _, _ = expansion_mod.next_event_exponent(f, phi, phi.fix_param(c))
+        assert as_fraction(got) == ref_next_event_exponent(f, phi, c)
 
     @pytest.mark.parametrize("name", ["M4", "M6", "M8", "M9"])
     def test_every_tree_direction(self, name):
         f = normalize_monic(*parse_map(TREE_MAPS[name]))
         for node in expansion_tree(f, Caps()).walk():
             for child in node.children:
-                got = expansion_mod.next_event_exponent(f, node.series, child.chosen_c)
-                assert got == ref_next_event_exponent(f, node.series, child.chosen_c)
+                c = child.chosen_c
+                prefix = node.series.fix_param(c)
+                got, *pts = expansion_mod.next_event_exponent(f, node.series, prefix)
+                assert as_fraction(got) == ref_next_event_exponent(f, node.series, c)
+                # the points the child's leads are read off
+                assert pts == [expansion_points(g, prefix) for g in (f.p, f.q)]
 
 
 def ref_substitute(g, phi):
