@@ -599,7 +599,8 @@ def _expand_node(f: MapPair, node: ExpansionNode, caps: Caps, depth: int) -> Non
         node.note = str(p_rest * q_rest)
         return
     cands = {r for r, _ in p_roots} | {r for r, _ in q_roots} | {ZERO}
-    parent, children = node.series, []
+    # zero is always a candidate, so every node expanded here gets a child
+    parent = node.series
     for c in sorted(cands, key=lambda s: s.sort_key()):
         e_next, p_pts, q_pts = next_event_exponent(f, parent, parent.fix_param(c))
         synthetic = e_next is None
@@ -608,20 +609,14 @@ def _expand_node(f: MapPair, node: ExpansionNode, caps: Caps, depth: int) -> Non
         child_series = refine(parent, c, e_next[1] - e_next[0], e_next[1])
         child_lead = window_lead(f, child_series, p_pts, q_pts)
         child = ExpansionNode(child_series, child_lead, c, STATUS_OPEN)
-        n_index = child_series.param_index
-        if child_series.mult > caps.max_mult or n_index > caps.max_k:
+        if child_series.mult > caps.max_mult or child_series.param_index > caps.max_k:
             child.status = STATUS_CAPPED
             child.note = "max_mult" if child_series.mult > caps.max_mult else "max_k"
         elif synthetic:
             child.status = STATUS_DEAD
         else:
             _expand_node(f, child, caps, depth + 1)
-            if child.status == STATUS_OPEN and not child.children:
-                child.status = STATUS_DEAD
-        children.append(child)
-    node.children = children
-    if not children:
-        node.status = STATUS_DEAD
+        node.children.append(child)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -411,6 +412,27 @@ def test_each_prefix_expanded_once_per_run(monkeypatch):
         assert len(set(first)) == len(first), (text, command)  # by value
         assert first and len(second) == len(first), (text, command)
         assert {id(f) for f, _ in first}.isdisjoint(id(f) for f, _ in second)
+
+
+def test_runs_leave_no_reference_cycles():
+    # run and render pause the cyclic collector, which is sound while
+    # reference counting alone frees what they allocate; the collector's
+    # state before a call is restored after it, also after an input error
+    was_enabled = gc.isenabled()
+    try:
+        for text, command in [*RUN_CONFIGS, (M9, "tree"), ("x+; y", "valueset")]:
+            config = config_from_args(["--map", text, command, "--format", "json"])
+            gc.enable()
+            render(run(config)[1], "json")
+            assert gc.isenabled(), (text, command)
+            gc.disable()
+            gc.collect()
+            render(run(config)[1], "json")
+            assert not gc.isenabled(), (text, command)
+            assert gc.collect() == 0, (text, command)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_valueset_never_expands_the_jacobian(monkeypatch):
