@@ -6,9 +6,10 @@ The cases are every command in ``--format json`` on the corpus and stress
 maps, each single ``verify --what`` check, ``--format text`` of each
 command, and the ``--help`` text of the parser and of each subcommand.
 M9 runs only ``tree`` and ``valueset``; its ``verify`` takes seconds and
-``tests/test_cli.py`` runs it already.  The degree-12 maps also run only
-``tree`` and ``valueset``: their windows reach multiplicities above 2 and
-their unsplit notes are cyclotomic and sextic factors.
+``tests/test_cli.py`` runs it already.  The degree-12 maps run ``tree``,
+``valueset`` and ``verify``: their windows reach multiplicities above 2,
+their unsplit notes are cyclotomic and sextic factors, and the chains of
+D12 and Z12 run the exponent recurrence of lemma 2 and eq. 9.
 
 After an intended output change, print the new table with
 
@@ -59,7 +60,8 @@ def _cases() -> List[Tuple[str, List[str]]]:
         for cmd, args in COMMANDS.items():
             cases.append((f"{name}-{cmd}", ["--map", text, *args, "--format", "json"]))
     for name, text in {"M9": M9_TEXT, **DEGREE12_TEXT}.items():
-        for cmd in ("tree", "valueset"):
+        cmds = ("tree", "valueset") if name == "M9" else ("tree", "valueset", "verify")
+        for cmd in cmds:
             cases.append((f"{name}-{cmd}", ["--map", text, *COMMANDS[cmd], "--format", "json"]))
     for name, text in maps.items():
         for check in CHECK_NAMES:
@@ -164,14 +166,19 @@ GOLDEN: Dict[str, str] = {
     "M9-valueset": "5c535cf04fa7465b72bdd86afc3d8783a61819e8a34424beff44d08532f42dfc",
     "D12-tree": "bb273b207087135c2bedd66e7c9d7a7f52ea32df2991b80b3aa2bd9d0736c56e",
     "D12-valueset": "27b26efb176b8f7d963d66b9f2ee13a2420ef593cdfb12110ddf536f32c53379",
+    "D12-verify": "e1640da11f15e08c94221c45348ec59a418116e5dd0a3c12f56f2bff94299258",
     "T12-tree": "e86c7ff29bc3cf3cf292b319fa55e2b1e63e8d41fa19a0025138f368cd77e9a5",
     "T12-valueset": "1a7fd7104076939c6f5b9b9512132bf7e591c32f2d50d33a35c706ebd27188d8",
+    "T12-verify": "f6af83c4f1f8bb6e68d7958d805f8a60164f2c1cc73d980c4a67db49f5894af1",
     "S12-tree": "1cd89528f938f5bb5713e5efce2b3a9d055a8932932cf68c3c75f4b6049c1055",
     "S12-valueset": "89639b7a630e8e1a8f7726de6accd9c695f80c519a319654bcb3a37b059d3e33",
+    "S12-verify": "ddfc796e0e21917b09ca5beabeb9487d782c665697094a3a6ea685ce46e7f38b",
     "C12-tree": "8015189f4909370dcc319660d315dfe8ff8c6701e9d0702279f57d5213c342c2",
     "C12-valueset": "1982951511d8cbc3f77024155a4eef9fa3799fef220b6495c4f2e3e195860647",
+    "C12-verify": "74e02f7f72f58e14ffdc7109474c92339325bacedc1b1d299da7e90f44950139",
     "Z12-tree": "183f518183128b3d8fa895643dad1a4dbba82ce5843725ea3580a1e27d816cf0",
     "Z12-valueset": "dd62f06dc9fbdb1dac5980f361b1d152c38e879a5f8cb9432826c534bb666e67",
+    "Z12-verify": "89aad40a5335e70346d3db45f8fb76c4fe866df34a052ddfa5d843bf390b8298",
     "F1-verify-theorem1": "e82dba222cf5668f85fed331043b5f3aa8547eee178be0ae36303699f4c6d2a7",
     "F1-verify-theorem2": "3235416fa9a5c3fcd43759a66561aff474ae9fadd08a3d5580f1ac6637a1a8cd",
     "F1-verify-lemma2": "1bf816298e31b98b14fb56aded4f1c4ef19ef376bb3ee35b1bbadb045e82f622",
