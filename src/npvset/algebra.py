@@ -93,13 +93,6 @@ class Scalar:
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
         return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
-    def conjugate(self) -> "Scalar":
-        return _triple(self.a, -self.b, self.d)
-
-    def norm2(self) -> Fraction:
-        """Squared modulus, a non-negative rational."""
-        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
-
     def inverse(self) -> "Scalar":
         a, b, d = self.a, self.b, self.d
         n = a * a + b * b
@@ -348,13 +341,6 @@ class UniPoly:
         acc = ZERO
         for c in reversed(self.coeffs):
             acc = acc * s + c
-        return acc
-
-    def compose(self, inner: "UniPoly") -> "UniPoly":
-        """Substitution of a polynomial for the indeterminate (Horner)."""
-        acc = UniPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + UniPoly.const(c)
         return acc
 
     def divmod(self, d: "UniPoly") -> tuple:

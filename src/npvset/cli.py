@@ -162,20 +162,9 @@ def _check_json(rep: CheckReport) -> dict:
     return {
         "name": rep.name,
         "status": rep.status,
-        "data": _plain(rep.data),
-        "items": _plain(rep.items),
+        "data": rep.data,
+        "items": rep.items,
     }
-
-
-def _plain(obj):
-    """Recursively coerce report payloads into JSON-stable primitives."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
-    return str(obj)
 
 
 def _report(config: argparse.Namespace, **fields) -> dict:
@@ -271,14 +260,13 @@ def run(config: argparse.Namespace) -> Tuple[int, dict]:
                 ],
                 "lower_bound_only": bool(vs.unresolved),
             }
-            report["unresolved"] = _plain(vs.unresolved)
+            report["unresolved"] = vs.unresolved
             if vs.unresolved:
                 code = EXIT_UNRESOLVED
         elif config.command == "verify":
             vr = run_all_checks(f, config.caps, config.what)
             report["checks"] = [_check_json(c) for c in vr.checks]
-            report["signs"] = _plain(vr.signs)
-            report["unresolved"] = _plain(vr.unresolved)
+            report["unresolved"] = vr.unresolved
             report["result"] = {
                 "counterexample": vr.counterexample(),
                 "statuses": {c.name: c.status for c in vr.checks},

@@ -627,11 +627,9 @@ def _expand_node(f: MapPair, node: ExpansionNode, caps: Caps, depth: int) -> Non
 class SequenceLevel(NamedTuple):
     series: ParamSeries
     c: Optional[Scalar]  # coefficient pinned toward the next level
-    n: int
-    m: int
     lead: LeadingData
-    s2_ok: Optional[bool] = None  # c, s2_ok and s3_ok are None on the final level
-    s3_ok: Optional[bool] = None
+    # a lead has a nonzero root; c and s2_ok are None on the final level
+    s2_ok: Optional[bool] = None
 
 
 class AssociatedSequence(NamedTuple):
@@ -647,11 +645,6 @@ class AssociatedSequence(NamedTuple):
     @property
     def K(self) -> int:
         return len(self.levels) - 1
-
-    def all_structure_ok(self) -> bool:
-        return all(
-            (lv.s2_ok is not False) and (lv.s3_ok is not False) for lv in self.levels
-        )
 
 
 def associated_sequence(
@@ -672,9 +665,9 @@ def associated_sequence(
     the upper window's with c pinned: the support points read for the
     upper level's slopes also give the lower level's leads.  A level at a
     nonzero coefficient of phi that no root tracks (both leads constant) is
-    a verification failure.  The two polynomial shape conditions are
-    recorded per level (they are theorems only under the hypotheses of the
-    calling context, so violations are flags, not errors).
+    a verification failure.  Whether a level's leads have a nonzero root
+    is recorded per level (a theorem only under the hypotheses of the
+    calling context, so a violation is a flag, not an error).
     """
     ok, _, _ = is_refinement(psi, phi)
     if not ok:
@@ -701,11 +694,9 @@ def associated_sequence(
         e_next = max(
             (x for x in (*slopes, *coeff_exps) if e_bot < x < e), default=e_bot
         )
-        # a polynomial has a nonzero root iff it is neither constant nor a
-        # monomial; no polygon edge may lie strictly between two levels
+        # a polynomial has a nonzero root iff it is neither constant nor a monomial
         s2_ok = _has_nonzero_root(lead.p_lead) or _has_nonzero_root(lead.q_lead)
-        s3_ok = not any(e_next < x for x in slopes)
-        levels.append(SequenceLevel(w, c, w.param_index, w.mult, lead, s2_ok, s3_ok))
+        levels.append(SequenceLevel(w, c, lead, s2_ok))
         w = window(e_next)
         lead = leading_data(f, w)
         if (
@@ -717,7 +708,7 @@ def associated_sequence(
             raise VerificationFailure(
                 "nonzero coefficient level without a tracking root"
             )
-    levels.append(SequenceLevel(w, None, w.param_index, w.mult, lead))
+    levels.append(SequenceLevel(w, None, lead))
     return AssociatedSequence(levels)
 
 
@@ -730,8 +721,6 @@ class LevelIndexData(NamedTuple):
     t_members: List[Scalar]
     s0_count: int
     t0_count: int
-    a_lead: Scalar
-    b_lead: Scalar
     pbar: UniPoly
     qbar: UniPoly
 
@@ -755,11 +744,7 @@ def root_index_data(seq: AssociatedSequence) -> RootIndexData:
     for lv in seq.levels:
         s_members, s0, pbar = _level_members(lv.lead.p_lead, lv.c)
         t_members, t0, qbar = _level_members(lv.lead.q_lead, lv.c)
-        a_lead = lv.lead.p_lead.lcoeff()
-        b_lead = lv.lead.q_lead.lcoeff()
-        out.append(
-            LevelIndexData(s_members, t_members, s0, t0, a_lead, b_lead, pbar, qbar)
-        )
+        out.append(LevelIndexData(s_members, t_members, s0, t0, pbar, qbar))
     return RootIndexData(out)
 
 

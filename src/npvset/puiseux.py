@@ -194,17 +194,6 @@ class ConcreteBranch(NamedTuple):
     def exponents(self) -> List[Tuple[Fraction, Scalar]]:
         return [(1 - Fraction(k, self.mult), c) for k, c in self.terms]
 
-    def coeff_at(self, e: Fraction) -> Optional[Scalar]:
-        """Coefficient of x^e, or None when e lies below the known range.
-
-        Indices up to truncation_k are complete; anything strictly below
-        exponent 1 - truncation_k/mult is unknown.
-        """
-        k = (1 - e) * self.mult  # the index of x^e
-        if self.truncation_k is not None and k > self.truncation_k:
-            return None
-        return dict(self.terms).get(k, ZERO)
-
     def sort_key(self) -> tuple:
         m = self.mult
         return tuple([(_exponent_key(k, m), c) for k, c in self.terms])

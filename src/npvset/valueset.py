@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import BiPoly, MapPair, ONE, Scalar, UniPoly, ZERO, poly_gcd, rational_text
 from .classify import delta, is_dicritical
@@ -180,13 +180,6 @@ def _same_image(c1: ValueSetComponent, c2: ValueSetComponent) -> bool:
     return True
 
 
-def _bezout(a: int, b: int) -> Tuple[int, int]:
-    if b == 0:
-        return 1, 0
-    x, y = _bezout(b, a % b)
-    return y, x - (a // b) * y
-
-
 # ---------------------------------------------------------------------------
 # Refinement leading-term law (two-part certificate)
 # ---------------------------------------------------------------------------
@@ -253,7 +246,8 @@ def theorem1_from_leads(
         big_d = dpk // d
         ru = lead_phi.p_lead.lcoeff() / lead_psi.p_lead.lcoeff()
         rv = lead_phi.q_lead.lcoeff() / lead_psi.q_lead.lcoeff()
-        x, y = _bezout(d, e)
+        x = pow(d, -1, e)
+        y = (1 - x * d) // e
         c = ru ** x * rv ** y
         coeff_ok = c ** d == ru and c ** e == rv
         big_c = c if coeff_ok else None
@@ -377,19 +371,23 @@ def check_lemma2(seq: AssociatedSequence, data: RootIndexData) -> CheckReport:
         prev, cur = seq.levels[i - 1], seq.levels[i]
         dprev, dcur = data.levels[i - 1], data.levels[i]
         c_prev = prev.c if prev.c is not None else ZERO
-        # the exponent recurrence times prev.m * cur.m, on integers: drop is
+        n_prev, m_prev = prev.series.param_index, prev.series.mult
+        n_cur, m_cur = cur.series.param_index, cur.series.mult
+        # the exponent recurrence times m_prev * m_cur, on integers: drop is
         # the slot's exponent drop times that product
-        drop = cur.n * prev.m - prev.n * cur.m
+        drop = n_cur * m_prev - n_prev * m_cur
         s_count = len(dcur.s_members)
         t_count = len(dcur.t_members)
         s0_prev = dprev.s0_count
         t0_prev = dprev.t0_count
-        ok_a_lead = cur.lead.p_lead.lcoeff() == dprev.a_lead * dprev.pbar.evaluate(c_prev)
-        ok_b_lead = cur.lead.q_lead.lcoeff() == dprev.b_lead * dprev.qbar.evaluate(c_prev)
+        a_prev = prev.lead.p_lead.lcoeff()
+        b_prev = prev.lead.q_lead.lcoeff()
+        ok_a_lead = cur.lead.p_lead.lcoeff() == a_prev * dprev.pbar.evaluate(c_prev)
+        ok_b_lead = cur.lead.q_lead.lcoeff() == b_prev * dprev.qbar.evaluate(c_prev)
         ok_p_deg = cur.lead.p_lead.degree == s_count == s0_prev
         ok_q_deg = cur.lead.q_lead.degree == t_count == t0_prev
-        ok_a_exp = cur.lead.p_exp * prev.m == prev.lead.p_exp * cur.m - s0_prev * drop
-        ok_b_exp = cur.lead.q_exp * prev.m == prev.lead.q_exp * cur.m - t0_prev * drop
+        ok_a_exp = cur.lead.p_exp * m_prev == prev.lead.p_exp * m_cur - s0_prev * drop
+        ok_b_exp = cur.lead.q_exp * m_prev == prev.lead.q_exp * m_cur - t0_prev * drop
         items.append(
             {
                 "level": i,
@@ -616,7 +614,6 @@ CHECKS = (
 
 class VerificationRun(NamedTuple):
     checks: List[CheckReport]
-    signs: Dict[str, int]
     unresolved: List[dict]
 
     def counterexample(self) -> bool:
@@ -741,11 +738,7 @@ def run_all_checks(
                 rep = check_newton_factorization(g, brs)
                 items.append({"component": label, "ok": rep.status != "fail"})
             checks.append(CheckReport.combine("factorization", items))
-    return VerificationRun(
-        checks,
-        {"sigma": SIGMA, "sigma_prime": SIGMA_PRIME},
-        scan.unresolved + chain_skips,
-    )
+    return VerificationRun(checks, scan.unresolved + chain_skips)
 
 
 def _merge_reports(

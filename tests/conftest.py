@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from npvset.algebra import BiPoly, MapPair, Scalar, normalize_monic
+from npvset.algebra import BiPoly, MapPair, Scalar, UniPoly, normalize_monic
 from npvset.parsing import parse_map
 from npvset.puiseux import Prefix
 
@@ -61,6 +61,14 @@ def corpus():
 
 def sc(re=0, im=0) -> Scalar:
     return Scalar.of(re, im)
+
+
+def compose(outer: UniPoly, inner: UniPoly) -> UniPoly:
+    """outer with inner substituted for its indeterminate (Horner)."""
+    acc = UniPoly.zero()
+    for c in reversed(outer.coeffs):
+        acc = acc * inner + UniPoly.const(c)
+    return acc
 
 
 def as_prefix(terms) -> Prefix:

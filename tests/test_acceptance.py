@@ -95,7 +95,7 @@ def test_criterion_3_lemma2_recurrences():
             # hand instance: a1 = a0 + #S0^0 * (n0 - n1) = 1 + 1*(0-2) = -1
             ok = ok and seq.levels[0].lead.p_exp == 1
             ok = ok and data.levels[0].s0_count == 1
-            ok = ok and (seq.levels[0].n, seq.levels[1].n) == (0, 2)
+            ok = ok and [lv.series.param_index for lv in seq.levels] == [0, 2]
             ok = ok and seq.levels[1].lead.p_exp == -1
     _verdict(3, "lemma2 recurrences", ok)
 

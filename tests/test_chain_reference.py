@@ -11,7 +11,10 @@ the leading data of the lower one).  The chain builder now reads each
 level off the support points along phi and each level's members off its
 two leads.  Both are compared on every (ancestor, descendant) pair of
 expansion-tree nodes of the corpus and stress maps, and on hand-built
-chains, among them the verification failure.
+chains, among them the verification failure.  The reference's level
+records keep only the fields the chain builder records: the exponents
+``n`` and ``m`` repeated the window's own, and the quiet-segment flag
+``s3_ok`` held on every level, so the comparison asserts the check itself.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from npvset.classify import is_dicritical
 from npvset.errors import ExtensionRequired, NotARefinement, VerificationFailure
 from npvset.expansion import (
     LevelIndexData,
+    SequenceLevel,
     associated_sequence,
     curve_branches,
     expansion_tree,
@@ -100,16 +104,13 @@ def ref_branches_for_matching(f, phi):
 class RefLevel:
     """The earlier mutable level record (a slotted class, set in two passes)."""
 
-    __slots__ = ("series", "c", "n", "m", "lead", "s2_ok", "s3_ok")
+    __slots__ = ("series", "c", "lead", "s2_ok")
 
-    def __init__(self, series, c, n, m, lead, s2_ok=None, s3_ok=None):
+    def __init__(self, series, c, lead, s2_ok=None):
         self.series = series
         self.c = c
-        self.n = n
-        self.m = m
         self.lead = lead
         self.s2_ok = s2_ok
-        self.s3_ok = s3_ok
 
 
 class RefSequence(NamedTuple):
@@ -168,19 +169,16 @@ def ref_associated_sequence(psi, phi, f):
         w = phi if last else window_at(phi, e)
         c = None if last else phi.coeff_at(e)
         levels.append(ref_make_level(f, w, c))
-    for idx, lv in enumerate(levels[:-1]):
+    for lv in levels[:-1]:
         lv.s2_ok = expansion_mod._has_nonzero_root(
             lv.lead.p_lead
         ) or expansion_mod._has_nonzero_root(lv.lead.q_lead)
-        lv.s3_ok = ref_segment_is_quiet(
-            f, levels[idx].series, levels[idx].c, exps[idx + 1]
-        )
     return RefSequence(levels, p_roots, q_roots)
 
 
 def ref_segment_is_quiet(f, upper, c, e_next):
-    if c is None:
-        return True
+    """No polygon edge of P or Q below the upper window with c pinned lies
+    strictly between the upper level's exponent and e_next."""
     prefix = upper.fix_param(c)
     return not any(
         e_next < Fraction(*slope)
@@ -192,7 +190,7 @@ def ref_segment_is_quiet(f, upper, c, e_next):
 
 
 def ref_make_level(f, w, c):
-    return RefLevel(w, c, w.param_index, w.mult, leading_data(f, w))
+    return RefLevel(w, c, leading_data(f, w))
 
 
 class RefLevelIndexData(NamedTuple):
@@ -250,13 +248,26 @@ def ref_matching_coeffs(roots, w):
         if not known:
             raise VerificationFailure("branch truncated inside the window")
         if d is None:
-            cu = u.coeff_at(w.param_exponent)
+            cu = ref_coeff_at(u, w.param_exponent)
             if cu is None:
                 raise VerificationFailure("branch truncated at the window slot")
             out.append(cu)
         elif d == w.param_exponent:
-            out.append(u.coeff_at(d))
+            out.append(ref_coeff_at(u, d))
     return sorted(out, key=lambda s: s.sort_key())
+
+
+def ref_coeff_at(u: ConcreteBranch, e: Fraction) -> Optional[Scalar]:
+    """Coefficient of x^e in the branch, or None when e lies below the known
+    range.
+
+    Indices up to truncation_k are complete; anything strictly below
+    exponent 1 - truncation_k/mult is unknown.
+    """
+    k = (1 - e) * u.mult  # the index of x^e
+    if u.truncation_k is not None and k > u.truncation_k:
+        return None
+    return dict(u.terms).get(k, ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -265,21 +276,25 @@ def ref_matching_coeffs(roots, w):
 
 
 def chain_outcome(build, index, psi, phi, f):
-    """Levels and index data of one chain, or the exception raised.
+    """Levels and index data of one chain, or the exception raised, as
+    tuples of the fields the chain builder records.
 
     The index data leaves out ``factor_ok``: the members are now the
     leads' own roots, so the lead is rebuilt from them by construction.
+    The reference's ``a_lead`` and ``b_lead`` are the leads' leading
+    coefficients, compared with the leads.
     """
     try:
         seq = build(psi, phi, f)
         data = index(seq)
     except Exception as exc:  # compared by type and message
         return ("raised", type(exc), str(exc))
-    levels = [
-        (lv.series, lv.c, lv.n, lv.m, lv.lead, lv.s2_ok, lv.s3_ok)
-        for lv in seq.levels
-    ]
-    return (levels, [tuple(d)[: len(LevelIndexData._fields)] for d in data])
+    levels = [_fields(lv, SequenceLevel) for lv in seq.levels]
+    return (levels, [_fields(d, LevelIndexData) for d in data])
+
+
+def _fields(record, kind) -> tuple:
+    return tuple(getattr(record, name) for name in kind._fields)
 
 
 def tree_pairs(f):
@@ -300,6 +315,7 @@ def tree_pairs(f):
 def test_chain_matches_reference_on_every_tree_pair():
     census = {"equal": 0, "resolved": 0, "both_raise": 0}
     lemma2, eq9 = [], []
+    quiet_levels = 0
     for name, text in MAPS.items():
         f = normalize_monic(*parse_map(text))
         for psi, phi in tree_pairs(f):
@@ -314,6 +330,13 @@ def test_chain_matches_reference_on_every_tree_pair():
                 phi,
                 f,
             )
+            if got[0] != "raised":
+                # no polygon edge lies strictly between two levels, because
+                # the next level is the largest slope below the current one
+                levels = got[0]
+                for (w, c, *_), (w_next, *_) in zip(levels, levels[1:]):
+                    assert ref_segment_is_quiet(f, w, c, w_next.param_exponent)
+                    quiet_levels += 1
             if got == want:
                 assert got[0] != "raised", got
                 census["equal"] += 1
@@ -333,8 +356,10 @@ def test_chain_matches_reference_on_every_tree_pair():
     # the census pins the comparison's reach: the reference raises on 32
     # pairs; 24 of them need a field extension only for roots that no
     # level's lead holds, so the chain is now checked, and 8 for a level's
-    # own lead; none reaches a verification failure
+    # own lead; none reaches a verification failure.  The 241 chains built
+    # have 223 levels above their last
     assert census == {"equal": 217, "resolved": 24, "both_raise": 8}
+    assert quiet_levels == 223
     assert sorted(lemma2) == ["pass"] * 16 + ["vacuous"] * 8
     assert sorted(eq9) == ["pass"] * 3 + ["vacuous"]
 

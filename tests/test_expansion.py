@@ -445,9 +445,10 @@ class TestAssociatedSequence:
         seq = associated_sequence(ROOT_WINDOW, phi, f)
         assert seq.K == 1
         assert seq.levels[0].c == sc(-1)
-        assert (seq.levels[0].n, seq.levels[0].m) == (0, 1)
-        assert (seq.levels[1].n, seq.levels[1].m) == (2, 1)
-        assert seq.all_structure_ok()
+        w0, w1 = seq.levels[0].series, seq.levels[1].series
+        assert (w0.param_index, w0.mult) == (0, 1)
+        assert (w1.param_index, w1.mult) == (2, 1)
+        assert [lv.s2_ok for lv in seq.levels] == [True, None]
 
     def test_identity_chain(self):
         f = corpus_map("F2")
@@ -496,7 +497,8 @@ class TestRootIndexData:
         lv0, lv1 = data.levels
         assert lv0.s_members == [sc(-1)] and lv0.s0_count == 1
         assert lv0.t_members == [sc(-1), sc(0)] and lv0.t0_count == 1
-        assert lv0.a_lead == sc(1) and lv0.b_lead == sc(1)
+        lead0 = seq.levels[0].lead
+        assert lead0.p_lead.lcoeff() == sc(1) and lead0.q_lead.lcoeff() == sc(1)
         assert lv0.pbar == up(1) and lv0.qbar == up(0, 1)
         assert lv1.s_members == [sc(0)] and lv1.t_members == [sc(0)]
 
