@@ -179,6 +179,8 @@ def ref_associated_sequence(psi, phi, f):
 def ref_segment_is_quiet(f, upper, c, e_next):
     """No polygon edge of P or Q below the upper window with c pinned lies
     strictly between the upper level's exponent and e_next."""
+    if c is None:
+        return True
     prefix = upper.fix_param(c)
     return not any(
         e_next < Fraction(*slope)
