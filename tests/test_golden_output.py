@@ -5,11 +5,14 @@ runs ``npvset.cli.main`` in process and hashes ``"<exit code>\\n<stdout>"``.
 The cases are every command in ``--format json`` on the corpus and stress
 maps, each single ``verify --what`` check, ``--format text`` of each
 command, and the ``--help`` text of the parser and of each subcommand.
-M9 runs only ``tree`` and ``valueset``; its ``verify`` takes seconds and
-``tests/test_cli.py`` runs it already.  The degree-12 maps run ``tree``,
-``valueset`` and ``verify``: their windows reach multiplicities above 2,
-their unsplit notes are cyclotomic and sextic factors, and the chains of
-D12 and Z12 run the exponent recurrence of lemma 2 and eq. 9.
+M9 runs ``tree``, ``valueset`` and both ``branches``; its ``verify`` takes
+seconds and ``tests/test_cli.py`` runs it already.  The degree-12 maps run
+``tree``, ``valueset``, ``verify`` and both ``branches``: their windows
+reach multiplicities above 2, their unsplit notes are cyclotomic and
+sextic factors, and the chains of D12 and Z12 run the exponent recurrence
+of lemma 2 and eq. 9.  M9's P is a cube, so each of its edges takes the
+multiple-root recursion of the branch search, and seven of these twelve
+branch searches stop on an edge factor that does not split over Q(i).
 
 After an intended output change, print the new table with
 
@@ -60,7 +63,9 @@ def _cases() -> List[Tuple[str, List[str]]]:
         for cmd, args in COMMANDS.items():
             cases.append((f"{name}-{cmd}", ["--map", text, *args, "--format", "json"]))
     for name, text in {"M9": M9_TEXT, **DEGREE12_TEXT}.items():
-        cmds = ("tree", "valueset") if name == "M9" else ("tree", "valueset", "verify")
+        cmds = ("tree", "valueset", "branchesP", "branchesQ")
+        if name != "M9":
+            cmds += ("verify",)
         for cmd in cmds:
             cases.append((f"{name}-{cmd}", ["--map", text, *COMMANDS[cmd], "--format", "json"]))
     for name, text in maps.items():
@@ -164,20 +169,32 @@ GOLDEN: Dict[str, str] = {
     "M8-branchesQ": "bea120ea70aec29e2c7e67e19b92357b2b19b3e22d07565fa3ddc48d55a69bfd",
     "M9-tree": "f1f857f290c46102eab7e19b2c4268d7b2c994a7ff991145146c7a27e76f2a50",
     "M9-valueset": "5c535cf04fa7465b72bdd86afc3d8783a61819e8a34424beff44d08532f42dfc",
+    "M9-branchesP": "aa3283c6198460e764f7e43425b359ec5d87db17614a47cc820316805a369b96",
+    "M9-branchesQ": "0f17c5bb313ad3a1091853692813ca3e8ccc4074d2debb9732830faf2a4dd890",
     "D12-tree": "bb273b207087135c2bedd66e7c9d7a7f52ea32df2991b80b3aa2bd9d0736c56e",
     "D12-valueset": "27b26efb176b8f7d963d66b9f2ee13a2420ef593cdfb12110ddf536f32c53379",
+    "D12-branchesP": "1148f111bd1cb22214849deb7d4c33cf14a737e41427dbe995920355fc0d95b2",
+    "D12-branchesQ": "dfb9ddc6bc2629122c23b731ce261e93dd322b0a77953cef9c51a6f7e4fefb96",
     "D12-verify": "e1640da11f15e08c94221c45348ec59a418116e5dd0a3c12f56f2bff94299258",
     "T12-tree": "e86c7ff29bc3cf3cf292b319fa55e2b1e63e8d41fa19a0025138f368cd77e9a5",
     "T12-valueset": "1a7fd7104076939c6f5b9b9512132bf7e591c32f2d50d33a35c706ebd27188d8",
+    "T12-branchesP": "4adb1b99a96f2d5fcf01d63044edaa93417f25e56d4dfc9291673859ab7173d2",
+    "T12-branchesQ": "bd43c242191ce30b3f4f384b8684cb1b52f5b5859cedfb5ea0a6f5988353397b",
     "T12-verify": "f6af83c4f1f8bb6e68d7958d805f8a60164f2c1cc73d980c4a67db49f5894af1",
     "S12-tree": "1cd89528f938f5bb5713e5efce2b3a9d055a8932932cf68c3c75f4b6049c1055",
     "S12-valueset": "89639b7a630e8e1a8f7726de6accd9c695f80c519a319654bcb3a37b059d3e33",
+    "S12-branchesP": "6da0aa0998f9e290353b9d0b98c2b0ae7be3be133b02519febc6fe9a6ce3ffdf",
+    "S12-branchesQ": "b1b4e3d0b065bad4ef1432427084e6cb096e5b523c8aacf9a9097462556d4a76",
     "S12-verify": "ddfc796e0e21917b09ca5beabeb9487d782c665697094a3a6ea685ce46e7f38b",
     "C12-tree": "8015189f4909370dcc319660d315dfe8ff8c6701e9d0702279f57d5213c342c2",
     "C12-valueset": "1982951511d8cbc3f77024155a4eef9fa3799fef220b6495c4f2e3e195860647",
+    "C12-branchesP": "ae34c6e7790a2f7b36f6c7ecf2301f6d5c817685e045c505891389d10c0d9a5d",
+    "C12-branchesQ": "798136a2759cd402e7e587bd03a929a6cbd32d3a0e3b38f909bff93f99820e8d",
     "C12-verify": "74e02f7f72f58e14ffdc7109474c92339325bacedc1b1d299da7e90f44950139",
     "Z12-tree": "183f518183128b3d8fa895643dad1a4dbba82ce5843725ea3580a1e27d816cf0",
     "Z12-valueset": "dd62f06dc9fbdb1dac5980f361b1d152c38e879a5f8cb9432826c534bb666e67",
+    "Z12-branchesP": "dbd6d81e0c8cdef5f2d692a06e19daa44bf3d17ba960d5e05b1b6a867fe519cd",
+    "Z12-branchesQ": "48bf33444ebb7ceda43e824104216432cd69c85a9fff272b83d5988d27fc460a",
     "Z12-verify": "89aad40a5335e70346d3db45f8fb76c4fe866df34a052ddfa5d843bf390b8298",
     "F1-verify-theorem1": "e82dba222cf5668f85fed331043b5f3aa8547eee178be0ae36303699f4c6d2a7",
     "F1-verify-theorem2": "3235416fa9a5c3fcd43759a66561aff474ae9fadd08a3d5580f1ac6637a1a8cd",
