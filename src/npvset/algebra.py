@@ -412,10 +412,11 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 class BiPoly:
     """Sparse polynomial in (x, y) over Q(i); keys are (deg_x, deg_y)."""
 
-    __slots__ = ("terms", "points", "rows")  # tables set by puiseux
+    __slots__ = ("terms", "table")
 
     def __init__(self, terms: Mapping[tuple, Scalar]):
         self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
+        self.table = {}  # prefix -> (rows, points), filled by puiseux
 
     @staticmethod
     def zero() -> "BiPoly":

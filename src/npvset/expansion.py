@@ -16,6 +16,9 @@ Three related computations live here:
   and the roots tracking each level off that level's two leads, with no
   branch search, and verify the structural side conditions.
 
+All three read the upper Newton hull through one reader, ``hull_edges``,
+which returns the edge slopes below a bound as integer pairs.
+
 Root extraction over Q(i) runs on Gaussian integers: the coefficients are
 cleared of denominators once, degree <= 2 is solved in closed form, and
 above that rational candidates are checked by integer Horner sums and
@@ -32,6 +35,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 from .algebra import (
     BiPoly,
     MapPair,
+    ONE,
     Scalar,
     UniPoly,
     ZERO,
@@ -54,6 +58,7 @@ from .puiseux import (
     ROOT_WINDOW,
     Rows,
     SupportPoint,
+    envelope_lead,
     envelope_numerators,
     envelope_zero,
     expansion_points,
@@ -304,15 +309,6 @@ def roots_in_field(
 # ---------------------------------------------------------------------------
 
 
-class PolygonEdge(NamedTuple):
-    """An edge of the upper Newton hull: slope and characteristic polynomial."""
-
-    slope: Fraction
-    j_lo: int
-    j_hi: int
-    chi: UniPoly  # coefficient of c^(j - j_lo) indexes the on-edge points
-
-
 def upper_hull(pts: Sequence[SupportPoint]) -> List[SupportPoint]:
     """Vertices of the upper concave hull of (j, top), ascending in j."""
     hull: List[SupportPoint] = []
@@ -330,11 +326,12 @@ def upper_hull(pts: Sequence[SupportPoint]) -> List[SupportPoint]:
     return hull
 
 
-def _slopes_below(
+def hull_edges(
     pts: Sequence[SupportPoint], slot: int, mult: int
 ) -> List[Tuple[int, int]]:
-    """Upper-hull edge slopes of pts strictly below the exponent slot/mult,
-    each as an integer pair (rise, run*den)."""
+    """Upper-hull edge slopes of pts strictly below the exponent slot/mult
+    (mult >= 0), each as an integer pair (rise, run*den); every slope lies
+    below the pair (1, 0)."""
     hull, den = upper_hull(pts), pts[0].den
     # slopes rise/(run*den), compared with slot/mult on integers
     return [
@@ -342,30 +339,6 @@ def _slopes_below(
         for a, b in zip(hull, hull[1:])
         if (a.top - b.top) * mult < slot * (b.j - a.j) * den
     ]
-
-
-def hull_edges(pts: Sequence[SupportPoint]) -> List[PolygonEdge]:
-    """All edges of the upper hull, with characteristic polynomials.
-
-    Points that lie on an edge line but are not vertices contribute their
-    leading coefficients to that edge's characteristic polynomial.
-    """
-    if len(pts) < 2:
-        return []
-    hull = upper_hull(pts)
-    den = pts[0].den
-    edges = []
-    for a, b in zip(hull, hull[1:]):
-        run, rise = b.j - a.j, a.top - b.top
-        coeffs = [ZERO] * (run + 1)
-        for p in pts:
-            # on the edge line: top_p = top_a - (rise/run) * (j_p - j_a)
-            if a.j <= p.j <= b.j and (a.top - p.top) * run == rise * (p.j - a.j):
-                coeffs[p.j - a.j] = p.lead
-        edges.append(
-            PolygonEdge(Fraction(rise, run * den), a.j, b.j, UniPoly.make(coeffs))
-        )
-    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +362,7 @@ def curve_branches(f: BiPoly, depth_k: int) -> List[ConcreteBranch]:
     if depth_k < 0:
         raise PreconditionFailed("depth must be non-negative")
     out: List[ConcreteBranch] = []
-    _expand_curve(f, 1, (), None, depth_k, out)
+    _expand_curve(f, 1, (), (1, 0), depth_k, out)
     total = len(out)
     if total != f.total_degree:
         raise EngineError(
@@ -402,7 +375,7 @@ def _expand_curve(
     f: BiPoly,
     mult: int,
     terms: Tuple[Tuple[int, Scalar], ...],
-    bound: Optional[Fraction],
+    bound: Tuple[int, int],
     depth_k: int,
     out: List[ConcreteBranch],
 ) -> None:
@@ -411,29 +384,32 @@ def _expand_curve(
     j0 = pts[0].j
     if j0 > 0:
         out.extend([ConcreteBranch(mult, terms, None)] * j0)
-    for edge in hull_edges(pts):
-        if bound is not None and edge.slope >= bound:
-            continue
+    for rise, run in hull_edges(pts, *bound):
         # 1 - e = (q - p)/q in lowest terms, for the slope e = p/q
-        p, q = edge.slope.numerator, edge.slope.denominator
+        g = math.gcd(rise, run)
+        p, q = rise // g, run // g
         m_next = math.lcm(mult, q)
         k_next = (q - p) * (m_next // q)
         # a list comprehension: a generator here raised peak RSS
         scaled = tuple([(k * (m_next // mult), c) for k, c in terms])
-        span = edge.j_hi - edge.j_lo
+        # s^j_lo times the edge's characteristic polynomial
+        lead, _ = envelope_lead(pts, rise, run)
+        span = lead.degree - lead.valuation()
         if k_next > depth_k:
             # the truncation index is the last one known, just above e
             out.extend([ConcreteBranch(m_next, scaled, k_next - 1)] * span)
             continue
-        roots = roots_in_field(edge.chi, "characteristic polynomial of an edge")
+        roots = roots_in_field(lead, "characteristic polynomial of an edge")
         produced = 0
         for c, root_mult in roots:
+            if c.is_zero():  # the factor s^j_lo
+                continue
             before = len(out)
             child = scaled + ((k_next, c),)
             if root_mult == 1:
                 _simple_tail(prefix_rows(f, prefix), m_next, child, depth_k, out)
             else:
-                _expand_curve(f, m_next, child, edge.slope, depth_k, out)
+                _expand_curve(f, m_next, child, (p, q), depth_k, out)
             got = len(out) - before
             if got != root_mult:
                 raise EngineError("edge multiplicity mismatch during expansion")
@@ -533,7 +509,7 @@ def _coord_events(g: BiPoly, prefix: Prefix, slot: int, mult: int) -> tuple:
     # only when some z-degree reaches above it at the slot
     top0 = pts[0].top * mult if pts[0].j == 0 else 0
     frozen = top0 > 0 and max(envelope_numerators(pts, slot, mult)) == top0
-    return _slopes_below(pts, slot, mult), zero, frozen, pts
+    return hull_edges(pts, slot, mult), zero, frozen, pts
 
 
 def next_event_exponent(f: MapPair, parent: ParamSeries, prefix: Prefix) -> tuple:
@@ -689,7 +665,7 @@ def associated_sequence(
         slopes = [
             Fraction(*e)
             for g in (f.p, f.q)
-            for e in _slopes_below(expansion_points(g, prefix), slot, w.mult)
+            for e in hull_edges(expansion_points(g, prefix), slot, w.mult)
         ]
         e_next = max(
             (x for x in (*slopes, *coeff_exps) if e_bot < x < e), default=e_bot
@@ -756,10 +732,7 @@ def _level_members(
     roots = roots_in_field(lead, "leading polynomial of a chain level")
     members = [r for r, mult in roots for _ in range(mult)]
     count = next((mult for r, mult in roots if r == c), 0)
-    coeffs = list(lead.monic().coeffs)
-    for _ in range(count):
-        # synthetic division by s - c, whose remainder coeffs[0] is zero
-        for k in range(len(coeffs) - 2, -1, -1):
-            coeffs[k] += c * coeffs[k + 1]
-        del coeffs[0]
-    return members, count, UniPoly.make(coeffs)
+    bar = lead.monic()
+    if count:
+        bar, _ = bar.divmod(UniPoly.make([-c, ONE]) ** count)
+    return members, count, bar

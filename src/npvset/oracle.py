@@ -67,8 +67,8 @@ def branch_limit_sample(
     target coordinate is large.  Convergence requires monotone decrease
     over the last three radii and a final error below the tolerance.
     """
-    if list(radii) != sorted(radii):
-        raise PreconditionFailed("radii must increase")
+    if not radii or list(radii) != sorted(radii):
+        raise PreconditionFailed("radii must be nonempty and increase")
     errors: List[float] = []
     for r in radii:
         pv, qv = _map_along_window(f, phi, c, r)

@@ -252,6 +252,8 @@ def parse_series(text: str) -> ParamSeries:
         raise ParseError("the parameter term must have coefficient one", 0)
     if any(e <= pe for e, _ in steps):
         raise ParseError("every fixed term must sit above the parameter term", 0)
+    if pe > 1 or any(e > 1 for e, _ in steps):
+        raise ParseError("series exponents must be at most 1", 0)
     return series_from_exponents(steps, pe)
 
 

@@ -15,7 +15,8 @@ pair off the support points; ``substitute`` and ``leading_data`` take the
 points from the curve's table (one prefix for both components), and the
 expansion tree hands ``window_lead`` the points it already read for a
 child's event exponent.  The same support points drive the Newton polygon
-steps of the expansion tree and of the curve branches.
+steps of the curve branches, the expansion tree and the chains, which all
+read the upper hull through ``expansion.hull_edges``.
 
 A concrete prefix, the fixed part of a window or of a curve branch, is a
 ``Prefix(mult, steps)`` in lowest terms: mult is the least common
@@ -29,18 +30,19 @@ returns as one (``param_exponent``, ``step_exponents``).
 The expansion kernel is one monomial shift: the rows of f(x, s + c*x^e + z)
 follow from those of f(x, s + z) by a Taylor shift in z, summed over the
 Gaussian integers with one denominator per row.  ``prefix_expansion``
-folds one shift per step from the nearest ancestor whose rows the curve
-has tabled (the empty prefix's rows are f's y-coefficients), tables the
-rows it reaches, and returns only the support points: for each z-degree j,
-the top x-exponent and its coefficient, with only that entry normalized.
-Package code reads the kernel through ``expansion_points``, which tables
-the points on the curve, with one exception: below a simple root the
-branch search (``expansion._expand_curve`` and ``_simple_tail``) takes the
-parent's rows from ``prefix_rows``, shifts them term by term with
-``shift``, reads each step's points with ``rows_points`` and tables
-nothing.  Each run parses a fresh map, so a (curve, prefix) pair is
-expanded once per run and no entry outlives the run.  Leading data
-substitutes the Jacobian only when a check first reads its lead.
+folds one shift per step from the nearest ancestor the curve has tabled
+(the empty prefix's rows are f's y-coefficients) and returns only the
+support points: for each z-degree j, the top x-exponent and its
+coefficient, with only that entry normalized.  A curve's one table,
+``BiPoly.table``, maps each prefix expanded on it to (rows, points).
+Package code reads the kernel through ``expansion_points``, which reads
+that table, with one exception: below a simple root the branch search
+(``expansion._expand_curve`` and ``_simple_tail``) takes the parent's rows
+from ``prefix_rows``, shifts them term by term with ``shift``, reads each
+step's points with ``rows_points`` and tables nothing.  Each run parses a
+fresh map, so a (curve, prefix) pair is expanded once per run and no entry
+outlives the run.  Leading data substitutes the Jacobian only when a check
+first reads its lead.
 """
 
 from __future__ import annotations
@@ -252,14 +254,8 @@ class SupportPoint(NamedTuple):
 
 def expansion_points(f: BiPoly, prefix: Prefix) -> Tuple[SupportPoint, ...]:
     """Support points of f around prefix, tabled on f for as long as it lives."""
-    try:
-        table = f.points
-    except AttributeError:
-        table = f.points = {}
-    pts = table.get(prefix)
-    if pts is None:
-        pts = table[prefix] = prefix_expansion(f, prefix)
-    return pts
+    hit = f.table.get(prefix)
+    return prefix_expansion(f, prefix) if hit is None else hit[1]
 
 
 def envelope_numerators(pts: Sequence[SupportPoint], a: int, b: int) -> List[int]:
@@ -289,13 +285,13 @@ def envelope_zero(pts: Sequence[SupportPoint]) -> Optional[Tuple[int, int]]:
     return None if first is None else (-first.top, first.j * first.den)
 
 
-def envelope_lead(pts: Sequence[SupportPoint], phi: ParamSeries) -> Tuple[UniPoly, int]:
-    """The envelope of pts at phi's parameter exponent: (lead, e) such that
-    lead(s) * x^(e/mult) leads f(x, phi(x, s)), for pts of f around phi's
-    fixed steps.  Their den divides mult, so each envelope numerator over
-    den*mult is den times an integer.
+def envelope_lead(pts: Sequence[SupportPoint], a: int, b: int) -> Tuple[UniPoly, int]:
+    """The envelope of pts at the exponent a/b (b > 0): (lead, e) such that
+    lead(s) * x^(e/b) leads f(x, prefix + s*x^(a/b)), for pts of f around
+    prefix; e is exact when den divides b.  At an edge's slope, lead is
+    s^j_lo times the edge's characteristic polynomial.
     """
-    nums = envelope_numerators(pts, phi.mult - phi.param_index, phi.mult)
+    nums = envelope_numerators(pts, a, b)
     top = max(nums)
     coeffs = [ZERO] * (pts[-1].j + 1)
     for p, num in zip(pts, nums):
@@ -309,7 +305,8 @@ def substitute(f: BiPoly, phi: ParamSeries) -> Tuple[UniPoly, int]:
     (lead, e) with f(x, phi(x, s)) = lead(s) * x^(e/mult) + lower terms."""
     if f.is_zero():
         raise PreconditionFailed("cannot expand the zero polynomial")
-    return envelope_lead(expansion_points(f, phi.fix_param(ZERO)), phi)
+    pts = expansion_points(f, phi.fix_param(ZERO))
+    return envelope_lead(pts, phi.mult - phi.param_index, phi.mult)
 
 
 def leading_data(f: MapPair, phi: ParamSeries) -> LeadingData:
@@ -329,7 +326,8 @@ def window_lead(
 ) -> LeadingData:
     """Leading data along phi from the support points of both components
     around phi's fixed steps; the Jacobian waits for its first read."""
-    p_lead, q_lead = envelope_lead(p_pts, phi), envelope_lead(q_pts, phi)
+    a, b = phi.mult - phi.param_index, phi.mult
+    p_lead, q_lead = envelope_lead(p_pts, a, b), envelope_lead(q_pts, a, b)
     lead = LeadingData(*p_lead, *q_lead, None, None, phi.mult)
     lead._source = (f.jac, phi)
     return lead
@@ -503,15 +501,15 @@ def prefix_rows(f: BiPoly, prefix: Prefix) -> Rows:
     dropped, a repeated k keeping its last nonzero coefficient), starting
     from the nearest ancestor whose rows are in f's table, or from f itself.
     """
-    table = getattr(f, "rows", {})
+    table = f.table
     if prefix in table:
-        return table[prefix]
+        return table[prefix][0]
     den = prefix.mult
     steps = sorted({k: c for k, c in prefix.steps if not c.is_zero()}.items())
     r, i = None, len(steps)  # the full prefix missed the table above
     while r is None and i > 0:
         i -= 1
-        r = table.get(Prefix.of(den, steps[:i]))
+        r, _ = table.get(Prefix.of(den, steps[:i]), (None, None))
     if r is None:
         r = _base_rows(f)
     for k, c in steps[i:]:
@@ -534,15 +532,12 @@ def prefix_expansion(f: BiPoly, prefix: Prefix) -> Tuple[SupportPoint, ...]:
     polygon steps and the envelopes.
 
     The rows come from ``prefix_rows``: one monomial shift per step below
-    the nearest ancestor in f's rows table, summed over the Gaussian
-    integers with one denominator per row.  They are tabled on f under
-    prefix, so a child prefix costs one shift; only the top entry of each
-    row is normalized.
+    the nearest ancestor in f's table, summed over the Gaussian integers
+    with one denominator per row.  The pair (rows, points) is tabled on f
+    under prefix, so a child prefix costs one shift; only the top entry of
+    each row is normalized.
     """
     r = prefix_rows(f, prefix)
-    try:
-        table = f.rows
-    except AttributeError:
-        table = f.rows = {}
-    table[prefix] = r
-    return rows_points(r)
+    pts = rows_points(r)
+    f.table[prefix] = (r, pts)
+    return pts

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
-from npvset.algebra import BiPoly, MapPair, Scalar, UniPoly, normalize_monic
+from npvset.algebra import ZERO, BiPoly, MapPair, Scalar, UniPoly, normalize_monic
+from npvset.expansion import upper_hull
 from npvset.parsing import parse_map
 from npvset.puiseux import Prefix
 
@@ -84,3 +86,39 @@ def as_prefix(terms) -> Prefix:
 def as_fractions(prefix: Prefix) -> list:
     """A Prefix back as the list of (x-exponent, coeff) pairs."""
     return [(1 - Fraction(k, prefix.mult), c) for k, c in prefix.steps]
+
+
+class PolygonEdge(NamedTuple):
+    """An edge of the upper Newton hull: slope and characteristic polynomial."""
+
+    slope: Fraction
+    j_lo: int
+    j_hi: int
+    chi: UniPoly  # coefficient of c^(j - j_lo) indexes the on-edge points
+
+
+def fraction_hull_edges(pts) -> list:
+    """All edges of the upper hull of integer support points, with Fraction
+    slopes and characteristic polynomials: the reference for the integer
+    slope pairs of ``expansion.hull_edges`` and the edge leads that
+    ``puiseux.envelope_lead`` reads at them.
+
+    Points that lie on an edge line but are not vertices contribute their
+    leading coefficients to that edge's characteristic polynomial.
+    """
+    if len(pts) < 2:
+        return []
+    hull = upper_hull(pts)
+    den = pts[0].den
+    edges = []
+    for a, b in zip(hull, hull[1:]):
+        run, rise = b.j - a.j, a.top - b.top
+        coeffs = [ZERO] * (run + 1)
+        for p in pts:
+            # on the edge line: top_p = top_a - (rise/run) * (j_p - j_a)
+            if a.j <= p.j <= b.j and (a.top - p.top) * run == rise * (p.j - a.j):
+                coeffs[p.j - a.j] = p.lead
+        edges.append(
+            PolygonEdge(Fraction(rise, run * den), a.j, b.j, UniPoly.make(coeffs))
+        )
+    return edges

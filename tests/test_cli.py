@@ -192,11 +192,14 @@ class TestExitCodes:
             ["--map", "x^" + "1" * 5000 + "+y; y", "valueset"],
             ["--map", "x+y; x*y+y^2", "classify", "--series", f"x^(1/{'1' * 5000}) + s"],
             ["--map", "100000^1024*x+y; y", "valueset"],
+            ["--map", "x+y; x*y+y^2", "classify", "--series", "s*x^2"],
+            ["--map", "x+y; x*y+y^2", "classify", "--series", "x^2 + s*x^(5/3)"],
         ],
         ids=[
             "superscript-digit", "zero-denominator", "series-zero-denominator",
             "deep-parentheses", "many-signs", "huge-numeral", "huge-exponent",
             "series-huge-denominator", "huge-constant-power",
+            "series-parameter-above-x", "series-step-above-x",
         ],
     )
     def test_malformed_text_is_an_input_error(self, args, capsys):

@@ -52,6 +52,12 @@ class TestBranchLimitSample:
         with pytest.raises(PreconditionFailed):
             branch_limit_sample(f, phi, sc(1), (0j, -1 + 0j), radii=(1e5, 1e3))
 
+    def test_radii_must_be_nonempty(self):
+        f = corpus_map("F2")
+        phi = series(1, [(0, sc(-1))], 2)
+        with pytest.raises(PreconditionFailed):
+            branch_limit_sample(f, phi, sc(1), (0j, -1 + 0j), radii=())
+
 
 class TestPropernessProbe:
     def test_proper_map_has_no_clusters(self):

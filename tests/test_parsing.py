@@ -140,6 +140,12 @@ class TestParseSeries:
         with pytest.raises(ParseError):
             parse_series("x + 1")
 
+    @pytest.mark.parametrize("text", ["s*x^2", "x^2 + s*x^(5/3)", "x^(3/2) + s"])
+    def test_exponents_above_one_are_parse_errors(self, text):
+        # a series at infinity has terms x^(1 - k/m) with k >= 0
+        with pytest.raises(ParseError, match="at most 1"):
+            parse_series(text)
+
 
 scalar_strategy = st.builds(
     lambda a, b, c: sc(Fraction(a, c), b),

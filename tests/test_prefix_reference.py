@@ -15,12 +15,14 @@ import pytest
 
 from npvset.algebra import ONE, ZERO, bipoly, normalize_monic
 from npvset.errors import EngineError, ExtensionRequired
-from npvset.expansion import all_roots, curve_branches, hull_edges
+from npvset.expansion import all_roots, curve_branches
 from npvset.parsing import parse_map, parse_poly
 from npvset.puiseux import ConcreteBranch, prefix_expansion
 from npvset.valueset import check_newton_factorization
 
-from conftest import CORPUS_TEXT, DEGREE12_TEXT, STRESS_TEXT, as_prefix, sc
+from conftest import (
+    CORPUS_TEXT, DEGREE12_TEXT, STRESS_TEXT, as_prefix, fraction_hull_edges, sc,
+)
 
 MAPS = {**CORPUS_TEXT, **STRESS_TEXT}
 
@@ -61,7 +63,7 @@ def ref_expand_curve(f, prefix, bound, depth_k, out):
         exact = ref_branch_from_prefix(prefix, None)
         out.extend([exact] * j0)
     cur_mult = ref_prefix_mult(prefix)
-    for edge in hull_edges(pts):
+    for edge in fraction_hull_edges(pts):
         if bound is not None and edge.slope >= bound:
             continue
         e = edge.slope

@@ -15,7 +15,7 @@ import npvset.puiseux as puiseux_mod
 from npvset.algebra import ONE, ZERO, BiPoly, Scalar, UniPoly, bipoly, normalize_monic
 from npvset.classify import classify
 from npvset.errors import PreconditionFailed
-from npvset.expansion import Caps, PolygonEdge, expansion_tree, hull_edges, upper_hull
+from npvset.expansion import Caps, expansion_tree, hull_edges, upper_hull
 from npvset.parsing import format_scalar_factor, parse_map
 from npvset.puiseux import (
     ConcreteBranch,
@@ -24,6 +24,7 @@ from npvset.puiseux import (
     Prefix,
     ROOT_WINDOW,
     SupportPoint,
+    envelope_lead,
     envelope_zero,
     expansion_points,
     is_refinement,
@@ -34,7 +35,9 @@ from npvset.puiseux import (
     substitute,
 )
 
-from conftest import M9_TEXT, STRESS_TEXT, as_fractions, as_prefix, sc
+from conftest import (
+    M9_TEXT, STRESS_TEXT, PolygonEdge, as_fractions, as_prefix, fraction_hull_edges, sc,
+)
 
 X_PLUS_Y = bipoly({(1, 0): 1, (0, 1): 1})
 XY_PLUS_Y2 = bipoly({(1, 1): 1, (0, 2): 1})
@@ -327,7 +330,16 @@ def assert_matches_reference(f, prefix, exponents=()):
     zeros = ref_envelope_zeros(rpts)
     assert len(zeros) <= 1 and as_fraction(envelope_zero(pts)) == next(iter(zeros), None)
     edges = ref_hull_edges(rpts)
-    assert hull_edges(pts) == edges
+    assert fraction_hull_edges(pts) == edges
+    # each integer slope pair, with the edge lead read at it, is that edge
+    pairs = hull_edges(pts, 1, 0)
+    assert len(pairs) == len(edges)
+    for (rise, run), edge in zip(pairs, edges):
+        lead, _ = envelope_lead(pts, rise, run)
+        low = lead.valuation()
+        assert Fraction(rise, run) == edge.slope
+        assert (low, lead.degree) == (edge.j_lo, edge.j_hi)
+        assert UniPoly.make(lead.coeffs[low:]) == edge.chi
     for e in (*exponents, *(ed.slope for ed in edges)):
         # substitute reads the envelope at e through a window over the prefix
         lead, top = ref_envelope_lead(rpts, e)
