@@ -3,15 +3,17 @@
 Everything downstream works over Q(i): a scalar is an integer triple
 (a, b, d) standing for (a + b*i)/d in lowest terms, univariate polynomials
 are dense coefficient tuples, bivariate polynomials are sparse exponent
-maps.  All operations are exact; no floating point enters this module
-except in the explicit conversions to ``complex``.
+maps to Gaussian-integer numerators (re, im) over one denominator den > 0
+with gcd(den, every part) == 1, as ``puiseux.Rows`` holds rows.  All
+operations are exact; no floating point enters this module except in the
+explicit conversions to ``complex``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import PreconditionFailed
 
@@ -410,12 +412,23 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 class BiPoly:
-    """Sparse polynomial in (x, y) over Q(i); keys are (deg_x, deg_y)."""
+    """Sparse polynomial in (x, y) over Q(i); keys are (deg_x, deg_y).
 
-    __slots__ = ("terms", "table")
+    Held as Gaussian-integer numerators over one denominator, the format of
+    ``puiseux.Rows``: ``nums`` maps a key to (re, im), the coefficient
+    (re + im*i)/den, with no zero entry; den > 0 and gcd(den, every part)
+    == 1, so equal polynomials have equal (den, nums).  The arithmetic runs
+    on ints; ``terms`` is a read-only view as Scalars.
+    """
+
+    __slots__ = ("nums", "den", "table")
 
     def __init__(self, terms: Mapping[tuple, Scalar]):
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
+        # the lcm of reduced denominators leaves gcd(den, every part) == 1
+        den = self.den = math.lcm(*[c.d for c in terms.values()])
+        self.nums = {
+            k: (c.a * (den // c.d), c.b * (den // c.d)) for k, c in terms.items() if c.a or c.b
+        }
         self.table = {}  # prefix -> (rows, points), filled by puiseux
 
     @staticmethod
@@ -427,72 +440,67 @@ class BiPoly:
         return BiPoly({(0, 0): s})
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, BiPoly) and self.terms == other.terms
+        return isinstance(other, BiPoly) and (self.den, self.nums) == (other.den, other.nums)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.nums.items())))
+
+    @property
+    def terms(self) -> Dict[tuple, Scalar]:
+        """The coefficients as Scalars, built afresh on each read."""
+        return {k: _reduced(re, im, self.den) for k, (re, im) in self.nums.items()}
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return all(k == (0, 0) for k in self.terms)
+        return all(k == (0, 0) for k in self.nums)
 
     @property
     def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(i + j for (i, j) in self.terms)
+        return max((i + j for i, j in self.nums), default=-1)
 
     @property
     def deg_y(self) -> int:
-        if not self.terms:
-            return -1
-        return max(j for (_, j) in self.terms)
+        return max((j for _, j in self.nums), default=-1)
 
     def coeff(self, i: int, j: int) -> Scalar:
-        return self.terms.get((i, j), ZERO)
+        re, im = self.nums.get((i, j), (0, 0))
+        return _reduced(re, im, self.den)
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, ZERO) + v
-        return BiPoly(out)
+        den = math.lcm(self.den, other.den)
+        u, v = den // self.den, den // other.den
+        out = {k: (re * u, im * u) for k, (re, im) in self.nums.items()}
+        get = out.get
+        for k, (re, im) in other.nums.items():
+            a = get(k, (0, 0))
+            out[k] = (a[0] + re * v, a[1] + im * v)
+        return _from_nums(out, den)
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, ZERO) - v
-        return BiPoly(out)
+        return self + -other
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly({k: -v for k, v in self.terms.items()})
+        return _from_nums({k: (-re, -im) for k, (re, im) in self.nums.items()}, self.den)
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         out: dict = {}
-        for (ia, ja), ca in self.terms.items():
-            for (ib, jb), cb in other.terms.items():
+        get = out.get
+        for (ia, ja), (ar, ai) in self.nums.items():
+            for (ib, jb), (br, bi) in other.nums.items():
                 k = (ia + ib, ja + jb)
-                out[k] = out.get(k, ZERO) + ca * cb
-        return BiPoly(out)
+                a = get(k, (0, 0))
+                out[k] = (a[0] + ar * br - ai * bi, a[1] + ar * bi + ai * br)
+        return _from_nums(out, self.den * other.den)
 
     def scale(self, s: Scalar) -> "BiPoly":
-        return BiPoly({k: v * s for k, v in self.terms.items()})
+        return self * BiPoly.const(s)
 
     def __pow__(self, n: int) -> "BiPoly":
         if n < 0:
             raise ValueError("negative polynomial power")
         return _power(self, n, BiPoly.const(ONE))
-
-    def diff_x(self) -> "BiPoly":
-        return BiPoly(
-            {(i - 1, j): c * Scalar.of(i) for (i, j), c in self.terms.items() if i}
-        )
-
-    def diff_y(self) -> "BiPoly":
-        return BiPoly(
-            {(i, j - 1): c * Scalar.of(j) for (i, j), c in self.terms.items() if j}
-        )
 
     def evaluate(self, xs: Scalar, ys: Scalar) -> Scalar:
         acc = ZERO
@@ -501,9 +509,10 @@ class BiPoly:
         return acc
 
     def evaluate_complex(self, xv: complex, yv: complex) -> complex:
-        acc = 0j
-        for (i, j), c in self.terms.items():
-            acc += c.to_complex() * (xv ** i) * (yv ** j)
+        acc, den = 0j, self.den
+        for (i, j), (re, im) in self.nums.items():
+            # int / int rounds the exact quotient, as Scalar.to_complex does
+            acc += complex(re / den, im / den) * (xv ** i) * (yv ** j)
         return acc
 
     def shear(self, t: int) -> "BiPoly":
@@ -511,24 +520,20 @@ class BiPoly:
         if t == 0:
             return self
         out: dict = {}
-        ts = Scalar.of(t)
-        for (i, j), c in self.terms.items():
+        get = out.get
+        for (i, j), (re, im) in self.nums.items():
             # (x + t y)^i expanded by binomials
             for r in range(i + 1):
-                k = (r, j + i - r)
-                coeff = c * Scalar.of(math.comb(i, r)) * ts ** (i - r)
-                out[k] = out.get(k, ZERO) + coeff
-        return BiPoly(out)
+                w, k = math.comb(i, r) * t ** (i - r), (r, j + i - r)
+                a = get(k, (0, 0))
+                out[k] = (a[0] + re * w, a[1] + im * w)
+        return _from_nums(out, self.den)
 
     def top_form_value(self, t: int) -> Scalar:
         """Value of the top-degree form at (x, y) = (t, 1)."""
         d = self.total_degree
-        acc = ZERO
-        ts = Scalar.of(t)
-        for (i, j), c in self.terms.items():
-            if i + j == d:
-                acc = acc + c * ts ** i
-        return acc
+        top = [(re * t ** i, im * t ** i) for (i, j), (re, im) in self.nums.items() if i + j == d]
+        return _reduced(sum([re for re, _ in top]), sum([im for _, im in top]), self.den)
 
     def sorted_terms(self) -> list:
         """Terms in canonical display order: total degree, then x-degree, descending."""
@@ -542,6 +547,23 @@ class BiPoly:
         return f"BiPoly({format_poly(self)})"
 
 
+def _from_nums(nums: dict, den: int) -> BiPoly:
+    """The BiPoly of nums over den > 0, with zero entries dropped and the
+    common factor of den and every part divided out."""
+    nums = {k: v for k, v in nums.items() if v[0] or v[1]}
+    g = den
+    for re, im in nums.values():
+        if g == 1:
+            break
+        g = math.gcd(g, re, im)
+    if g != 1:
+        den //= g
+        nums = {k: (re // g, im // g) for k, (re, im) in nums.items()}
+    b = _new(BiPoly)
+    b.nums, b.den, b.table = nums, den, {}
+    return b
+
+
 def bipoly(entries: Mapping[tuple, RatInput | Scalar]) -> BiPoly:
     """Build a BiPoly from {(deg_x, deg_y): coefficient} with plain numbers allowed."""
     out = {}
@@ -551,8 +573,19 @@ def bipoly(entries: Mapping[tuple, RatInput | Scalar]) -> BiPoly:
 
 
 def jacobian(p: BiPoly, q: BiPoly) -> BiPoly:
-    """Jacobian determinant p_x q_y - p_y q_x of the pair (p, q)."""
-    return p.diff_x() * q.diff_y() - p.diff_y() * q.diff_x()
+    """Jacobian determinant p_x q_y - p_y q_x of the pair (p, q): terms
+    a*x^ia*y^ja of p and b*x^ib*y^jb of q add (ia*jb - ja*ib)*a*b to
+    x^(ia+ib-1)*y^(ja+jb-1)."""
+    out: dict = {}
+    get = out.get
+    for (ia, ja), (ar, ai) in p.nums.items():
+        for (ib, jb), (br, bi) in q.nums.items():
+            w = ia * jb - ja * ib
+            if w:
+                k = (ia + ib - 1, ja + jb - 1)
+                a = get(k, (0, 0))
+                out[k] = (a[0] + (ar * br - ai * bi) * w, a[1] + (ar * bi + ai * br) * w)
+    return _from_nums(out, p.den * q.den)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ Three related computations live here:
   the roots of each lead, stopping at the exponents where a leading
   polynomial changes shape or a leading exponent crosses zero.  Each child's
   fixed steps are expanded once, and the same support points give its
-  event exponent, as an integer pair, and its leading data.
+  event exponent, as an integer pair, and its leading data.  For real P
+  and Q, f(x, conj phi) = conj f(x, phi) term by term, so below a window
+  with real steps each nonreal direction's subtree is derived from its
+  conjugate's: the same exponents and statuses, conjugate leads and roots.
 * ``associated_sequence`` / ``root_index_data`` read the maximal chain of
   windows between two series off the Newton polygons along the finer one,
   and the roots tracking each level off that level's two leads, with no
@@ -555,11 +558,16 @@ def expansion_tree(f: MapPair, caps: Caps = Caps()) -> ExpansionNode:
     """
     root_lead = leading_data(f, ROOT_WINDOW)
     root = ExpansionNode(ROOT_WINDOW, root_lead, None, STATUS_OPEN)
-    _expand_node(f, root, caps, depth=0)
+    _expand_node(f, root, caps, 0, _real_map(f))
     return root
 
 
-def _expand_node(f: MapPair, node: ExpansionNode, caps: Caps, depth: int) -> None:
+def _real_map(f: MapPair) -> bool:
+    """Whether P and Q have real coefficients, read off their numerators."""
+    return not any(im for g in (f.p, f.q) for _, im in g.nums.values())
+
+
+def _expand_node(f: MapPair, node: ExpansionNode, caps: Caps, depth: int, real: bool) -> None:
     if is_dicritical(node.lead):
         node.status = STATUS_DICRITICAL
         return
@@ -577,7 +585,14 @@ def _expand_node(f: MapPair, node: ExpansionNode, caps: Caps, depth: int) -> Non
     cands = {r for r, _ in p_roots} | {r for r, _ in q_roots} | {ZERO}
     # zero is always a candidate, so every node expanded here gets a child
     parent = node.series
+    # real f along real steps has real leads: their nonreal roots pair up,
+    # and the one with positive imaginary part sorts after its conjugate
+    mirror = real and all(not c.b for _, c in parent.steps)
+    built: Dict[Scalar, ExpansionNode] = {}
     for c in sorted(cands, key=lambda s: s.sort_key()):
+        if mirror and c.b > 0:
+            node.children.append(_conjugate_subtree(f, built[_conj(c)]))
+            continue
         e_next, p_pts, q_pts = next_event_exponent(f, parent, parent.fix_param(c))
         synthetic = e_next is None
         if synthetic:  # one below the parent's exponent
@@ -591,8 +606,31 @@ def _expand_node(f: MapPair, node: ExpansionNode, caps: Caps, depth: int) -> Non
         elif synthetic:
             child.status = STATUS_DEAD
         else:
-            _expand_node(f, child, caps, depth + 1)
+            _expand_node(f, child, caps, depth + 1, real)
         node.children.append(child)
+        built[c] = child
+
+
+def _conj(c: Scalar) -> Scalar:
+    return _reduced(c.a, -c.b, c.d)
+
+
+def _conjugate_subtree(f: MapPair, node: ExpansionNode) -> ExpansionNode:
+    """The subtree of real f at the conjugate of node's window, derived as
+    the module docstring says.  No curve table is touched; the Jacobian
+    lead waits for its first read, as ``window_lead`` leaves it."""
+    phi, lead = node.series, node.lead
+    series = ParamSeries(phi.mult, tuple([(k, _conj(c)) for k, c in phi.steps]), phi.param_index)
+    p_lead, q_lead = [UniPoly(tuple(map(_conj, g.coeffs))) for g in (lead.p_lead, lead.q_lead)]
+    mirrored = LeadingData(p_lead, lead.p_exp, q_lead, lead.q_exp, None, None, lead.mult)
+    mirrored._source = (f.jac, series)
+    note = node.note
+    if node.status == STATUS_EXTENSION:  # a leaf noting the unsplit remainder
+        note = str(all_roots(p_lead)[1] * all_roots(q_lead)[1])
+    # conjugation reverses the order of imaginary parts
+    children = [_conjugate_subtree(f, ch) for ch in node.children]
+    children.sort(key=lambda ch: ch.chosen_c.sort_key())
+    return ExpansionNode(series, mirrored, _conj(node.chosen_c), node.status, children, note)
 
 
 # ---------------------------------------------------------------------------

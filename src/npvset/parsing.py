@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Tuple, Union
 
-from .algebra import BiPoly, ONE, Scalar, UniPoly, join_terms, rational_text
+from .algebra import BiPoly, ONE, Scalar, UniPoly, _from_nums, join_terms, rational_text
 from .errors import ParseError
 from .puiseux import ConcreteBranch, ParamSeries, series_from_exponents
 
@@ -139,7 +139,9 @@ class _Parser:
                 raise ParseError("division by zero", tok.pos)
             else:
                 value = value.scale(rhs.coeff(0, 0).inverse())
-            if any(max(abs(c.a), abs(c.b), c.d) >= _HUGE for c in value.terms.values()):
+            # each coefficient in lowest terms; their common denominator may be larger
+            den, nums = value.den, value.nums.values()
+            if any(max(abs(a), abs(b), den) // math.gcd(a, b, den) >= _HUGE for a, b in nums):
                 raise ParseError(_HUGE_MSG, tok.pos)
         return value
 
@@ -154,12 +156,12 @@ class _Parser:
         if expo > MAX_EXPONENT or expo * base.total_degree > MAX_DEGREE:
             msg = f"power of degree above {MAX_DEGREE} or exponent above {MAX_EXPONENT}"
             raise ParseError(msg, tok.pos)
-        if len(base.terms) == 1:
-            ((xe, yd), coeff), = base.terms.items()
-            if xe and not yd and coeff == ONE:
+        if len(base.nums) == 1 and base.den == 1:
+            ((xe, yd), xy), = base.nums.items()
+            if xe and not yd and xy == (1, 0):
                 if type(expo) is Fraction and self.second != "s":
                     raise ParseError("fractional exponents are not allowed here", tok.pos)
-                return BiPoly({(xe * expo, 0): ONE})
+                return _from_nums({(xe * expo, 0): xy}, 1)
         if type(expo) is Fraction or expo < 0:
             msg = "only plain x may carry a fractional or negative power"
             raise ParseError(msg, tok.pos)
@@ -190,14 +192,14 @@ class _Parser:
     def parse_atom(self) -> BiPoly:
         tok = self.take()
         if tok.kind == "num":
-            return BiPoly.const(Scalar.of(int(tok.text)))
+            return _from_nums({(0, 0): (int(tok.text), 0)}, 1)
         if tok.kind == "name":
             if tok.text == "x":
-                return BiPoly({(1, 0): ONE})
+                return _from_nums({(1, 0): (1, 0)}, 1)
             if tok.text == self.second:
-                return BiPoly({(0, 1): ONE})
+                return _from_nums({(0, 1): (1, 0)}, 1)
             if tok.text == "i":
-                return BiPoly.const(Scalar.of(0, 1))
+                return _from_nums({(0, 0): (0, 1)}, 1)
             if tok.text in _WRONG_SYMBOL:
                 raise ParseError(_WRONG_SYMBOL[tok.text], tok.pos)
             raise ParseError(f"unknown identifier {tok.text!r}", tok.pos)
@@ -211,10 +213,8 @@ class _Parser:
 def _power_digits(base: BiPoly) -> float:
     """Digits per unit of n bounding the coefficient integers of base^n: with
     base = N/D, N in Z[i][x, y], they are at most (sum |N_k|)^n and D^n."""
-    cs = base.terms.values()
-    den = math.lcm(*(c.d for c in cs))
-    top = max(((c.a * c.a + c.b * c.b) * (den // c.d) ** 2 for c in cs), default=0)
-    return max(math.log10(len(cs) ** 2 * top or 1) / 2, math.log10(den))
+    top = max((re * re + im * im for re, im in base.nums.values()), default=0)
+    return max(math.log10(len(base.nums) ** 2 * top or 1) / 2, math.log10(base.den))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,7 @@ def _power_digits(base: BiPoly) -> float:
 def parse_poly(text: str) -> BiPoly:
     """Exact bivariate polynomial from text in x, y."""
     poly = _Parser(text, "y").parse()
-    if any(xe < 0 for xe, _ in poly.terms):
+    if any(xe < 0 for xe, _ in poly.nums):
         raise ParseError("polynomial exponents must be non-negative integers", 0)
     return poly
 

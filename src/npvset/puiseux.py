@@ -415,12 +415,12 @@ class Rows(NamedTuple):
 
 
 def _base_rows(f: BiPoly) -> Rows:
-    """The rows of the empty prefix: f's y-coefficients over one denominator."""
-    fden = math.lcm(*[c.d for c in f.terms.values()])
+    """The rows of the empty prefix: f's y-coefficients, which f already
+    holds as Gaussian-integer numerators over one denominator."""
     rows: List[Dict[int, Tuple[int, int]]] = [{} for _ in range(f.deg_y + 1)]
-    for (dx, dy), c in f.terms.items():
-        rows[dy][dx] = (c.a * (fden // c.d), c.b * (fden // c.d))
-    return Rows(1, 1, fden, tuple(rows))
+    for (dx, dy), xy in f.nums.items():
+        rows[dy][dx] = xy
+    return Rows(1, 1, f.den, tuple(rows))
 
 
 def _regrid(r: Rows, mult: int) -> Tuple[Dict[int, Tuple[int, int]], ...]:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import BiPoly, MapPair, ONE, Scalar, UniPoly, ZERO, poly_gcd, rational_text
+from .algebra import _from_nums
 from .classify import delta, is_dicritical
 from .errors import ExtensionRequired, NotARefinement, PreconditionFailed
 from .expansion import (
@@ -570,28 +571,34 @@ def check_newton_factorization(
 
     Both sides are compared in (t, y) with x = t^m, m the lcm of the branch
     multiplicities.  t-exponents can be negative: that is safe because the
-    BiPolys here are only multiplied and read (``*``, ``coeff``, ``terms``).
+    BiPolys here are only multiplied and read.  With r factors left, a
+    term t^a*y^j of the partial product reaches only monomials with
+    a' + j'*m <= a + (j + r)*m, so the terms that can reach no compared
+    monomial are dropped after each factor.
     """
     d = curve.total_degree
     m = math.lcm(*(br.mult for br in branches))
-    target = BiPoly({(i * m, j): c for (i, j), c in curve.terms.items()})
+    target = _from_nums({(i * m, j): xy for (i, j), xy in curve.nums.items()}, curve.den)
+    ends = [m - b.truncation_k * (m // b.mult) for b in branches if b.truncation_k is not None]
+    tau = max(ends) if ends else None  # truncation exponent, in t-exponent units
     prod = BiPoly.const(curve.coeff(0, d))
-    tau: Optional[int] = None  # truncation exponent, in t-exponent units
-    for br in branches:
+    for i, br in enumerate(branches):
         s = m // br.mult
         factor = {(0, 1): ONE}
         for k, c in br.terms:
             factor[(m - k * s, 0)] = -c
-        if br.truncation_k is not None:
-            t = m - br.truncation_k * s
-            tau = t if tau is None else max(tau, t)
         prod = prod * BiPoly(factor)
+        if tau is not None:
+            cut = tau + (d - len(branches) + i) * m  # r = len(branches) - 1 - i
+            kept = {(a, j): xy for (a, j), xy in prod.nums.items() if a + j * m > cut}
+            prod = _from_nums(kept, prod.den)
     items = []
     for poly, other in ((prod, target), (target, prod)):
-        for (a, j), coeff in sorted(poly.terms.items()):
+        for (a, j), (re, im) in sorted(poly.nums.items()):
             if tau is not None and a <= tau + (d - 1 - j) * m:
                 continue
-            ok = coeff == other.coeff(a, j)
+            o_re, o_im = other.nums.get((a, j), (0, 0))
+            ok = re * other.den == o_re * poly.den and im * other.den == o_im * poly.den
             items.append({"monomial": f"x^{rational_text(a, m)}*y^{j}", "ok": ok})
     exponent = None if tau is None else rational_text(tau, m)
     data = {"exact": tau is None, "truncation_exponent": exponent}

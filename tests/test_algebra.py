@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npvset.algebra import (
+    ONE,
+    ZERO,
     BiPoly,
     Scalar,
     UniPoly,
@@ -231,6 +233,146 @@ class TestBiPolyProperties:
     @given(small_bipoly(), small_bipoly(), small_bipoly())
     def test_jacobian_bilinear(self, p, q, r):
         assert jacobian(p + r, q) == jacobian(p, q) + jacobian(r, q)
+
+
+# The Scalar-dict BiPoly operations that the integer numerators replaced,
+# kept as written except that each returns a dict with zeros dropped.
+
+
+def ref_clean(terms):
+    return {k: v for k, v in terms.items() if not v.is_zero()}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, ZERO) + v
+    return ref_clean(out)
+
+
+def ref_sub(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, ZERO) - v
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for (ia, ja), ca in a.items():
+        for (ib, jb), cb in b.items():
+            k = (ia + ib, ja + jb)
+            out[k] = out.get(k, ZERO) + ca * cb
+    return ref_clean(out)
+
+
+def ref_scale(a, s):
+    return ref_clean({k: v * s for k, v in a.items()})
+
+
+def ref_pow(a, n):
+    out = {(0, 0): ONE}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_diff_x(a):
+    return ref_clean({(i - 1, j): c * Scalar.of(i) for (i, j), c in a.items() if i})
+
+
+def ref_diff_y(a):
+    return ref_clean({(i, j - 1): c * Scalar.of(j) for (i, j), c in a.items() if j})
+
+
+def ref_jacobian(p, q):
+    return ref_sub(
+        ref_mul(ref_diff_x(p), ref_diff_y(q)), ref_mul(ref_diff_y(p), ref_diff_x(q))
+    )
+
+
+def ref_shear(a, t):
+    if t == 0:
+        return a
+    out = {}
+    ts = Scalar.of(t)
+    for (i, j), c in a.items():
+        for r in range(i + 1):
+            k = (r, j + i - r)
+            coeff = c * Scalar.of(math.comb(i, r)) * ts ** (i - r)
+            out[k] = out.get(k, ZERO) + coeff
+    return ref_clean(out)
+
+
+def ref_top_form_value(a, t):
+    d = max((i + j for (i, j) in a), default=-1)
+    acc = ZERO
+    ts = Scalar.of(t)
+    for (i, j), c in a.items():
+        if i + j == d:
+            acc = acc + c * ts ** i
+    return acc
+
+
+gaussian_rationals = st.builds(
+    Scalar, st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 12)
+)
+gaussian_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), gaussian_rationals, max_size=5
+)
+
+
+def same_as_reference(p: BiPoly, terms: dict) -> bool:
+    """p has the reference's value and keeps the numerator invariant."""
+    parts = [x for xy in p.nums.values() for x in xy]
+    return (
+        p.terms == terms
+        and p.den > 0
+        and all(xy != (0, 0) for xy in p.nums.values())
+        and math.gcd(p.den, *parts) == 1
+    )
+
+
+class TestBiPolyAgainstReference:
+    @settings(max_examples=150)
+    @given(
+        gaussian_terms, gaussian_terms, gaussian_rationals, st.integers(0, 3), st.integers(-3, 3)
+    )
+    def test_operations(self, u, v, s, n, t):
+        a, b = BiPoly(u), BiPoly(v)
+        ru, rv = ref_clean(u), ref_clean(v)
+        assert same_as_reference(a, ru)
+        assert same_as_reference(a + b, ref_add(ru, rv))
+        assert same_as_reference(a - b, ref_sub(ru, rv))
+        assert same_as_reference(-a, ref_scale(ru, -ONE))
+        assert same_as_reference(a * b, ref_mul(ru, rv))
+        assert same_as_reference(a.scale(s), ref_scale(ru, s))
+        assert same_as_reference(a ** n, ref_pow(ru, n))
+        assert same_as_reference(a.shear(t), ref_shear(ru, t))
+        assert same_as_reference(jacobian(a, b), ref_jacobian(ru, rv))
+        assert a.top_form_value(t) == ref_top_form_value(ru, t)
+        for i in range(5):
+            for j in range(5):
+                assert a.coeff(i, j) == ru.get((i, j), ZERO)
+
+    @settings(max_examples=150)
+    @given(gaussian_terms, gaussian_terms, st.integers(1, 30))
+    def test_equal_values_are_equal_and_hash_alike(self, u, v, k):
+        a, b = BiPoly(u), BiPoly(v)
+        assert (a == b) == (ref_clean(u) == ref_clean(v))
+        kk = Scalar.of(k)
+        same = [
+            (a + b) - b,
+            a * BiPoly.const(ONE),
+            -(-a),
+            a.scale(kk).scale(kk.inverse()),
+            a.shear(k).shear(-k),
+            BiPoly(a.terms),
+            bipoly(ref_clean(u)),
+        ]
+        for w in same:
+            assert w == a and hash(w) == hash(a)
+        assert a - a == BiPoly.zero() and hash(a - a) == hash(BiPoly.zero())
 
 
 class TestJacobian:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import npvset.expansion as expansion_mod
 import npvset.puiseux as puiseux_mod
 from npvset.algebra import ONE, BiPoly, Scalar, UniPoly, bipoly, normalize_monic
+from npvset.cli import config_from_args, render, run
 from npvset.errors import ExtensionRequired, PreconditionFailed, VerificationFailure
 from npvset.expansion import (
     Caps,
@@ -32,7 +33,7 @@ from npvset.puiseux import (
     substitute,
 )
 
-from conftest import CORPUS_TEXT, DEGREE12_TEXT, corpus_map, sc
+from conftest import CORPUS_TEXT, DEGREE12_TEXT, M9_TEXT, corpus_map, sc
 
 STRESS_TEXT = {
     "M4": "x+y^3+x*y^2; x*y+y^4",
@@ -170,7 +171,10 @@ class TestRootsPerLead:
         ROOT_WINDOW.fix_param(sc(0))
         monkeypatch.undo()
         assert nodes == 77
-        assert counts == {"Fraction": 1, "UniPoly.__mul__": 1, "fix_param": nodes + 1}
+        # R1's two nodes under the direction i are derived from those under
+        # -i and build no prefix; each computed node builds one
+        computed = nodes - 2
+        assert counts == {"Fraction": 1, "UniPoly.__mul__": 1, "fix_param": computed + 1}
 
 
 class TestCurveBranches:
@@ -417,7 +421,9 @@ class TestExpansionTree:
         mults = {n.series.mult for n in dic}
         assert mults == {2}
 
-    @pytest.mark.parametrize("text", [*CORPUS_TEXT.values(), *STRESS_TEXT.values()])
+    @pytest.mark.parametrize(
+        "text", [*CORPUS_TEXT.values(), *STRESS_TEXT.values(), M9_TEXT, DEGREE12_TEXT["D12"]]
+    )
     def test_node_leads_match_leading_data(self, text):
         # children read their P and Q leads off the expansions that chose
         # their exponent, and the Jacobian lead on first use; both must
@@ -435,6 +441,85 @@ class TestExpansionTree:
         dic = [n for n in tree.walk() if n.status == "dicritical"]
         assert len(dic) == 1
         assert dic[0].series == series(1, [(0, sc(0, 1))], 2)  # i*x + s/x
+
+
+# real maps: a derived subtree that ends in a lead that does not split, and
+# one where conjugation reverses the order of two children (0 and 3/8*i)
+UNSPLIT_DERIVED = "(x*y^2+x)^2+y; x*y^3+y"
+REORDERED_DERIVED = "2*x*y^3+3*x^2*y^2-2*y; -x*y^4+2*x^3*y^4-2*x^2-2"
+
+
+class TestConjugateSubtrees:
+    REAL = {
+        **{name: text for name, text in CORPUS_TEXT.items() if name not in ("R4", "R6")},
+        **STRESS_TEXT,
+        "M9": M9_TEXT,
+        **DEGREE12_TEXT,
+        "unsplit": UNSPLIT_DERIVED,
+        "reordered": REORDERED_DERIVED,
+    }
+    COMMANDS = (
+        ["tree"],
+        ["tree", "--max-depth", "2"],
+        ["tree", "--max-mult", "2"],
+        ["valueset"],
+        ["verify"],
+    )
+
+    def reports(self) -> dict:
+        out = {}
+        for name, text in self.REAL.items():
+            for command in self.COMMANDS:
+                config = config_from_args([f"--map={text}", *command, "--format", "json"])
+                code, report = run(config)
+                out[(name, *command)] = (code, render(report, "json"))
+        return out
+
+    def test_only_maps_with_nonreal_coefficients_expand_every_window(self):
+        nonreal = [name for name in CORPUS_TEXT if not expansion_mod._real_map(corpus_map(name))]
+        assert nonreal == ["R4", "R6"]
+        assert all(
+            expansion_mod._real_map(normalize_monic(*parse_map(text)))
+            for text in self.REAL.values()
+        )
+
+    def test_derived_subtrees_match_expanded_ones(self, monkeypatch):
+        statuses = []
+        inner = expansion_mod._conjugate_subtree
+
+        def derive(f, node):
+            statuses.append(node.status)
+            return inner(f, node)
+
+        monkeypatch.setattr(expansion_mod, "_conjugate_subtree", derive)
+        derived = self.reports()
+        count = len(statuses)
+        monkeypatch.setattr(expansion_mod, "_real_map", lambda f: False)
+        expanded = self.reports()
+        assert len(statuses) == count  # nothing is derived for a nonreal map
+        assert derived == expanded
+        # the derived nodes reach every status a node can end in
+        assert set(statuses) == {
+            "open", "dead", "dicritical", "depth_capped", "extension_required",
+        }
+
+    def test_m9_derives_the_subtrees_under_i(self, monkeypatch):
+        # the windows i + s/x and i*x^(-1/2) + s/x and their children
+        # mirror those under -i; every other child reads its event exponent
+        f = normalize_monic(*parse_map(M9_TEXT))
+        calls = {"_conjugate_subtree": 0, "next_event_exponent": 0}
+        for name in calls:
+            inner = getattr(expansion_mod, name)
+
+            def counted(*args, name=name, inner=inner):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(expansion_mod, name, counted)
+        tree = expansion_tree(f, Caps())
+        mirrored = [n for n in tree.walk() if any(c.im > 0 for _, c in n.series.steps)]
+        assert len(list(tree.walk())) == 24 and len(mirrored) == 5
+        assert calls == {"_conjugate_subtree": 5, "next_event_exponent": 24 - 1 - 5}
 
 
 class TestAssociatedSequence:

@@ -113,6 +113,15 @@ class TestParsePoly:
         )
         assert parse_poly("9^1024") == bipoly({(0, 0): 9**1024})  # 977 digits
 
+    def test_digit_bound_reads_each_reduced_coefficient(self):
+        # p and q are coprime: each coefficient has a 601-digit denominator,
+        # their common denominator has 1201 digits
+        p, q = 10**600 + 1, 10**600 + 3
+        poly = parse_poly(f"(1/{p} + x/{q})*y")
+        assert poly.coeff(0, 1) == sc(Fraction(1, p))
+        assert poly.coeff(1, 1) == sc(Fraction(1, q))
+        assert parse_poly(format_poly(poly)) == poly
+
     def test_map_splitting(self):
         p, q = parse_map("x+y; y")
         assert p == bipoly({(1, 0): 1, (0, 1): 1}) and q == bipoly({(0, 1): 1})
