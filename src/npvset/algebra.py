@@ -268,11 +268,6 @@ class UniPoly:
     def const(s: Scalar) -> "UniPoly":
         return UniPoly.make([s])
 
-    @staticmethod
-    def of(*ints: RatInput) -> "UniPoly":
-        """Convenience constructor from rational coefficients, low degree first."""
-        return UniPoly.make([Scalar.of(v) for v in ints])
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial assigned -1."""
@@ -432,10 +427,6 @@ class BiPoly:
         self.table = {}  # prefix -> (rows, points), filled by puiseux
 
     @staticmethod
-    def zero() -> "BiPoly":
-        return BiPoly({})
-
-    @staticmethod
     def const(s: Scalar) -> "BiPoly":
         return BiPoly({(0, 0): s})
 
@@ -537,9 +528,9 @@ class BiPoly:
 
     def sorted_terms(self) -> list:
         """Terms in canonical display order: total degree, then x-degree, descending."""
-        return sorted(
-            self.terms.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][0])
-        )
+        den = self.den
+        items = sorted(self.nums.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][0]))
+        return [(k, _reduced(re, im, den)) for k, (re, im) in items]
 
     def __repr__(self) -> str:
         from .parsing import format_poly

@@ -6,6 +6,8 @@ Three related computations live here:
   single curve that is monic in y, with conjugates listed explicitly and
   exact termination or controlled truncation.  Below a simple root a
   branch grows by one monomial shift per term, with no Newton polygon.
+  For real f along real terms, the branches under a nonreal root are the
+  conjugates of those under its conjugate root, built first.
 * ``expansion_tree`` grows the window tree of a map pair: children follow
   the roots of each lead, stopping at the exponents where a leading
   polynomial changes shape or a leading exponent crosses zero.  Each child's
@@ -69,7 +71,6 @@ from .puiseux import (
     leading_data,
     prefix_rows,
     refine,
-    rows_points,
     shift,
     window_at,
     window_lead,
@@ -365,7 +366,8 @@ def curve_branches(f: BiPoly, depth_k: int) -> List[ConcreteBranch]:
     if depth_k < 0:
         raise PreconditionFailed("depth must be non-negative")
     out: List[ConcreteBranch] = []
-    _expand_curve(f, 1, (), (1, 0), depth_k, out)
+    real = not any(im for _, im in f.nums.values())
+    _expand_curve(f, 1, (), (1, 0), depth_k, out, real)
     total = len(out)
     if total != f.total_degree:
         raise EngineError(
@@ -381,7 +383,10 @@ def _expand_curve(
     bound: Tuple[int, int],
     depth_k: int,
     out: List[ConcreteBranch],
+    mirror: bool,
 ) -> None:
+    # mirror: f and terms are real, so the edges' leads are real and the
+    # branches under a root c with c.b > 0 conjugate those under conj(c)
     prefix = Prefix(mult, terms)  # already lowest terms
     pts = expansion_points(f, prefix)
     j0 = pts[0].j
@@ -403,16 +408,22 @@ def _expand_curve(
             out.extend([ConcreteBranch(m_next, scaled, k_next - 1)] * span)
             continue
         roots = roots_in_field(lead, "characteristic polynomial of an edge")
-        produced = 0
+        produced, built = 0, {}
         for c, root_mult in roots:
             if c.is_zero():  # the factor s^j_lo
                 continue
             before = len(out)
             child = scaled + ((k_next, c),)
-            if root_mult == 1:
+            if mirror and c.b > 0:  # conj(c) sorts first, so it was built
+                out.extend([
+                    ConcreteBranch(b.mult, tuple([(k, _conj(a)) for k, a in b.terms]), b.truncation_k)
+                    for b in built[_conj(c)]
+                ])
+            elif root_mult == 1:
                 _simple_tail(prefix_rows(f, prefix), m_next, child, depth_k, out)
             else:
-                _expand_curve(f, m_next, child, (p, q), depth_k, out)
+                _expand_curve(f, m_next, child, (p, q), depth_k, out, mirror and not c.b)
+            built[c] = out[before:]
             got = len(out) - before
             if got != root_mult:
                 raise EngineError("edge multiplicity mismatch during expansion")
@@ -434,23 +445,27 @@ def _simple_tail(
     Below a simple root the only polygon edge under the bound joins the
     z-degrees 0 and 1 (Kung & Traub, J. ACM 25 (1978)): the next term is
     -lead_0/lead_1 at index mult - (top_0 - top_1), and mult stays.  Each
-    term costs one shift of the rows; rows and points stay local, as no
-    other search reads a tail's prefixes.
+    term costs one shift of the rows, and only the top entries of rows 0
+    and 1 are read: row j's denominator carries scale^(N - j), so
+    lead_0/lead_1 is their quotient over scale.  The rows stay local, as
+    no other search reads a tail's prefixes.
     """
     k, c = terms[-1]
     while True:
         rows = shift(rows, mult, k, c)
-        pts = rows_points(rows)
-        if pts[0].j > 0:  # f(x, s(x)) = 0
-            out.extend([ConcreteBranch(mult, terms, None)] * pts[0].j)
-            return
-        if len(pts) < 2 or pts[1].j != 1:
+        row0, row1 = rows.rows[0], rows.rows[1]
+        if not row1:
             raise EngineError("a simple root must continue along the edge (0, 1)")
-        k = mult - (pts[0].top - pts[1].top)
+        if not row0:  # f(x, s(x)) = 0
+            out.append(ConcreteBranch(mult, terms, None))
+            return
+        top0, top1 = max(row0), max(row1)
+        k = mult - (top0 - top1)
         if k > depth_k:
             out.append(ConcreteBranch(mult, terms, k - 1))
             return
-        c = -(pts[0].lead / pts[1].lead)
+        (a0, b0), (a1, b1) = row0[top0], row1[top1]
+        c = _gi_quotient((-a0, -b0), (a1 * rows.scale, b1 * rows.scale))
         terms += ((k, c),)
 
 

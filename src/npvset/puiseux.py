@@ -38,8 +38,8 @@ coefficient, with only that entry normalized.  A curve's one table,
 Package code reads the kernel through ``expansion_points``, which reads
 that table, with one exception: below a simple root the branch search
 (``expansion._expand_curve`` and ``_simple_tail``) takes the parent's rows
-from ``prefix_rows``, shifts them term by term with ``shift``, reads each
-step's points with ``rows_points`` and tables nothing.  Each run parses a
+from ``prefix_rows``, shifts them term by term with ``shift``, reads the
+top entries of rows 0 and 1 and tables nothing.  Each run parses a
 fresh map, so a (curve, prefix) pair is expanded once per run and no entry
 outlives the run.  Leading data substitutes the Jacobian only when a check
 first reads its lead.

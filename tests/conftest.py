@@ -65,6 +65,11 @@ def sc(re=0, im=0) -> Scalar:
     return Scalar.of(re, im)
 
 
+def up(*coeffs) -> UniPoly:
+    """The polynomial with rational coefficients, low degree first."""
+    return UniPoly.make([Scalar.of(v) for v in coeffs])
+
+
 def compose(outer: UniPoly, inner: UniPoly) -> UniPoly:
     """outer with inner substituted for its indeterminate (Horner)."""
     acc = UniPoly.zero()

@@ -11,7 +11,7 @@ import json
 import time
 from fractions import Fraction
 
-from npvset.algebra import UniPoly, bipoly
+from npvset.algebra import bipoly
 from npvset.cli import config_from_args, render, run
 from npvset.expansion import associated_sequence, curve_branches, root_index_data
 from npvset.oracle import branch_limit_sample
@@ -29,12 +29,8 @@ from npvset.valueset import (
     verify_theorem2,
 )
 
-from conftest import CORPUS_TEXT, corpus_map, sc
+from conftest import CORPUS_TEXT, corpus_map, sc, up
 from test_valueset import lead_of, synthetic_chain
-
-
-def up(*coeffs):
-    return UniPoly.of(*coeffs)
 
 
 def _verdict(num, name, ok):

@@ -14,7 +14,6 @@ from npvset.algebra import (
     ZERO,
     BiPoly,
     Scalar,
-    UniPoly,
     bipoly,
     jacobian,
     normalize_monic,
@@ -23,11 +22,7 @@ from npvset.algebra import (
 )
 from npvset.errors import PreconditionFailed
 
-from conftest import CORPUS_TEXT, corpus_map, sc
-
-
-def up(*coeffs):
-    return UniPoly.of(*coeffs)
+from conftest import CORPUS_TEXT, corpus_map, sc, up
 
 
 def follows_sign_rule(root) -> bool:
@@ -372,7 +367,7 @@ class TestBiPolyAgainstReference:
         ]
         for w in same:
             assert w == a and hash(w) == hash(a)
-        assert a - a == BiPoly.zero() and hash(a - a) == hash(BiPoly.zero())
+        assert a - a == BiPoly({}) and hash(a - a) == hash(BiPoly({}))
 
 
 class TestJacobian:

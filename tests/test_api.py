@@ -139,19 +139,36 @@ def test_no_unread_public_definitions():
 
 def methods_never_read(sources: dict, readers: dict) -> list:
     """Non-dunder methods of the module-level classes in ``sources`` that no
-    module of ``sources`` or ``readers`` reads, as a name or an attribute."""
+    module of ``sources`` or ``readers`` reads, as a name or an attribute.
+    An attribute taken on the name of one of those classes, ``Cls.name``,
+    reads that class's method only."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    read = names_read([*trees.values(), *map(ast.parse, readers.values())])
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
-    return sorted(
-        f"{name}:{cls.name}.{node.name}"
+    classes = [
+        (name, cls)
         for name, tree in trees.items()
         for cls in tree.body
         if isinstance(cls, ast.ClassDef)
+    ]
+    class_names = {cls.name for _, cls in classes}
+    read, read_on_class = set(), set()
+    for tree in [*trees.values(), *map(ast.parse, readers.values())]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                if isinstance(node.value, ast.Name) and node.value.id in class_names:
+                    read_on_class.add((node.value.id, node.attr))
+                else:
+                    read.add(node.attr)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return sorted(
+        f"{name}:{cls.name}.{node.name}"
+        for name, cls in classes
         for node in cls.body
         if isinstance(node, defs)
         and not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in read
+        and (cls.name, node.name) not in read_on_class
     )
 
 
@@ -159,7 +176,7 @@ def test_no_unread_methods():
     # every method of a package class is read by the package itself; a
     # method only tests call belongs in the tests.  A read is matched by
     # name alone, so ConcreteBranch.coeff_at went unseen while
-    # ParamSeries.coeff_at was read
+    # ParamSeries.coeff_at was read, and BiPoly.zero while UniPoly.zero was
     assert methods_never_read(package_sources(), {}) == []
     # the guard only means something if it sees the methods, and a test
     # that calls one makes it read only when passed as a reader
@@ -171,6 +188,14 @@ def test_no_unread_methods():
     assert methods_never_read(synthetic, {}) == ["m.py:C.gone", "m.py:C.tested"]
     readers = {"t.py": "C().tested()\n"}
     assert methods_never_read(synthetic, readers) == ["m.py:C.gone"]
+    # a read on a class name reads that class's method alone, so
+    # UniPoly.zero() cannot hide an unread BiPoly.zero
+    twins = {
+        "m.py": "class A:\n    @staticmethod\n    def zero(): pass\n"
+        "class B:\n    @staticmethod\n    def zero(): pass\nB.zero()\n"
+    }
+    assert methods_never_read(twins, {}) == ["m.py:A.zero"]
+    assert methods_never_read(twins, {"t.py": "A().zero()\n"}) == []
 
 
 KERNEL = {"prefix_expansion"}

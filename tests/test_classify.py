@@ -5,16 +5,11 @@ from __future__ import annotations
 import pytest
 
 import npvset.puiseux as puiseux_mod
-from npvset.algebra import UniPoly
 from npvset.classify import classify, delta, is_dicritical
 from npvset.expansion import expansion_tree
 from npvset.puiseux import LeadingData, leading_data, series
 
-from conftest import CORPUS_TEXT, corpus_map, sc
-
-
-def up(*coeffs):
-    return UniPoly.of(*coeffs)
+from conftest import CORPUS_TEXT, corpus_map, sc, up
 
 
 def make_lead(p, a, q, b, j, jexp, mult=1):

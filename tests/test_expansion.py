@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,17 +34,13 @@ from npvset.puiseux import (
     substitute,
 )
 
-from conftest import CORPUS_TEXT, DEGREE12_TEXT, M9_TEXT, corpus_map, sc
+from conftest import CORPUS_TEXT, DEGREE12_TEXT, M9_TEXT, corpus_map, sc, up
 
 STRESS_TEXT = {
     "M4": "x+y^3+x*y^2; x*y+y^4",
     "M6": "(x*y-1)^2*y+x; x*y^2-y",
     "M8": "x^3*y^5+x*y+y; x^2*y^3+x",
 }
-
-
-def up(*coeffs):
-    return UniPoly.of(*coeffs)
 
 
 class TestRootsInField:
@@ -311,25 +308,45 @@ class TestSimpleTails:
 
     def test_work_is_linear_in_depth(self, monkeypatch):
         # on a fresh M4.P, doubling the depth adds exactly one shift per
-        # term the deeper branches gain
+        # term the computed branches gain; a branch derived from its
+        # conjugate gains its terms with no shift
         shifts, terms = {}, {}
         for depth in (64, 128):
             [(_, g), _] = fresh_curves("M4")
-            calls = [0]
-            inner = expansion_mod.shift
+            calls, computed = [0], []
+            inner_shift, inner_tail = expansion_mod.shift, expansion_mod._simple_tail
 
             def counted(*args):
                 calls[0] += 1
-                return inner(*args)
+                return inner_shift(*args)
+
+            def tail(rows, mult, entry, depth_k, out):
+                start = len(out)
+                inner_tail(rows, mult, entry, depth_k, out)
+                computed.extend(out[start:])
 
             monkeypatch.setattr(expansion_mod, "shift", counted)
             monkeypatch.setattr(puiseux_mod, "shift", counted)
-            branches = curve_branches(g, depth)
+            monkeypatch.setattr(expansion_mod, "_simple_tail", tail)
+            curve_branches(g, depth)
             monkeypatch.undo()
             shifts[depth] = calls[0]
-            terms[depth] = sum(len(b.terms) for b in branches)
+            terms[depth] = sum(len(b.terms) for b in computed)
         assert terms[128] > terms[64]
         assert shifts[128] - shifts[64] == terms[128] - terms[64]
+
+    def test_conjugate_pair_runs_one_tail(self, monkeypatch):
+        # M4.P is real: two of its three branches are a conjugate pair, and
+        # the second is derived from the first with no tail of its own
+        [(_, g), _] = fresh_curves("M4")
+        _, tails = tail_work(monkeypatch, g, 64)
+        [(_, g), _] = fresh_curves("M4")
+        branches = curve_branches(g, 64)
+        assert len(tails) == 2 and len(branches) == 3
+        computed = [b for _, _, [b] in tails]
+        [pair] = [b for b in computed if any(c.b for _, c in b.terms)]
+        mirrored = pair._replace(terms=tuple((k, sc(c.re, -c.im)) for k, c in pair.terms))
+        assert sorted([*computed, mirrored], key=lambda b: b.sort_key()) == branches
 
     def test_tail_rows_stay_local(self, monkeypatch):
         # the tail tables neither the rows nor the support points of its
@@ -371,6 +388,78 @@ class TestSimpleTails:
         monkeypatch.undo()
         assert edges[0] > len(curves)
         assert built == [(1, 2)]
+
+
+def branches_or_factor(g, depth):
+    """curve_branches(g, depth), or the unsplit factor it raised."""
+    try:
+        return curve_branches(g, depth)
+    except ExtensionRequired as exc:
+        return exc.factor
+
+
+def random_real_curve(rng) -> BiPoly:
+    """A real curve monic in y: a product of factors y + a*x and
+    (y - (u + v*i)*x)(y - (u - v*i)*x), whose leading forms split over
+    Q(i) into conjugate pairs, plus small terms below the top degree."""
+    f = bipoly({(0, 0): 1})
+    for _ in range(rng.randint(1, 3)):
+        a, u, v = rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(1, 2)
+        top = {(0, 2): 1, (1, 1): -2 * u, (2, 0): u * u + v * v}
+        f = f * bipoly(top if rng.random() < 0.7 else {(0, 1): 1, (1, 0): a})
+    n = f.total_degree
+    below = [(i, j) for i in range(n) for j in range(n - i)]
+    low = {rng.choice(below): rng.choice([-2, -1, 1, 2]) for _ in range(rng.randint(1, 4))}
+    return f + bipoly(low)
+
+
+class TestConjugateBranches:
+    """For real f along real terms, the branches under a nonreal root c are
+    the conjugates of those under conj(c), which sorts first."""
+
+    def searches(self, monkeypatch, curves, depth) -> tuple:
+        """Each curve's branches or unsplit factor with the derivation on
+        and off, and the number of coefficients conjugated."""
+        conjugated = [0]
+        inner_conj, inner_expand = expansion_mod._conj, expansion_mod._expand_curve
+
+        def counted(c):
+            conjugated[0] += 1
+            return inner_conj(c)
+
+        monkeypatch.setattr(expansion_mod, "_conj", counted)
+        derived = [branches_or_factor(g, depth) for g in curves]
+        monkeypatch.setattr(
+            expansion_mod, "_expand_curve", lambda *args: inner_expand(*args[:-1], False)
+        )
+        searched = [branches_or_factor(g, depth) for g in curves]
+        monkeypatch.undo()
+        return derived, searched, conjugated[0]
+
+    @pytest.mark.parametrize("depth", [8, 64])
+    def test_named_maps(self, monkeypatch, depth):
+        texts = {**CORPUS_TEXT, **STRESS_TEXT, "M9": M9_TEXT, **DEGREE12_TEXT}
+        curves = []
+        for name, text in texts.items():
+            f = normalize_monic(*parse_map(text))
+            # M9.P, a cube, runs for minutes at depth 64 either way
+            curves += [f.q] if depth > 8 and name == "M9" else [f.p, f.q]
+        derived, searched, conjugated = self.searches(monkeypatch, curves, depth)
+        assert len(curves) == 40 - (depth > 8)
+        assert derived == searched
+        assert conjugated > 0
+
+    # at depth 64 the deep tails of these curves take about a minute a pass
+    @pytest.mark.parametrize("depth", [8, 16])
+    def test_random_real_curves(self, monkeypatch, depth):
+        rng = random.Random(25)
+        curves = [random_real_curve(rng) for _ in range(200)]
+        derived, searched, conjugated = self.searches(monkeypatch, curves, depth)
+        assert derived == searched
+        # the comparison only means something if both outcomes occur and
+        # branches are derived
+        kinds = {isinstance(out, list) for out in derived}
+        assert kinds == {True, False} and conjugated > 0
 
 
 class TestExpansionTree:

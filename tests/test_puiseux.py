@@ -36,7 +36,7 @@ from npvset.puiseux import (
 )
 
 from conftest import (
-    M9_TEXT, STRESS_TEXT, PolygonEdge, as_fractions, as_prefix, fraction_hull_edges, sc,
+    M9_TEXT, STRESS_TEXT, PolygonEdge, as_fractions, as_prefix, fraction_hull_edges, sc, up,
 )
 
 X_PLUS_Y = bipoly({(1, 0): 1, (0, 1): 1})
@@ -90,9 +90,7 @@ class TestSubstitute:
 
 
 def series_poly(coeffs):
-    from npvset.algebra import UniPoly
-
-    return UniPoly.of(*coeffs)
+    return up(*coeffs)
 
 
 class TestLeadingData:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from npvset.algebra import ONE, UniPoly
 from npvset.expansion import all_roots
 
-from conftest import sc
+from conftest import sc, up
 
 sympy = pytest.importorskip("sympy")
 
@@ -51,7 +51,7 @@ def test_roots_match_sympy_factorization(lead, linear_roots, quadratics):
         h = h * UniPoly.make([-r, ONE])
         expr *= S - to_sympy(r)
     for b, c in quadratics:
-        h = h * UniPoly.of(c, b, 1)
+        h = h * up(c, b, 1)
         expr *= S**2 + b * S + c
 
     roots, rest = all_roots(h)

@@ -25,7 +25,7 @@ from npvset.algebra import ONE, ZERO, Scalar, UniPoly
 from npvset.cli import config_from_args, run
 from npvset.errors import EngineError, PreconditionFailed
 
-from conftest import CORPUS_TEXT, M9_TEXT, STRESS_TEXT, sc
+from conftest import CORPUS_TEXT, M9_TEXT, STRESS_TEXT, sc, up
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +284,7 @@ def products(draw) -> UniPoly:
     degree = draw(st.sampled_from([0, 2, 3]))
     if degree:
         low = draw(st.lists(st.integers(-3, 3), min_size=degree, max_size=degree))
-        q = UniPoly.of(*low, 1)
+        q = up(*low, 1)
         for _ in range(draw(st.integers(0, 2))):
             h = h * q
     return h
@@ -299,14 +299,14 @@ def test_drawn_products_match_reference(h):
 @pytest.mark.parametrize(
     "h",
     [
-        UniPoly.of(1, 2, 1),  # a double root from the closed form
+        up(1, 2, 1),  # a double root from the closed form
         UniPoly.make([sc(0, -2), ZERO, ONE]),  # roots 1+i and -1-i
         UniPoly.make([sc(1), sc(-1, 1)]),  # root 1/(-1+i) = (-1-i)/2
         # a double root (1+i)/2 = 1/(1-i): the divisions use b = 1-i, not 2
-        UniPoly.make([sc(-1), sc(1, -1)]) ** 2 * UniPoly.of(-3, 1),
-        UniPoly.of(-1, 1) ** 2 * UniPoly.make([sc(0, 1), sc(2)]),  # linear rest
-        UniPoly.of(0, 0, 5),
-        UniPoly.of(7),
+        UniPoly.make([sc(-1), sc(1, -1)]) ** 2 * up(-3, 1),
+        up(-1, 1) ** 2 * UniPoly.make([sc(0, 1), sc(2)]),  # linear rest
+        up(0, 0, 5),
+        up(7),
     ],
     ids=str,
 )

@@ -46,11 +46,7 @@ import npvset.expansion as expansion_mod
 import npvset.puiseux as puiseux_mod
 import npvset.valueset as valueset_mod
 
-from conftest import CORPUS_TEXT, STRESS_TEXT, compose, corpus_map, sc
-
-
-def up(*coeffs):
-    return UniPoly.of(*coeffs)
+from conftest import CORPUS_TEXT, STRESS_TEXT, compose, corpus_map, sc, up
 
 
 def lead_of(p, a, q, b, j, jexp, mult=1):
