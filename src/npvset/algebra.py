@@ -335,10 +335,18 @@ class UniPoly:
         )
 
     def evaluate(self, s: Scalar) -> Scalar:
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * s + c
-        return acc
+        """self(s), by a Horner sum on Gaussian integers over one growing
+        denominator, reduced once at the end."""
+        cs = self.coeffs
+        if not cs:
+            return ZERO
+        p, q, m = s.a, s.b, s.d
+        vr, vi, w = cs[-1].a, cs[-1].b, cs[-1].d  # the sum so far is (vr + vi*i)/w
+        for c in reversed(cs[:-1]):
+            d, wm = c.d, w * m
+            vr, vi = (vr * p - vi * q) * d + c.a * wm, (vr * q + vi * p) * d + c.b * wm
+            w = wm * d
+        return _reduced(vr, vi, w)
 
     def divmod(self, d: "UniPoly") -> tuple:
         """Exact field division with remainder."""

@@ -12,10 +12,12 @@ Three related computations live here:
   the roots of each lead, stopping at the exponents where a leading
   polynomial changes shape or a leading exponent crosses zero.  Each child's
   fixed steps are expanded once, and the same support points give its
-  event exponent, as an integer pair, and its leading data.  For real P
-  and Q, f(x, conj phi) = conj f(x, phi) term by term, so below a window
-  with real steps each nonreal direction's subtree is derived from its
-  conjugate's: the same exponents and statuses, conjugate leads and roots.
+  event exponent, as an integer pair, and its leading data; a component
+  frozen at a positive exponent takes its lead off the parent's, with no
+  expansion.  For real P and Q, f(x, conj phi) = conj f(x, phi) term by
+  term, so below a window with real steps each nonreal direction's subtree
+  is derived from its conjugate's: the same exponents and statuses,
+  conjugate leads and roots.
 * ``associated_sequence`` / ``root_index_data`` read the maximal chain of
   windows between two series off the Newton polygons along the finer one,
   and the roots tracking each level off that level's two leads, with no
@@ -517,47 +519,44 @@ class ExpansionNode:
 def _coord_events(g: BiPoly, prefix: Prefix, slot: int, mult: int) -> tuple:
     """Polygon data of g around prefix below the parent slot slot/mult (mult > 0):
     the edge slopes below the slot, the exponent-zero crossing below it or
-    None, each as an integer pair (num, den) with den > 0, whether the
-    exponent is pinned positive forever, and the support points."""
+    None, each as an integer pair (num, den) with den > 0, and the support
+    points."""
     pts = expansion_points(g, prefix)
     zero = envelope_zero(pts)
     if zero is not None and zero[0] * mult >= slot * zero[1]:
         zero = None
-    # terms added below the slot can cancel the constant part's top monomial
-    # only when some z-degree reaches above it at the slot
-    top0 = pts[0].top * mult if pts[0].j == 0 else 0
-    frozen = top0 > 0 and max(envelope_numerators(pts, slot, mult)) == top0
-    return hull_edges(pts, slot, mult), zero, frozen, pts
+    return hull_edges(pts, slot, mult), zero, pts
 
 
-def next_event_exponent(f: MapPair, parent: ParamSeries, prefix: Prefix) -> tuple:
+def next_event_exponent(f: MapPair, parent: ParamSeries, prefix: Prefix, frozen: tuple) -> tuple:
     """Largest exponent below the parent slot where the leading data of either
     component changes shape (polygon edge) or its exponent crosses zero.
 
     ``prefix`` is the parent's fixed steps with the parameter pinned to the
-    direction's coefficient, so the support points read here are those of
+    direction's coefficient c, so the support points read here are those of
     any child in this direction; they are returned with the exponent, an
-    integer pair (num, den) with den > 0 or None.  Directions that can
-    never reach a window with both exponents at most zero are cut: a
-    component frozen at a positive exponent blocks every descendant, and
-    once both exponents have gone negative nothing can fire again (leading
-    exponents only decrease under refinement).
+    integer pair (num, den) with den > 0 or None.  ``frozen`` flags P and Q
+    when frozen at a positive exponent: the parent lead g_lead(s) * x^g_exp
+    has g_exp > 0 and g_lead(c) != 0.  As d/ds = x^e d/dz at the slot e,
+    row j has top_j + j*e <= g_exp = top_0, so below the slot row 0 alone
+    leads, with no event: such a component is not expanded (its points read
+    None), keeps the lead g_lead(c) at g_exp and blocks every descendant.
+    Once both exponents have gone negative nothing can fire again (leading
+    exponents only decrease under refinement), so such directions are cut.
     """
     slot, mult = parent.mult - parent.param_index, parent.mult
-    live, best, pts = [], None, []
-    for g in (f.p, f.q):
-        edges, zero, frozen, g_pts = _coord_events(g, prefix, slot, mult)
+    best, pts = None, []
+    for g, g_frozen in zip((f.p, f.q), frozen):
+        edges, zero, g_pts = ((), None, None) if g_frozen else _coord_events(g, prefix, slot, mult)
         pts.append(g_pts)
-        # a frozen component contributes no events: only the live components
-        # can still produce a horizontal window, and only while the exponent
-        # of one of them has not gone negative
-        if not frozen:
-            live.append(g_pts)
-            for e in (*edges, zero):
-                if e is not None and (best is None or e[0] * best[1] > best[0] * e[1]):
-                    best = e
-    # envelopes never decrease in e: if any candidate keeps an exponent at or
-    # above zero, the largest one does
+        for e in (*edges, zero):
+            if e is not None and (best is None or e[0] * best[1] > best[0] * e[1]):
+                best = e
+    # only the live components can still produce a horizontal window, and
+    # only while the exponent of one of them has not gone negative; envelopes
+    # never decrease in e, so if any candidate keeps one at or above zero,
+    # the largest one does
+    live = [p for p in pts if p is not None]
     if best is not None and any(max(envelope_numerators(p, *best)) >= 0 for p in live):
         return best, *pts
     return None, *pts
@@ -590,14 +589,17 @@ def _expand_node(f: MapPair, node: ExpansionNode, caps: Caps, depth: int, real: 
         node.status = STATUS_CAPPED
         node.note = "max_depth"
         return
-    p_roots, p_rest = all_roots(node.lead.p_lead)
-    q_roots, q_rest = all_roots(node.lead.q_lead)
+    lead = node.lead
+    p_roots, p_rest = all_roots(lead.p_lead)
+    q_roots, q_rest = all_roots(lead.q_lead)
     if p_rest.degree >= 1 or q_rest.degree >= 1:
         # the unsplit remainder of the product of the two leads
         node.status = STATUS_EXTENSION
         node.note = str(p_rest * q_rest)
         return
-    cands = {r for r, _ in p_roots} | {r for r, _ in q_roots} | {ZERO}
+    comps = [(lead.p_lead, lead.p_exp, {r for r, _ in p_roots}),
+             (lead.q_lead, lead.q_exp, {r for r, _ in q_roots})]
+    cands = comps[0][2] | comps[1][2] | {ZERO}
     # zero is always a candidate, so every node expanded here gets a child
     parent = node.series
     # real f along real steps has real leads: their nonreal roots pair up,
@@ -608,12 +610,20 @@ def _expand_node(f: MapPair, node: ExpansionNode, caps: Caps, depth: int, real: 
         if mirror and c.b > 0:
             node.children.append(_conjugate_subtree(f, built[_conj(c)]))
             continue
-        e_next, p_pts, q_pts = next_event_exponent(f, parent, parent.fix_param(c))
+        # both leads split, so c is a root of a lead exactly when it is in its set
+        frozen = tuple([g_exp > 0 and c not in roots for _, g_exp, roots in comps])
+        e_next, *pts = next_event_exponent(f, parent, parent.fix_param(c), frozen)
         synthetic = e_next is None
         if synthetic:  # one below the parent's exponent
             e_next = (-parent.param_index, parent.mult)
         child_series = refine(parent, c, e_next[1] - e_next[0], e_next[1])
-        child_lead = window_lead(f, child_series, p_pts, q_pts)
+        b = child_series.mult
+        leads = [  # a frozen row 0's exponent has a denominator dividing b
+            (UniPoly.const(g_lead.evaluate(c)), g_exp * b // parent.mult) if g_pts is None
+            else envelope_lead(g_pts, b - child_series.param_index, b)
+            for g_pts, (g_lead, g_exp, _) in zip(pts, comps)
+        ]
+        child_lead = window_lead(f, child_series, *leads)
         child = ExpansionNode(child_series, child_lead, c, STATUS_OPEN)
         if child_series.mult > caps.max_mult or child_series.param_index > caps.max_k:
             child.status = STATUS_CAPPED
@@ -637,8 +647,7 @@ def _conjugate_subtree(f: MapPair, node: ExpansionNode) -> ExpansionNode:
     phi, lead = node.series, node.lead
     series = ParamSeries(phi.mult, tuple([(k, _conj(c)) for k, c in phi.steps]), phi.param_index)
     p_lead, q_lead = [UniPoly(tuple(map(_conj, g.coeffs))) for g in (lead.p_lead, lead.q_lead)]
-    mirrored = LeadingData(p_lead, lead.p_exp, q_lead, lead.q_exp, None, None, lead.mult)
-    mirrored._source = (f.jac, series)
+    mirrored = window_lead(f, series, (p_lead, lead.p_exp), (q_lead, lead.q_exp))
     note = node.note
     if node.status == STATUS_EXTENSION:  # a leaf noting the unsplit remainder
         note = str(all_roots(p_lead)[1] * all_roots(q_lead)[1])

@@ -13,8 +13,10 @@ lead_j * s^j over the j on that envelope.  Distinct j carry distinct powers
 of s, so nothing on the envelope cancels.  ``envelope_lead`` reads that
 pair off the support points; ``substitute`` and ``leading_data`` take the
 points from the curve's table (one prefix for both components), and the
-expansion tree hands ``window_lead`` the points it already read for a
-child's event exponent.  The same support points drive the Newton polygon
+expansion tree reads a child's leads off the points it already read for
+the child's event exponent, or, for a component frozen at a positive
+exponent, off the parent's lead alone, and hands both to ``window_lead``.
+The same support points drive the Newton polygon
 steps of the curve branches, the expansion tree and the chains, which all
 read the upper hull through ``expansion.hull_edges``.
 
@@ -313,21 +315,16 @@ def leading_data(f: MapPair, phi: ParamSeries) -> LeadingData:
     """Leading data of both map components and the Jacobian along a window."""
     if f.jac.is_zero():
         raise PreconditionFailed("map has identically vanishing Jacobian")
-    prefix = phi.fix_param(ZERO)
-    p_pts, q_pts = expansion_points(f.p, prefix), expansion_points(f.q, prefix)
-    return window_lead(f, phi, p_pts, q_pts)
+    prefix, a, b = phi.fix_param(ZERO), phi.mult - phi.param_index, phi.mult
+    p_lead, q_lead = [envelope_lead(expansion_points(g, prefix), a, b) for g in (f.p, f.q)]
+    return window_lead(f, phi, p_lead, q_lead)
 
 
 def window_lead(
-    f: MapPair,
-    phi: ParamSeries,
-    p_pts: Sequence[SupportPoint],
-    q_pts: Sequence[SupportPoint],
+    f: MapPair, phi: ParamSeries, p_lead: Tuple[UniPoly, int], q_lead: Tuple[UniPoly, int]
 ) -> LeadingData:
-    """Leading data along phi from the support points of both components
-    around phi's fixed steps; the Jacobian waits for its first read."""
-    a, b = phi.mult - phi.param_index, phi.mult
-    p_lead, q_lead = envelope_lead(p_pts, a, b), envelope_lead(q_pts, a, b)
+    """Leading data along phi from both components' (lead, exponent) pairs,
+    exponents over phi.mult; the Jacobian waits for its first read."""
     lead = LeadingData(*p_lead, *q_lead, None, None, phi.mult)
     lead._source = (f.jac, phi)
     return lead

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import pytest
 
-from npvset.algebra import ZERO, BiPoly, MapPair, Scalar, UniPoly, normalize_monic
+from npvset.algebra import ZERO, MapPair, Scalar, UniPoly, normalize_monic
 from npvset.expansion import upper_hull
 from npvset.parsing import parse_map
 from npvset.puiseux import Prefix

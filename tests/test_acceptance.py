@@ -18,7 +18,6 @@ from npvset.oracle import branch_limit_sample
 from npvset.puiseux import ROOT_WINDOW, leading_data, series
 from npvset.valueset import (
     check_eq4,
-    check_eq9,
     check_lemma2,
     check_lemma4,
     check_newton_factorization,

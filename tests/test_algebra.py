@@ -14,6 +14,7 @@ from npvset.algebra import (
     ZERO,
     BiPoly,
     Scalar,
+    UniPoly,
     bipoly,
     jacobian,
     normalize_monic,
@@ -183,6 +184,17 @@ class TestUniPoly:
 
     def test_eval_example(self):
         assert up(-1, 0, 1).evaluate(sc(-1)).is_zero()
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(fractions, fractions), max_size=7), pairs)
+    def test_evaluate_matches_scalar_horner(self, coeffs, at):
+        # the integer Horner sum against the Scalar one it replaced
+        h, s = UniPoly.make([sc(*c) for c in coeffs]), sc(*at)
+        acc = ZERO
+        for c in reversed(h.coeffs):
+            acc = acc * s + c
+        got = h.evaluate(s)
+        assert (got.a, got.b, got.d) == (acc.a, acc.b, acc.d)
 
     def test_divmod_roundtrip(self):
         a = up(1, 2, 0, 1)

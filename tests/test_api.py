@@ -71,13 +71,15 @@ def unused_imports(source: str) -> list:
 
 
 def test_no_unused_imports():
-    # __init__.py imports only to re-export
+    # the package's __init__.py imports only to re-export
     package = Path(npvset.__file__).parent
+    paths = [*package.glob("*.py"), *Path(__file__).parent.glob("*.py")]
     found = {
-        path.name: unused_imports(path.read_text(encoding="utf-8"))
-        for path in sorted(package.glob("*.py"))
-        if path.name != "__init__.py"
+        f"{path.parent.name}/{path.name}": unused_imports(path.read_text(encoding="utf-8"))
+        for path in sorted(paths)
+        if path != package / "__init__.py"
     }
+    assert "tests/conftest.py" in found
     assert {name: names for name, names in found.items() if names} == {}
 
 

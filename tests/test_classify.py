@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 import npvset.puiseux as puiseux_mod
 from npvset.classify import classify, delta, is_dicritical
 from npvset.expansion import expansion_tree

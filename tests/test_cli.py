@@ -19,7 +19,6 @@ import npvset.cli as cli_mod
 import npvset.puiseux as puiseux_mod
 from npvset.algebra import ZERO
 from npvset.cli import (
-    EXIT_COUNTEREXAMPLE,
     EXIT_INPUT,
     EXIT_INTERNAL,
     EXIT_OK,

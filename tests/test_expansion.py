@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
@@ -14,7 +13,7 @@ import npvset.expansion as expansion_mod
 import npvset.puiseux as puiseux_mod
 from npvset.algebra import ONE, BiPoly, Scalar, UniPoly, bipoly, normalize_monic
 from npvset.cli import config_from_args, render, run
-from npvset.errors import ExtensionRequired, PreconditionFailed, VerificationFailure
+from npvset.errors import ExtensionRequired, PreconditionFailed
 from npvset.expansion import (
     Caps,
     all_roots,
@@ -523,6 +522,16 @@ class TestExpansionTree:
             phi = node.series
             pairs = [x for g in fresh for x in substitute(g, phi)]
             assert node.lead == LeadingData(*pairs, phi.mult), phi
+
+    def test_frozen_components_are_not_expanded(self):
+        # a component frozen at a positive exponent keeps its parent's lead
+        # in that direction, so its curve tables no expansion there
+        sizes = {}
+        for name, text in [("M9", M9_TEXT), ("R2", CORPUS_TEXT["R2"]), ("M4", STRESS_TEXT["M4"])]:
+            f = normalize_monic(*parse_map(text))
+            expansion_tree(f, Caps())
+            sizes[name] = (len(f.p.table), len(f.q.table))
+        assert sizes == {"M9": (5, 5), "R2": (2, 8), "M4": (3, 1)}
 
     def test_gaussian_coefficient_tree(self):
         f = corpus_map("R6")

@@ -343,11 +343,28 @@ def assert_matches_reference(f, prefix, exponents=()):
         lead, top = ref_envelope_lead(rpts, e)
         w = window_over(as_prefix(prefix), e)
         assert substitute(f, w) == (lead, top * w.mult)
-        edges, zero, frozen, _ = expansion_mod._coord_events(
+        edges, zero, _ = expansion_mod._coord_events(
             f, as_prefix(prefix), e.numerator, e.denominator
         )
-        events = (tuple(map(as_fraction, edges)), as_fraction(zero), frozen)
-        assert events == ref_coord_events(rpts, e)
+        ref_edges, ref_zero, ref_frozen = ref_coord_events(rpts, e)
+        assert (tuple(map(as_fraction, edges)), as_fraction(zero)) == (ref_edges, ref_zero)
+        # with no step below e, prefix pins the parameter of the window of
+        # its steps above e, and the tree reads frozen off that window's lead
+        steps = {ee: c for ee, c in prefix if not c.is_zero()}
+        if all(ee >= e for ee in steps):
+            upper = as_prefix([(ee, c) for ee, c in steps.items() if ee > e])
+            assert parent_rule(f, window_over(upper, e), steps.get(e, ZERO)) == ref_frozen
+
+
+def parent_rule(g, parent, c):
+    """The tree's test for g frozen below the parent window in direction c,
+    read off g's lead there: a positive exponent and a lead with no root at c."""
+    lead, exp = substitute(g, parent)
+    return exp > 0 and not lead.evaluate(c).is_zero()
+
+
+def frozen_by_rule(f, parent, c):
+    return tuple(parent_rule(g, parent, c) for g in (f.p, f.q))
 
 
 def as_fraction(pair):
@@ -538,6 +555,34 @@ class TestLazyJacobianLead:
         assert classify(leading_data(f, phi)) == classify(eager)
 
 
+def ref_frozen(f, parent, prefix):
+    """The frozen flags of P and Q read off the Fraction reference points
+    around prefix, the parent's steps with the parameter pinned."""
+    return tuple(
+        ref_coord_events(
+            ref_points(reference_prefix_expansion(g, as_fractions(prefix))),
+            parent.param_exponent,
+        )[2]
+        for g in (f.p, f.q)
+    )
+
+
+def tree_and_flags(f, caps):
+    """The window tree of f, and the frozen flags it passed for each
+    (parent window, child prefix) it read an event exponent for."""
+    passed = {}
+    inner = expansion_mod.next_event_exponent
+
+    def recording(g, parent, prefix, frozen):
+        passed[parent, prefix] = frozen
+        return inner(g, parent, prefix, frozen)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expansion_mod, "next_event_exponent", recording)
+        tree = expansion_tree(f, caps)
+    return tree, passed
+
+
 def ref_next_event_exponent(f, parent, c):
     """The all-candidates filter over the Fraction reference: the largest
     candidate at which some live component's envelope is at least zero."""
@@ -571,20 +616,74 @@ class TestNextEventExponent:
         phi = data.draw(st.one_of(st.just(node.series), WINDOWS))
         taken = [child.chosen_c for child in node.children] or [ZERO]
         c = data.draw(st.one_of(st.sampled_from(taken), SCALARS))
-        got, _, _ = expansion_mod.next_event_exponent(f, phi, phi.fix_param(c))
+        frozen = frozen_by_rule(f, phi, c)
+        got, _, _ = expansion_mod.next_event_exponent(f, phi, phi.fix_param(c), frozen)
         assert as_fraction(got) == ref_next_event_exponent(f, phi, c)
 
     @pytest.mark.parametrize("name", ["M4", "M6", "M8", "M9"])
     def test_every_tree_direction(self, name):
         f = normalize_monic(*parse_map(TREE_MAPS[name]))
-        for node in expansion_tree(f, Caps()).walk():
+        tree, passed = tree_and_flags(f, Caps())
+        assert passed
+        for node in tree.walk():
             for child in node.children:
                 c = child.chosen_c
                 prefix = node.series.fix_param(c)
-                got, *pts = expansion_mod.next_event_exponent(f, node.series, prefix)
+                frozen = frozen_by_rule(f, node.series, c)
+                # a derived conjugate subtree reads no event exponent
+                assert passed.get((node.series, prefix), frozen) == frozen
+                got, *pts = expansion_mod.next_event_exponent(f, node.series, prefix, frozen)
                 assert as_fraction(got) == ref_next_event_exponent(f, node.series, c)
-                # the points the child's leads are read off
-                assert pts == [expansion_points(g, prefix) for g in (f.p, f.q)]
+                lead = child.lead
+                leads = [(lead.p_lead, lead.p_exp), (lead.q_lead, lead.q_exp)]
+                for g, g_pts, g_frozen, g_lead in zip((f.p, f.q), pts, frozen, leads):
+                    # the points the child's leads are read off; a frozen
+                    # component has none, and its lead is the full expansion's
+                    if g_frozen:
+                        assert g_pts is None and g_lead == substitute(g, child.series)
+                    else:
+                        assert g_pts == expansion_points(g, prefix)
+
+    @settings(max_examples=150, deadline=None)
+    @given(POLYS, POLYS, st.data())
+    def test_parent_lead_rule(self, p, q, data):
+        # the frozen flags read off the parent's lead are the reference's:
+        # the tree's own flags for every direction it read, and the rule
+        # for the children of a node and random directions
+        try:
+            f = normalize_monic(p, q)
+        except PreconditionFailed:
+            assume(False)
+        assume(not f.jac.is_zero())
+        tree, passed = tree_and_flags(f, Caps(4, 8, 4))
+        for (parent, prefix), frozen in passed.items():
+            assert frozen == ref_frozen(f, parent, prefix)
+        node = data.draw(st.sampled_from(list(tree.walk())))
+        parent = node.series
+        taken = [child.chosen_c for child in node.children] or [ZERO]
+        c = data.draw(st.one_of(st.sampled_from(taken), SCALARS))
+        prefix = parent.fix_param(c)
+        want = ref_frozen(f, parent, prefix)
+        assert frozen_by_rule(f, parent, c) == want
+        for child in node.children:
+            if child.chosen_c == c:  # both leads are the full expansion's
+                lead = child.lead
+                assert (lead.p_lead, lead.p_exp) == substitute(f.p, child.series)
+                assert (lead.q_lead, lead.q_exp) == substitute(f.q, child.series)
+        # a frozen component's lead at the child window: the constant
+        # g_lead(c) at the parent's exponent, over the child's mult
+        e_next, *_ = expansion_mod.next_event_exponent(f, parent, prefix, want)
+        if e_next is None:
+            e_next = (-parent.param_index, parent.mult)
+        child = refine(parent, c, e_next[1] - e_next[0], e_next[1])
+        b, m = child.mult, parent.mult
+        for g, g_frozen in zip((f.p, f.q), want):
+            if g_frozen:
+                lead, exp = substitute(g, parent)
+                assert exp * b % m == 0
+                pts = expansion_points(g, prefix)
+                want_lead = (UniPoly.const(lead.evaluate(c)), exp * b // m)
+                assert envelope_lead(pts, b - child.param_index, b) == want_lead
 
 
 def ref_substitute(g, phi):

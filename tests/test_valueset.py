@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from npvset.algebra import BiPoly, MapPair, ONE, UniPoly, ZERO, bipoly, normalize_monic
-from npvset.classify import classify
 from npvset.errors import NotARefinement, PreconditionFailed
 from npvset.expansion import (
     AssociatedSequence,
