@@ -581,7 +581,10 @@ def _real_map(f: MapPair) -> bool:
     return not any(im for g in (f.p, f.q) for _, im in g.nums.values())
 
 
-def _expand_node(f: MapPair, node: ExpansionNode, caps: Caps, depth: int, real: bool) -> None:
+def _expand_node(f: MapPair, node: ExpansionNode, caps: Caps, depth: int, mirror: bool) -> None:
+    # mirror: f and node's steps are real, so its leads are real, their
+    # nonreal roots pair up, and the one with positive imaginary part sorts
+    # after its conjugate
     if is_dicritical(node.lead):
         node.status = STATUS_DICRITICAL
         return
@@ -602,9 +605,6 @@ def _expand_node(f: MapPair, node: ExpansionNode, caps: Caps, depth: int, real: 
     cands = comps[0][2] | comps[1][2] | {ZERO}
     # zero is always a candidate, so every node expanded here gets a child
     parent = node.series
-    # real f along real steps has real leads: their nonreal roots pair up,
-    # and the one with positive imaginary part sorts after its conjugate
-    mirror = real and all(not c.b for _, c in parent.steps)
     built: Dict[Scalar, ExpansionNode] = {}
     for c in sorted(cands, key=lambda s: s.sort_key()):
         if mirror and c.b > 0:
@@ -631,7 +631,7 @@ def _expand_node(f: MapPair, node: ExpansionNode, caps: Caps, depth: int, real: 
         elif synthetic:
             child.status = STATUS_DEAD
         else:
-            _expand_node(f, child, caps, depth + 1, real)
+            _expand_node(f, child, caps, depth + 1, mirror and not c.b)
         node.children.append(child)
         built[c] = child
 

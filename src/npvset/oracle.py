@@ -25,6 +25,7 @@ from .puiseux import ParamSeries
 
 DEFAULT_RADII = (1e3, 1e5, 1e8)
 DEFAULT_TOL = 1e-6
+PROBE_BOUND = 1e3  # an image value below this in modulus counts as bounded
 DEFAULT_SEED = 20101
 
 
@@ -93,15 +94,14 @@ def properness_probe(
     n_samples: int,
     radius: float,
     aligned: Sequence[Tuple[ParamSeries, Scalar]] = (),
-    bound: float = 1e3,
     seed: int = DEFAULT_SEED,
 ) -> ProbeReport:
     """Sample large source points and look for bounded image values.
 
     Random directions almost never hit a bounded-image branch, so the probe
     also walks directions aligned to the supplied windows.  The report lists
-    the image values found below the bound; an empty exact value set should
-    produce no clusters as the radius grows.
+    the image values found below ``PROBE_BOUND``; an empty exact value set
+    should produce no clusters as the radius grows.
     """
     if n_samples <= 0:
         raise PreconditionFailed("need a positive sample count")
@@ -121,13 +121,13 @@ def properness_probe(
             qv = f.q.evaluate_complex(xv, yv)
         except OverflowError:
             continue
-        if max(abs(pv), abs(qv)) < bound:
+        if max(abs(pv), abs(qv)) < PROBE_BOUND:
             bounded += 1
             clusters.append((pv, qv))
     for phi, c in aligned:
         total += 1
         pv, qv = _map_along_window(f, phi, c, radius)
-        if max(abs(pv), abs(qv)) < bound:
+        if max(abs(pv), abs(qv)) < PROBE_BOUND:
             bounded += 1
             clusters.append((pv, qv))
     return ProbeReport(bounded / total, clusters)

@@ -294,41 +294,27 @@ def horizontal_q_prefixes(
     """Prefix windows of phi along which the second component has exponent
     zero and a nonconstant limit, ordered from coarsest down.
 
-    The prefix fixed above a candidate slot is piecewise constant between
-    phi's step indices, so each segment needs one exact expansion; segment
-    endpoints use the strictly-above prefix because the window's parameter
-    replaces any step sitting exactly there.
+    The slots are 0, phi's positive step indices and its parameter index.
+    Consecutive slots k_hi < k_lo bound a segment, lo <= e < hi with
+    lo = 1 - k_lo/mult and hi = 1 - k_hi/mult.  A window of phi at such an e
+    fixes the steps with k <= k_hi (at lo its parameter replaces the step),
+    so a segment reads one expansion of Q, whose envelope never decreases
+    in e: one zero at most.  The empty prefix, read only at e = 1, gives no
+    witness, since Q's envelope there is deg Q > 0.
     """
     slots = [0] + [k for k, _ in phi.steps if k > 0] + [phi.param_index]
     out: List[Tuple[ParamSeries, LeadingData]] = []
-    seen: set = set()
     for k_hi, k_lo in zip(slots, slots[1:]):
-        hi = 1 - Fraction(k_hi, phi.mult)
-        lo = 1 - Fraction(k_lo, phi.mult)
-        above = Prefix.of(phi.mult, [(k, c) for k, c in phi.steps if k < k_hi])
-        z = envelope_zero(expansion_points(f.q, above))
-        if z is not None and Fraction(*z) == hi:
-            _collect_window(f, phi, hi, out, seen)
         within = Prefix.of(phi.mult, [(k, c) for k, c in phi.steps if k <= k_hi])
         z = envelope_zero(expansion_points(f.q, within))
         e = None if z is None else Fraction(*z)
-        if e is not None and lo < e < hi:
-            _collect_window(f, phi, e, out, seen)
-    out.sort(key=lambda t: -t[0].param_exponent)
+        lo, hi = 1 - Fraction(k_lo, phi.mult), 1 - Fraction(k_hi, phi.mult)
+        if e is not None and lo <= e < hi and e > phi.param_exponent:
+            w = window_at(phi, e)
+            lead = leading_data(f, w)
+            if lead.q_exp == 0 and lead.q_lead.degree > 0:
+                out.append((w, lead))
     return out
-
-
-def _collect_window(f, phi, e, out, seen) -> None:
-    if e <= phi.param_exponent:
-        return
-    w = window_at(phi, e)
-    key = w.sort_key()
-    if key in seen:
-        return
-    seen.add(key)
-    lead = leading_data(f, w)
-    if lead.q_exp == 0 and lead.q_lead.degree > 0:
-        out.append((w, lead))
 
 
 def verify_theorem2(f: MapPair, phi: ParamSeries) -> Theorem2Certificate:
@@ -656,21 +642,19 @@ def run_all_checks(
     for name in wanted:
         if name == "theorem1":
             items = []
-            met = 0
             for s, seq, _rid in chains:
                 for lv in seq.levels[:-1]:
                     if lv.lead.p_exp > 0 and lv.lead.q_exp > 0:
                         cert = theorem1_from_leads(lv.lead, seq.levels[-1].lead,
                                                    lv.series, s)
-                        met += cert.hypothesis_met
                         items.append(
                             {
                                 "ok": not cert.counterexample(),
                                 "hypothesis_met": cert.hypothesis_met,
                             }
                         )
-            rep = CheckReport.combine("theorem1", items, {"non_vacuous": met})
-            checks.append(rep)
+            met = sum(it["hypothesis_met"] for it in items)
+            checks.append(CheckReport.combine("theorem1", items, {"non_vacuous": met}))
         elif name == "theorem2":
             items = []
             for s, lead in scan.found:
@@ -689,25 +673,16 @@ def run_all_checks(
             reports = [check_lemma2(seq, rid) for _s, seq, rid in chains]
             checks.append(_merge_reports("lemma2", reports, chain_skips))
         elif name == "lemma3":
-            items = []
-            for node in nodes:
-                if _positive_constant_jacobian(node.lead):
-                    rep = check_lemma3(node.lead, node.series.param_index, SIGMA)
-                    items.append({"ok": rep.status == "pass"})
-            checks.append(
-                CheckReport.combine("lemma3", items, {"sign": SIGMA,
-                                                      "non_vacuous": len(items)})
-            )
+            checks.append(_window_check(
+                "lemma3", nodes, _positive_constant_jacobian, check_lemma3, SIGMA
+            ))
         elif name == "lemma4":
-            reports = []
-            vacuous = 0
-            for _s, seq, rid in chains:
-                if _positive_constant_jacobian(seq.levels[0].lead):
-                    reports.append(check_lemma4(seq, rid))
-                else:
-                    vacuous += 1
+            reports = [
+                check_lemma4(seq, rid) for _s, seq, rid in chains
+                if _positive_constant_jacobian(seq.levels[0].lead)
+            ]
             merged = _merge_reports("lemma4", reports, [])
-            merged.data["hypothesis_vacuous_chains"] = vacuous
+            merged.data["hypothesis_vacuous_chains"] = len(chains) - len(reports)
             checks.append(merged)
         elif name == "eq4":
             if _nonzero_constant_jacobian(f):
@@ -720,19 +695,9 @@ def run_all_checks(
             reports = [check_eq9(seq) for _s, seq, _rid in chains]
             checks.append(_merge_reports("eq9", reports, chain_skips))
         elif name == "section5":
-            items = []
-            for node in nodes:
-                if _horizontal_orientation(node.lead) is not None:
-                    rep = check_section5_identity(
-                        node.lead, node.series.param_index, SIGMA_PRIME
-                    )
-                    items.append({"ok": rep.status == "pass"})
-            checks.append(
-                CheckReport.combine(
-                    "section5", items,
-                    {"sign": SIGMA_PRIME, "non_vacuous": len(items)},
-                )
-            )
+            checks.append(_window_check(
+                "section5", nodes, _horizontal_orientation, check_section5_identity, SIGMA_PRIME
+            ))
         elif name == "factorization":
             items = []
             for label, g in (("first", f.p), ("second", f.q)):
@@ -746,6 +711,16 @@ def run_all_checks(
                 items.append({"component": label, "ok": rep.status != "fail"})
             checks.append(CheckReport.combine("factorization", items))
     return VerificationRun(checks, scan.unresolved + chain_skips)
+
+
+def _window_check(name, nodes, hypothesis, checker, sign) -> CheckReport:
+    """One item per tree window whose lead meets the hypothesis (a truthy
+    result), passing when the checker passes there."""
+    items = [
+        {"ok": checker(node.lead, node.series.param_index, sign).status == "pass"}
+        for node in nodes if hypothesis(node.lead)
+    ]
+    return CheckReport.combine(name, items, {"sign": sign, "non_vacuous": len(items)})
 
 
 def _merge_reports(

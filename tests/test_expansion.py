@@ -541,10 +541,12 @@ class TestExpansionTree:
         assert dic[0].series == series(1, [(0, sc(0, 1))], 2)  # i*x + s/x
 
 
-# real maps: a derived subtree that ends in a lead that does not split, and
-# one where conjugation reverses the order of two children (0 and 3/8*i)
+# real maps: a derived subtree that ends in a lead that does not split, one
+# where conjugation reverses the order of two children (0 and 3/8*i), and one
+# where the window 1-i + s/x, which is expanded, has a child at 1/2+1/2*i
 UNSPLIT_DERIVED = "(x*y^2+x)^2+y; x*y^3+y"
 REORDERED_DERIVED = "2*x*y^3+3*x^2*y^2-2*y; -x*y^4+2*x^3*y^4-2*x^2-2"
+NONREAL_UNDER_NONREAL = "x*y+y^2-1; x*y^2-2*x*y+2*x-y"
 
 
 class TestConjugateSubtrees:
@@ -555,6 +557,7 @@ class TestConjugateSubtrees:
         **DEGREE12_TEXT,
         "unsplit": UNSPLIT_DERIVED,
         "reordered": REORDERED_DERIVED,
+        "nonreal_under_nonreal": NONREAL_UNDER_NONREAL,
     }
     COMMANDS = (
         ["tree"],

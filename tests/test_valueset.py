@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,7 +22,18 @@ from npvset.expansion import (
     root_index_data,
 )
 from npvset.parsing import parse_map, parse_poly
-from npvset.puiseux import ConcreteBranch, LeadingData, ROOT_WINDOW, leading_data, series
+from npvset.puiseux import (
+    ConcreteBranch,
+    LeadingData,
+    Prefix,
+    ROOT_WINDOW,
+    envelope_zero,
+    expansion_points,
+    leading_data,
+    refine,
+    series,
+    window_at,
+)
 from npvset.valueset import (
     check_eq4,
     check_eq9,
@@ -43,7 +57,9 @@ import npvset.expansion as expansion_mod
 import npvset.puiseux as puiseux_mod
 import npvset.valueset as valueset_mod
 
-from conftest import CORPUS_TEXT, STRESS_TEXT, compose, corpus_map, sc, up
+from conftest import (
+    CORPUS_TEXT, DEGREE12_TEXT, M9_TEXT, STRESS_TEXT, compose, corpus_map, sc, up,
+)
 
 
 def lead_of(p, a, q, b, j, jexp, mult=1):
@@ -226,6 +242,84 @@ class TestTheorem2:
         f = corpus_map("F2")
         with pytest.raises(PreconditionFailed):
             verify_theorem2(f, F2_PHI)  # exponents are (-1, 0), not (0, <0)
+
+    MAPS = {
+        **CORPUS_TEXT, **STRESS_TEXT, "M9": M9_TEXT, "E": "x^2+x*y+y^2+x; y", **DEGREE12_TEXT,
+    }
+
+    def test_witness_search_matches_two_prefix_scan(self):
+        # every tree window of the 21 maps and two seeded refinements of each
+        rng = random.Random(27)
+        coeffs = [ZERO, ONE, -ONE, sc(0, 1), sc(2), sc(1, 1)]
+        witnesses = at_step = 0
+        for name, text in self.MAPS.items():
+            f = normalize_monic(*parse_map(text))
+            for node in dicritical_series(f).tree.walk():
+                phi = node.series
+                refined = []
+                for _ in range(2):
+                    r = rng.randint(1, 3)
+                    k = phi.param_index * r + rng.randint(1, 2 * r)
+                    refined.append(refine(phi, rng.choice(coeffs), k, phi.mult * r))
+                for w in (phi, *refined):
+                    got = horizontal_q_prefixes(f, w)
+                    assert got == ref_horizontal_q_prefixes(f, w), (name, w)
+                    exps = [v.param_exponent for v, _ in got]
+                    assert all(a > b for a, b in zip(exps, exps[1:])), (name, w)
+                    steps = {e for e, _ in w.step_exponents()}
+                    at_step += sum(e in steps for e in exps)
+                    witnesses += len(exps)
+        # a witness at a step exponent is the zero at the bottom of the
+        # segment above that step; the others lie strictly inside one
+        assert witnesses > at_step > 0
+
+    @pytest.mark.parametrize("name, segments", [("D12", 3), ("F2T", 1)])
+    def test_witness_search_reads_each_segment_once(self, monkeypatch, name, segments):
+        f = normalize_monic(*parse_map({**CORPUS_TEXT, **DEGREE12_TEXT}[name]))
+        (phi,) = [s for s, lead in dicritical_series(f).found
+                  if lead.p_exp == 0 and lead.q_exp < 0]
+        reads = []
+
+        def spy(g, prefix):
+            reads.append(g is f.q)
+            return expansion_points(g, prefix)
+
+        monkeypatch.setattr(valueset_mod, "expansion_points", spy)
+        assert horizontal_q_prefixes(f, phi)
+        assert reads == [True] * segments
+
+
+def ref_horizontal_q_prefixes(f, phi):
+    """The two-prefix scan: each segment reads Q around the steps strictly
+    above its top slot, for a zero there, and around the steps down to it,
+    for a zero strictly inside; then duplicates go and the windows sort."""
+    slots = [0] + [k for k, _ in phi.steps if k > 0] + [phi.param_index]
+    out, seen = [], set()
+
+    def collect(e):
+        if e <= phi.param_exponent:
+            return
+        w = window_at(phi, e)
+        if w.sort_key() in seen:
+            return
+        seen.add(w.sort_key())
+        lead = leading_data(f, w)
+        if lead.q_exp == 0 and lead.q_lead.degree > 0:
+            out.append((w, lead))
+
+    for k_hi, k_lo in zip(slots, slots[1:]):
+        hi = 1 - Fraction(k_hi, phi.mult)
+        lo = 1 - Fraction(k_lo, phi.mult)
+        above = Prefix.of(phi.mult, [(k, c) for k, c in phi.steps if k < k_hi])
+        z = envelope_zero(expansion_points(f.q, above))
+        if z is not None and Fraction(*z) == hi:
+            collect(hi)
+        within = Prefix.of(phi.mult, [(k, c) for k, c in phi.steps if k <= k_hi])
+        z = envelope_zero(expansion_points(f.q, within))
+        if z is not None and lo < Fraction(*z) < hi:
+            collect(Fraction(*z))
+    out.sort(key=lambda t: -t[0].param_exponent)
+    return out
 
 
 class TestLemma2:
