@@ -148,12 +148,21 @@ class Scalar:
 
 
 def _power(base, n: int, one):
-    """base ** n for n >= 0 by repeated squaring, starting from ``one``."""
-    result = one
+    """base ** n for n >= 0 by repeated squaring; ``one`` is base ** 0.
+
+    The result starts at the lowest set bit's power of base, and no square
+    is taken past the highest bit."""
+    if not n:
+        return one
+    while not n & 1:
+        base = base * base
+        n >>= 1
+    result = base
+    n >>= 1
     while n:
+        base = base * base
         if n & 1:
             result = result * base
-        base = base * base
         n >>= 1
     return result
 
@@ -237,7 +246,7 @@ class UniPoly:
     the empty tuple and the leading coefficient is always nonzero otherwise.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_roots")  # _roots: set by expansion.all_roots
 
     def __init__(self, coeffs: tuple):
         self.coeffs = coeffs

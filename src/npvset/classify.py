@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Tuple
 
-from .algebra import Scalar, UniPoly
+from .algebra import ZERO, Scalar, UniPoly
 from .puiseux import LeadingData
 
 
@@ -58,10 +58,22 @@ class DeltaData(NamedTuple):
 
 
 def delta(lead: LeadingData, param_index: int) -> DeltaData:
-    """Compute the delta form of a window; judgment is left to the verifiers."""
-    d = lead.p_lead.scale(Scalar.of(lead.p_exp)) * lead.q_lead.derivative() - (
-        lead.p_lead.derivative() * lead.q_lead.scale(Scalar.of(lead.q_exp))
-    )
+    """Compute the delta form of a window; judgment is left to the verifiers.
+
+    With p = sum p_i s^i and q = sum q_j s^j, a*p*q' - b*p'*q is the sum of
+    (a*j - b*i) * p_i * q_j * s^(i+j-1) over the coefficient pairs, one pass.
+    """
+    a, b = lead.p_exp, lead.q_exp
+    pc, qc = lead.p_lead.coeffs, lead.q_lead.coeffs
+    out = [ZERO] * max(len(pc) + len(qc) - 2, 0)
+    for i, p_i in enumerate(pc):
+        if p_i.is_zero():
+            continue
+        for j, q_j in enumerate(qc):
+            w = a * j - b * i  # zero at i = j = 0, so i + j - 1 >= 0 below
+            if w and not q_j.is_zero():
+                out[i + j - 1] += p_i * q_j * Scalar.of(w)
+    d = UniPoly.make(out)
     mj = lead.jac_lead.scale(Scalar.of(lead.mult))
     lhs = lead.p_exp + lead.q_exp
     rhs = 2 * lead.mult - param_index + lead.jac_exp

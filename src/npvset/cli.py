@@ -15,6 +15,7 @@ import argparse
 import functools
 import gc
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import List, Optional, Sequence, Tuple
@@ -468,10 +469,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         message = "out of memory" if isinstance(exc, MemoryError) else str(exc)
         print(f"error: {message}", file=sys.stderr)
         if config.fmt == "json":
-            print(render(_report(config, error=message), "json"))
+            _emit(render(_report(config, error=message), "json"))
         return EXIT_INTERNAL
-    print(render(report, config.fmt))
+    _emit(render(report, config.fmt))
     return code
+
+
+def _emit(text: str) -> None:
+    """Print the report.  A reader that closes the pipe early, as ``head``
+    does, only ends the output: stdout then points at the null device, so
+    the flush at exit does not raise again."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

@@ -21,7 +21,9 @@ Three related computations live here:
 * ``associated_sequence`` / ``root_index_data`` read the maximal chain of
   windows between two series off the Newton polygons along the finer one,
   and the roots tracking each level off that level's two leads, with no
-  branch search, and verify the structural side conditions.
+  branch search, and verify the structural side conditions.  Given the
+  tree path down to the finer window, each level is that path's node:
+  its window and leads, and the root search the tree ran on them.
 
 All three read the upper Newton hull through one reader, ``hull_edges``,
 which returns the edge slopes below a bound as integer pairs.
@@ -30,7 +32,8 @@ Root extraction over Q(i) runs on Gaussian integers: the coefficients are
 cleared of denominators once, degree <= 2 is solved in closed form, and
 above that rational candidates are checked by integer Horner sums and
 divided out in Z[i]; anything that fails to split raises or records
-ExtensionRequired rather than falling back to numerics.
+ExtensionRequired rather than falling back to numerics.  Each polynomial
+keeps its own search's result, for as long as it lives.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 from .algebra import (
     BiPoly,
     MapPair,
-    ONE,
     Scalar,
     UniPoly,
     ZERO,
@@ -284,20 +286,28 @@ def all_roots(h: UniPoly) -> Tuple[List[Tuple[Scalar, int]], UniPoly]:
     The remainder is h divided by its monic linear factors (s - r)^m, so it
     keeps lc(h): a constant when h splits completely, otherwise the product
     of factors with no Gaussian-rational root (degree >= 2).  The search
-    runs on Gaussian integers and solves degree <= 2 in closed form.
+    runs on Gaussian integers and solves degree <= 2 in closed form.  Its
+    result is kept on h, so a lead that the tree and a chain both read is
+    searched once: the polynomial lives as long as the run's leads.
     """
+    memo = getattr(h, "_roots", None)
+    if memo is not None:
+        # a remainder that is h itself is kept as None: no reference cycle
+        return list(memo[0]), h if memo[1] is None else memo[1]
     if h.is_zero():
         raise PreconditionFailed("root search on the zero polynomial")
     roots: List[Tuple[Scalar, int]] = []
-    v = h.valuation()
+    rest, v = h, h.valuation()
     if v:
         roots.append((ZERO, v))
-        h = UniPoly(h.coeffs[v:])
-    if h.degree >= 1:
-        found, h = _integer_roots(h)
+        rest = UniPoly(h.coeffs[v:])
+    if rest.degree >= 1:
+        found, rest = _integer_roots(rest)
         roots += found
     # each root is found once, with its full multiplicity
-    return sorted(roots, key=lambda rm: rm[0].sort_key()), h
+    roots.sort(key=lambda rm: rm[0].sort_key())
+    h._roots = (tuple(roots), None if rest is h else rest)
+    return roots, rest
 
 
 def roots_in_field(
@@ -686,7 +696,10 @@ class AssociatedSequence(NamedTuple):
 
 
 def associated_sequence(
-    psi: ParamSeries, phi: ParamSeries, f: MapPair
+    psi: ParamSeries,
+    phi: ParamSeries,
+    f: MapPair,
+    path: Optional[Sequence[ExpansionNode]] = None,
 ) -> AssociatedSequence:
     """The maximal admissible chain of windows from psi down to phi.
 
@@ -706,28 +719,44 @@ def associated_sequence(
     a verification failure.  Whether a level's leads have a nonzero root
     is recorded per level (a theorem only under the hypotheses of the
     calling context, so a violation is a flag, not an error).
+
+    ``path``, when given, is the window tree's nodes from psi's down to
+    phi's.  Every level is then a node of the path, with the same window
+    and leads (the others are zero crossings), so each level takes the
+    node's window and leading data, whose lazy Jacobian the tree's checks
+    share; a window missing from the path is built from phi as without one.
     """
-    ok, _, _ = is_refinement(psi, phi)
-    if not ok:
-        raise NotARefinement("second series does not refine the first")
+    if path is None:
+        ok, _, _ = is_refinement(psi, phi)
+        if not ok:
+            raise NotARefinement("second series does not refine the first")
+        nodes = {}
+    elif path[0].series != psi or path[-1].series != phi:
+        raise PreconditionFailed("the path must run from psi's window to phi's")
+    else:
+        nodes = {node.series.param_exponent: node for node in path}
     e_bot = phi.param_exponent
     coeff_exps = [e for e, _ in phi.step_exponents()]
 
-    def window(e: Fraction) -> ParamSeries:
-        return phi if e == e_bot else window_at(phi, e)
+    def level(e: Fraction) -> Tuple[ParamSeries, LeadingData]:
+        node = nodes.get(e)
+        if node is not None:
+            return node.series, node.lead
+        w = phi if e == e_bot else window_at(phi, e)
+        return w, leading_data(f, w)
 
     levels: List[SequenceLevel] = []
-    w = window(psi.param_exponent)
-    lead = leading_data(f, w)
-    while w is not phi:
-        e, slot = w.param_exponent, w.mult - w.param_index
+    e = psi.param_exponent
+    w, lead = level(e)
+    while e != e_bot:
+        slot = w.mult - w.param_index
         # the coefficient pinned at this level's slot when descending
         c = phi.coeff_at(e)
         prefix = w.fix_param(c)
         slopes = [
-            Fraction(*e)
+            Fraction(*edge)
             for g in (f.p, f.q)
-            for e in hull_edges(expansion_points(g, prefix), slot, w.mult)
+            for edge in hull_edges(expansion_points(g, prefix), slot, w.mult)
         ]
         e_next = max(
             (x for x in (*slopes, *coeff_exps) if e_bot < x < e), default=e_bot
@@ -735,13 +764,13 @@ def associated_sequence(
         # a polynomial has a nonzero root iff it is neither constant nor a monomial
         s2_ok = _has_nonzero_root(lead.p_lead) or _has_nonzero_root(lead.q_lead)
         levels.append(SequenceLevel(w, c, lead, s2_ok))
-        w = window(e_next)
-        lead = leading_data(f, w)
+        e = e_next
+        w, lead = level(e)
         if (
             lead.p_lead.is_constant()
             and lead.q_lead.is_constant()
-            and w is not phi
-            and not phi.coeff_at(e_next).is_zero()
+            and e != e_bot
+            and not phi.coeff_at(e).is_zero()
         ):
             raise VerificationFailure(
                 "nonzero coefficient level without a tracking root"
@@ -794,7 +823,10 @@ def _level_members(
     roots = roots_in_field(lead, "leading polynomial of a chain level")
     members = [r for r, mult in roots for _ in range(mult)]
     count = next((mult for r, mult in roots if r == c), 0)
-    bar = lead.monic()
-    if count:
-        bar, _ = bar.divmod(UniPoly.make([-c, ONE]) ** count)
-    return members, count, bar
+    bar = lead.monic().coeffs
+    for _ in range(count):  # synthetic division by s - c, exact
+        quo = [bar[-1]]
+        for b in bar[-2:0:-1]:
+            quo.append(b + c * quo[-1])
+        bar = quo[::-1]
+    return members, count, UniPoly(tuple(bar))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import BiPoly, MapPair, ONE, Scalar, UniPoly, ZERO, poly_gcd, rational_text
 from .algebra import _from_nums
@@ -629,11 +629,12 @@ def run_all_checks(
     wanted = CHECKS if what == "all" else (what,)
     scan = dicritical_series(f, caps)
     nodes = list(scan.tree.walk())
+    paths = {id(path[-1].series): path for path in _dicritical_paths(scan.tree)}
     chains: List[Tuple[ParamSeries, AssociatedSequence, RootIndexData]] = []
     chain_skips: List[dict] = []
     for s, _lead in scan.found:
         try:
-            seq = associated_sequence(ROOT_WINDOW, s, f)
+            seq = associated_sequence(ROOT_WINDOW, s, f, paths[id(s)])
             chains.append((s, seq, root_index_data(seq)))
         except ExtensionRequired as exc:
             chain_skips.append({"series": repr(s), "reason": str(exc)})
@@ -711,6 +712,17 @@ def run_all_checks(
                 items.append({"component": label, "ok": rep.status != "fail"})
             checks.append(CheckReport.combine("factorization", items))
     return VerificationRun(checks, scan.unresolved + chain_skips)
+
+
+def _dicritical_paths(
+    node: ExpansionNode, above: Tuple[ExpansionNode, ...] = ()
+) -> Iterable[Tuple[ExpansionNode, ...]]:
+    """The tree path from the root down to each dicritical node, root first."""
+    path = above + (node,)
+    if node.status == STATUS_DICRITICAL:
+        yield path
+    for ch in node.children:
+        yield from _dicritical_paths(ch, path)
 
 
 def _window_check(name, nodes, hypothesis, checker, sign) -> CheckReport:

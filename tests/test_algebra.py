@@ -15,6 +15,7 @@ from npvset.algebra import (
     BiPoly,
     Scalar,
     UniPoly,
+    _power,
     bipoly,
     jacobian,
     normalize_monic,
@@ -206,6 +207,37 @@ class TestUniPoly:
         a = up(-1, 0, 1)  # (s-1)(s+1)
         b = up(1, 1)
         assert poly_gcd(a, b) == up(1, 1)
+
+
+class Counted:
+    """A value whose products are counted, to see the work a power does."""
+
+    muls = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __mul__(self, other):
+        Counted.muls += 1
+        return Counted(self.value * other.value)
+
+
+@pytest.mark.parametrize("n", range(0, 18))
+def test_power_squares_only_up_to_the_top_bit(n):
+    # base^n takes bit_length(n) - 1 squarings and one product per further
+    # set bit: no square past the top bit and no product with one
+    Counted.muls = 0
+    got = _power(Counted(3), n, Counted(1))
+    assert got.value == 3 ** n
+    assert Counted.muls == max(n.bit_length() - 1, 0) + max(bin(n).count("1") - 1, 0)
+    # the same values for each type that powers through it
+    s, u = sc(2, -1), UniPoly.make([ONE, sc(0, 1), sc(2)])
+    b = bipoly({(1, 2): ONE, (1, 0): ONE, (0, 1): sc(1, 1)})
+    for base, one in ((s, ONE), (u, up(1)), (b, bipoly({(0, 0): ONE}))):
+        want = one
+        for _ in range(n):
+            want = want * base
+        assert base ** n == want
 
 
 scalar_strategy = st.builds(

@@ -347,6 +347,30 @@ def test_deep_branches_finish_in_time(depth):
     assert len(json.loads(proc.stdout)["result"]["branches"]) == 3
 
 
+def test_a_reader_closing_the_pipe_ends_the_output_quietly():
+    # M4's branches to index 400 make a report of about 186 KB, more than a
+    # pipe holds, so the writer meets the closed pipe; it exits with the
+    # run's own code and writes nothing to stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "npvset.cli", "--map", STRESS_TEXT["M4"], "branches",
+         "--which", "P", "--depth", "400", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert proc.stdout.read(10) == b'{\n  "check'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=20) == EXIT_OK
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == b""
+
+
 def test_degree12_verify_finishes_in_time_and_memory():
     # D12's factorization check descends below simple roots; each tail
     # keeps its rows local, so a 1 GiB address space is ample

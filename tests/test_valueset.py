@@ -10,9 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from npvset.algebra import BiPoly, MapPair, ONE, UniPoly, ZERO, bipoly, normalize_monic
-from npvset.errors import NotARefinement, PreconditionFailed
+from npvset.classify import delta
+from npvset.errors import ExtensionRequired, NotARefinement, PreconditionFailed, VerificationFailure
 from npvset.expansion import (
     AssociatedSequence,
+    all_roots,
+    hull_edges,
     Caps,
     LevelIndexData,
     RootIndexData,
@@ -29,6 +32,7 @@ from npvset.puiseux import (
     ROOT_WINDOW,
     envelope_zero,
     expansion_points,
+    is_refinement,
     leading_data,
     refine,
     series,
@@ -387,6 +391,28 @@ class TestLemma3:
         assert rep.status == "fail"
 
 
+def ref_delta_form(lead):
+    """The delta form by scalings, derivatives, products and a difference."""
+    return lead.p_lead.scale(sc(lead.p_exp)) * lead.q_lead.derivative() - (
+        lead.p_lead.derivative() * lead.q_lead.scale(sc(lead.q_exp))
+    )
+
+
+gaussian = st.builds(sc, st.fractions(max_denominator=6), st.sampled_from([0, 0, 1, -2]))
+
+
+@given(
+    st.lists(gaussian, max_size=6), st.integers(-6, 6),
+    st.lists(gaussian, max_size=6), st.integers(-6, 6),
+)
+@settings(max_examples=200, deadline=None)
+def test_one_pass_delta_form_matches_reference(p, a, q, b):
+    lead = LeadingData(UniPoly.make(p), a, UniPoly.make(q), b, up(2, 1), 3, 2)
+    dd = delta(lead, 1)
+    assert dd.delta == ref_delta_form(lead)
+    assert dd.scaled_jac == up(4, 2) and (dd.exponent_lhs, dd.exponent_rhs) == (a + b, 6)
+
+
 class TestSection5:
     def test_f2t_hand_instance(self):
         f = corpus_map("F2T")
@@ -609,6 +635,215 @@ class TestRunAllChecks:
         assert sum(map(sum, chains.values())) == 11
 
 
+def ref_path_free_sequence(psi, phi, f):
+    """The chain walk without a tree path, as written before the walk read
+    its levels off the tree: each level's window is rebuilt from phi and
+    its leading data read again."""
+    ok, _, _ = is_refinement(psi, phi)
+    if not ok:
+        raise NotARefinement("second series does not refine the first")
+    e_bot = phi.param_exponent
+    coeff_exps = [e for e, _ in phi.step_exponents()]
+
+    def window(e):
+        return phi if e == e_bot else window_at(phi, e)
+
+    levels = []
+    w = window(psi.param_exponent)
+    lead = leading_data(f, w)
+    while w is not phi:
+        e, slot = w.param_exponent, w.mult - w.param_index
+        c = phi.coeff_at(e)
+        prefix = w.fix_param(c)
+        slopes = [
+            Fraction(*e)
+            for g in (f.p, f.q)
+            for e in hull_edges(expansion_points(g, prefix), slot, w.mult)
+        ]
+        e_next = max(
+            (x for x in (*slopes, *coeff_exps) if e_bot < x < e), default=e_bot
+        )
+        s2_ok = any(not g.is_constant() and not g.is_monomial()
+                    for g in (lead.p_lead, lead.q_lead))
+        levels.append(SequenceLevel(w, c, lead, s2_ok))
+        w = window(e_next)
+        lead = leading_data(f, w)
+        if (
+            lead.p_lead.is_constant()
+            and lead.q_lead.is_constant()
+            and w is not phi
+            and not phi.coeff_at(e_next).is_zero()
+        ):
+            raise VerificationFailure("nonzero coefficient level without a tracking root")
+    levels.append(SequenceLevel(w, None, lead))
+    return AssociatedSequence(levels)
+
+
+def ref_level_members(lead, c):
+    """A level's members with (s - c)^count divided out by long division."""
+    roots, rest = all_roots(lead)
+    if rest.degree >= 1:
+        raise ExtensionRequired(rest, "leading polynomial of a chain level")
+    count = next((mult for r, mult in roots if r == c), 0)
+    bar = lead.monic()
+    if count:
+        bar, _ = bar.divmod(UniPoly.make([-c, ONE]) ** count)
+    return [r for r, mult in roots for _ in range(mult)], count, bar
+
+
+def chain_record(build, *args):
+    """Levels and index data of one chain as plain tuples, or the exception."""
+    try:
+        seq = build(*args)
+        members = []
+        for lv in seq.levels:
+            s_members, s0, pbar = ref_level_members(lv.lead.p_lead, lv.c)
+            t_members, t0, qbar = ref_level_members(lv.lead.q_lead, lv.c)
+            members.append((s_members, t_members, s0, t0, pbar, qbar))
+        data = [tuple(d) for d in root_index_data(seq).levels]
+    except (ExtensionRequired, VerificationFailure) as exc:
+        return ("raised", type(exc), str(exc))
+    assert data == members  # synthetic division against long division
+    return [tuple(lv) for lv in seq.levels], data
+
+
+COEFFS_TEXT = ["1", "-1", "2", "3", "5", "-2", "i", "(1+i)"]
+
+
+def random_map_text(rng):
+    """2-4 terms per component, total degree 2 to 4, Gaussian coefficients."""
+    deg = rng.randint(2, 4)
+    comps = []
+    for _ in range(2):
+        terms = set()
+        while len(terms) < rng.randint(2, 4):
+            a = rng.randint(0, deg)
+            b = rng.randint(0, deg - a)
+            if a + b:
+                terms.add((a, b))
+        comps.append("+".join(f"{rng.choice(COEFFS_TEXT)}*x^{a}*y^{b}" for a, b in sorted(terms)))
+    return "; ".join(comps)
+
+
+NAMED_MAPS = {
+    **CORPUS_TEXT, **STRESS_TEXT, "M9": M9_TEXT, "E": "x^2+x*y+y^2+x; y", **DEGREE12_TEXT,
+}
+
+
+def tree_chain_maps():
+    """The 21 named maps and 300 seeded random maps, normalized; a map
+    whose Jacobian vanishes identically is left out."""
+    rng = random.Random(28)
+    texts = {**NAMED_MAPS, **{f"random{n}": random_map_text(rng) for n in range(300)}}
+    out = {}
+    for name, text in texts.items():
+        f = normalize_monic(*parse_map(text))
+        if not f.jac.is_zero():
+            out[name] = f
+    return out
+
+
+class TestTreeChains:
+    def test_path_chain_matches_path_free_walk(self):
+        census = {"chains": 0, "raised": 0, "named": 0, "levels": 0, "off_chain": 0}
+        for name, f in tree_chain_maps().items():
+            for path in valueset_mod._dicritical_paths(dicritical_series(f).tree):
+                phi = path[-1].series
+                want = chain_record(ref_path_free_sequence, ROOT_WINDOW, phi, f)
+                got = chain_record(associated_sequence, ROOT_WINDOW, phi, f, path)
+                assert got == want, (name, phi)
+                # a window missing from the path is built from phi instead
+                ends = (path[0], path[-1])
+                assert chain_record(associated_sequence, ROOT_WINDOW, phi, f, ends) == want
+                assert chain_record(associated_sequence, ROOT_WINDOW, phi, f) == want
+                if got[0] == "raised":
+                    census["raised"] += 1
+                    continue
+                census["chains"] += 1
+                census["named"] += name in NAMED_MAPS
+                # every level is its path node, window and leads; the nodes
+                # off the chain are zero crossings of P's or Q's exponent
+                seq = associated_sequence(ROOT_WINDOW, phi, f, path)
+                on = {id(lv.lead) for lv in seq.levels}
+                by_lead = {id(node.lead): node for node in path}
+                assert on <= by_lead.keys(), (name, phi)
+                assert all(by_lead[id(lv.lead)].series is lv.series for lv in seq.levels)
+                off = [node.lead for node in path if id(node.lead) not in on]
+                assert all(0 in (lead.p_exp, lead.q_exp) for lead in off), (name, phi)
+                census["levels"] += len(seq.levels)
+                census["off_chain"] += len(off)
+        assert census == {"chains": 61, "raised": 0, "named": 11, "levels": 168, "off_chain": 20}
+
+    def test_path_must_join_psi_to_phi(self):
+        f = corpus_map("F2")
+        (path,) = valueset_mod._dicritical_paths(dicritical_series(f).tree)
+        with pytest.raises(PreconditionFailed, match="path"):
+            associated_sequence(ROOT_WINDOW, path[-2].series, f, path)
+        with pytest.raises(PreconditionFailed, match="path"):
+            associated_sequence(F2_PHI, path[-1].series, f, path)
+
+    def test_chains_rebuild_no_window(self, monkeypatch):
+        # in run_all_checks every level is read off the tree: no window is
+        # rebuilt, no refinement checked and no leading data read again
+        inside, calls = [0], {"leading_data": 0, "window_at": 0, "is_refinement": 0}
+        for name in calls:
+            inner = getattr(expansion_mod, name)
+
+            def counting(*args, name=name, inner=inner):
+                calls[name] += inside[0] > 0
+                return inner(*args)
+
+            monkeypatch.setattr(expansion_mod, name, counting)
+        inner_seq = valueset_mod.associated_sequence
+        built = []
+
+        def nested(*args):
+            inside[0] += 1
+            try:
+                built.append(inner_seq(*args))
+                return built[-1]
+            finally:
+                inside[0] -= 1
+
+        monkeypatch.setattr(valueset_mod, "associated_sequence", nested)
+        for text in NAMED_MAPS.values():
+            run_all_checks(normalize_monic(*parse_map(text)))
+        assert len(built) == 8 and calls == dict.fromkeys(calls, 0)
+        # the guard sees the calls of a walk without a path
+        nested(ROOT_WINDOW, F2_PHI, corpus_map("F2"))
+        assert all(calls.values()), calls
+
+    def test_no_lead_is_root_searched_twice(self, monkeypatch):
+        # each polynomial keeps its search's result, so the chains read the
+        # searches the tree ran on the same lead objects
+        stack, calls, searched = [], [], []
+        inner_all, inner_int = expansion_mod.all_roots, expansion_mod._integer_roots
+
+        def all_roots(h):
+            calls.append(h)  # kept alive, so ids are not reused
+            stack.append(h)
+            try:
+                return inner_all(h)
+            finally:
+                stack.pop()
+
+        def integer_roots(h):
+            searched.append(stack[-1])
+            return inner_int(h)
+
+        monkeypatch.setattr(expansion_mod, "all_roots", all_roots)
+        monkeypatch.setattr(expansion_mod, "_integer_roots", integer_roots)
+        repeats = 0
+        for text in NAMED_MAPS.values():
+            calls.clear()
+            searched.clear()
+            run_all_checks(normalize_monic(*parse_map(text)))
+            ids = [id(h) for h in searched]
+            assert len(set(ids)) == len(ids), text
+            repeats += len(calls) - len({id(h) for h in calls})
+        assert repeats == 28  # chain levels reading the tree's searches
+
+
 class TestSharedWork:
     # F2 and M6 have one chain each; R2 has none but a constant Jacobian, so
     # eq4 runs
@@ -633,10 +868,10 @@ class TestSharedWork:
         assert calls == {"expansion_tree": 1, "curve_branches": 2}
 
     def test_chains_run_no_kernel_expansion(self, monkeypatch):
-        # a level reads two expansions: P and Q (at the top, or pinned below
-        # the upper level).  After the tree both are already in their
-        # curve's table, so no chain runs the kernel, and no chain reads
-        # the Jacobian or searches a curve's roots.
+        # a level above the last reads two expansions: P and Q pinned at its
+        # slot, for its slopes; its leads are its tree node's.  After the
+        # tree both are already in their curve's table, so no chain runs the
+        # kernel, and no chain reads the Jacobian or searches a curve's roots.
         inside = {"chain": 0}
         counts = {"branches": 0, "runs": 0}
         seqs = []
@@ -709,9 +944,9 @@ class TestSharedWork:
             run_all_checks(f)
             ran = kernel[start:]
             jac_runs.append({prefix for (g, prefix), _ in ran if g is f.jac})
-        per_level = [2 * len(seq.levels) for _, seq in seqs]
+        per_level = [2 * len(seq.levels) - 2 for _, seq in seqs]
         # the sixth chain is M6's, which the branch search could not match
-        assert per_level == [4, 4, 4, 6, 4, 6]
+        assert per_level == [2, 2, 2, 4, 2, 4]
         assert [len(keys) for keys in reads] == per_level
         assert counts == {"branches": 0, "runs": 0}
 
@@ -735,7 +970,7 @@ class TestSharedWork:
                     or (b > 0 and a == 0 and lead.p_lead.degree > 0)
                 ):
                     want.add(node.series.fix_param(ZERO))
-            for (_, _, g), seq in seqs:
+            for (_, _, g, _), seq in seqs:
                 want.update(
                     lv.series.fix_param(ZERO)
                     for lv in seq.levels[:-1]
@@ -752,14 +987,16 @@ class TestSharedWork:
             checked += len(want)
         assert checked == 33
 
-        # the same chains on fresh curves, with no tree first: each read
-        # runs the kernel once, and no level reads the Jacobian
-        chains = [args for args, _ in seqs]
+        # the same chains on fresh curves, with no tree first or path: each
+        # level also reads P and Q for its own leads, each read runs the
+        # kernel once, and no level reads the Jacobian
+        chains = [args[:3] for args, _ in seqs]
+        per_level = [2 * len(seq.levels) for _, seq in seqs]
         seqs.clear()
         reads.clear()
         counts.update(dict.fromkeys(counts, 0))
         for psi, phi, f in chains:
             fresh = MapPair(*[BiPoly(g.terms) for g in (f.p, f.q, f.jac)], f.shear)
             valueset_mod.associated_sequence(psi, phi, fresh)
-        assert [len(keys) for keys in reads] == per_level
+        assert [len(keys) for keys in reads] == per_level == [4, 4, 4, 6, 4, 6]
         assert counts == {"branches": 0, "runs": sum(per_level)}
