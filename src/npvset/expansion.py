@@ -19,11 +19,12 @@ Three related computations live here:
   is derived from its conjugate's: the same exponents and statuses,
   conjugate leads and roots.
 * ``associated_sequence`` / ``root_index_data`` read the maximal chain of
-  windows between two series off the Newton polygons along the finer one,
+  windows between two series off a path of windows down the finer one,
   and the roots tracking each level off that level's two leads, with no
-  branch search, and verify the structural side conditions.  Given the
-  tree path down to the finer window, each level is that path's node:
-  its window and leads, and the root search the tree ran on them.
+  branch search, and verify the structural side conditions.  The path is
+  the tree's down to the finer window, each level its node with the root
+  search the tree ran on its leads, or else ``window_path``, the one walk
+  down a series, which Theorem 2's witness search also reads.
 
 All three read the upper Newton hull through one reader, ``hull_edges``,
 which returns the edge slopes below a bound as integer pairs.
@@ -695,6 +696,39 @@ class AssociatedSequence(NamedTuple):
         return len(self.levels) - 1
 
 
+def window_path(f: MapPair, psi: ParamSeries, phi: ParamSeries) -> List[ExpansionNode]:
+    """The nodes the window tree grows along phi from psi's window, a prefix
+    of phi, down to phi as given; no children are attached.
+
+    Below a window at exponent e, with c phi's coefficient there, the next
+    one sits at the largest exponent below e and above phi's own that is
+    an upper-hull slope or exponent-zero crossing of P or Q around the
+    window's steps with c pinned, or a coefficient exponent of phi; with
+    none, it is phi.  So the lower window's fixed steps are the upper one's
+    with c pinned, and the support points read for the events give its leads.
+    """
+    bottom = (phi.mult - phi.param_index, phi.mult)
+    coeffs = [(phi.mult - k, phi.mult) for k, _ in phi.steps]
+    path = [ExpansionNode(psi, leading_data(f, psi), None, STATUS_OPEN)]
+    w = psi
+    while (slot := w.mult - w.param_index) * bottom[1] > bottom[0] * w.mult:
+        c = phi.coeff_at(w.param_exponent)
+        best, pts = bottom, []
+        for g in (f.p, f.q):
+            edges, zero, g_pts = _coord_events(g, w.fix_param(c), slot, w.mult)
+            pts.append(g_pts)
+            for x in (*edges, zero):
+                if x is not None and x[0] * best[1] > best[0] * x[1]:
+                    best = x
+        for x in coeffs:
+            if x[0] * best[1] > best[0] * x[1] and x[0] * w.mult < slot * x[1]:
+                best = x
+        w = phi if best == bottom else window_at(phi, Fraction(*best))
+        leads = [envelope_lead(g_pts, w.mult - w.param_index, w.mult) for g_pts in pts]
+        path.append(ExpansionNode(w, window_lead(f, w, *leads), c, STATUS_OPEN))
+    return path
+
+
 def associated_sequence(
     psi: ParamSeries,
     phi: ParamSeries,
@@ -704,78 +738,48 @@ def associated_sequence(
     """The maximal admissible chain of windows from psi down to phi.
 
     Between psi and phi, a level sits wherever a root of either component
-    leaves phi and at every nonzero coefficient of phi.  The chain is
-    walked top down along phi's own Newton polygons, with no branch
-    search: at a level with exponent e and pinned coefficient c, the roots
-    carrying c leave the level's fixed steps with c appended at the
-    upper-hull slopes below e of P and Q around them, and leave phi there
-    or at a nonzero coefficient of phi above that.  So the next level is
-    the largest such slope or nonzero exponent of phi above phi's own
-    exponent.  Between two levels
-    phi has no nonzero coefficient, so the lower window's fixed steps are
-    the upper window's with c pinned: the support points read for the
-    upper level's slopes also give the lower level's leads.  A level at a
-    nonzero coefficient of phi that no root tracks (both leads constant) is
-    a verification failure.  Whether a level's leads have a nonzero root
-    is recorded per level (a theorem only under the hypotheses of the
-    calling context, so a violation is a flag, not an error).
+    leaves phi and at every nonzero coefficient of phi.  The levels are
+    read off the path of windows from psi's down to phi's, with no branch
+    search: at a window with pinned coefficient c, the roots carrying c
+    leave its fixed steps with c appended at the upper-hull slopes of P and
+    Q around them, and a lead is a monomial exactly when its exponent is no
+    such slope.  So every window of the path is a level except the
+    exponent-zero crossings that pin nothing: both leads monomials and no
+    coefficient of phi there.  A level at a nonzero coefficient of phi that
+    no root tracks (both leads constant) is a verification failure.
+    Whether a level's leads have a nonzero root is recorded per level (a
+    theorem only under the hypotheses of the calling context, so a
+    violation is a flag, not an error).
 
     ``path``, when given, is the window tree's nodes from psi's down to
-    phi's.  Every level is then a node of the path, with the same window
-    and leads (the others are zero crossings), so each level takes the
-    node's window and leading data, whose lazy Jacobian the tree's checks
-    share; a window missing from the path is built from phi as without one.
+    phi's, each a child of the one before, and each level is its node,
+    whose lazy Jacobian the tree's checks share; else it is ``window_path``.
     """
     if path is None:
         ok, _, _ = is_refinement(psi, phi)
         if not ok:
             raise NotARefinement("second series does not refine the first")
-        nodes = {}
-    elif path[0].series != psi or path[-1].series != phi:
-        raise PreconditionFailed("the path must run from psi's window to phi's")
-    else:
-        nodes = {node.series.param_exponent: node for node in path}
-    e_bot = phi.param_exponent
-    coeff_exps = [e for e, _ in phi.step_exponents()]
-
-    def level(e: Fraction) -> Tuple[ParamSeries, LeadingData]:
-        node = nodes.get(e)
-        if node is not None:
-            return node.series, node.lead
-        w = phi if e == e_bot else window_at(phi, e)
-        return w, leading_data(f, w)
-
-    levels: List[SequenceLevel] = []
-    e = psi.param_exponent
-    w, lead = level(e)
-    while e != e_bot:
-        slot = w.mult - w.param_index
-        # the coefficient pinned at this level's slot when descending
-        c = phi.coeff_at(e)
-        prefix = w.fix_param(c)
-        slopes = [
-            Fraction(*edge)
-            for g in (f.p, f.q)
-            for edge in hull_edges(expansion_points(g, prefix), slot, w.mult)
-        ]
-        e_next = max(
-            (x for x in (*slopes, *coeff_exps) if e_bot < x < e), default=e_bot
+        path = window_path(f, psi, phi)
+    elif (
+        path[0].series != psi
+        or path[-1].series != phi
+        or not all(node in above.children for above, node in zip(path, path[1:]))
+    ):
+        raise PreconditionFailed(
+            "the path must run from psi's window to phi's, each node a child of the one before"
         )
+    levels: List[SequenceLevel] = []
+    for i, node in enumerate(path[:-1]):
+        # the coefficient pinned at this level's slot when descending
+        c, lead = phi.coeff_at(node.series.param_exponent), node.lead
         # a polynomial has a nonzero root iff it is neither constant nor a monomial
         s2_ok = _has_nonzero_root(lead.p_lead) or _has_nonzero_root(lead.q_lead)
-        levels.append(SequenceLevel(w, c, lead, s2_ok))
-        e = e_next
-        w, lead = level(e)
-        if (
-            lead.p_lead.is_constant()
-            and lead.q_lead.is_constant()
-            and e != e_bot
-            and not phi.coeff_at(e).is_zero()
-        ):
-            raise VerificationFailure(
-                "nonzero coefficient level without a tracking root"
-            )
-    levels.append(SequenceLevel(w, None, lead))
+        if i and not s2_ok and c.is_zero():
+            continue  # a zero crossing that pins nothing
+        if i and lead.p_lead.is_constant() and lead.q_lead.is_constant():
+            raise VerificationFailure("nonzero coefficient level without a tracking root")
+        levels.append(SequenceLevel(node.series, c, lead, s2_ok))
+    levels.append(SequenceLevel(path[-1].series, None, path[-1].lead))
     return AssociatedSequence(levels)
 
 

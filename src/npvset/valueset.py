@@ -13,12 +13,11 @@ reconstruction of a curve from its branches.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import BiPoly, MapPair, ONE, Scalar, UniPoly, ZERO, poly_gcd, rational_text
 from .algebra import _from_nums
-from .classify import delta, is_dicritical
+from .classify import _horizontal, delta, is_dicritical
 from .errors import ExtensionRequired, NotARefinement, PreconditionFailed
 from .expansion import (
     AssociatedSequence,
@@ -32,18 +31,15 @@ from .expansion import (
     curve_branches,
     expansion_tree,
     root_index_data,
+    window_path,
 )
 from .puiseux import (
     ConcreteBranch,
     LeadingData,
     ParamSeries,
-    Prefix,
     ROOT_WINDOW,
-    envelope_zero,
-    expansion_points,
     is_refinement,
     leading_data,
-    window_at,
 )
 
 SIGMA = 1         # global sign of the delta identity, fixed on the corpus
@@ -294,27 +290,31 @@ def horizontal_q_prefixes(
     """Prefix windows of phi along which the second component has exponent
     zero and a nonconstant limit, ordered from coarsest down.
 
-    The slots are 0, phi's positive step indices and its parameter index.
-    Consecutive slots k_hi < k_lo bound a segment, lo <= e < hi with
-    lo = 1 - k_lo/mult and hi = 1 - k_hi/mult.  A window of phi at such an e
-    fixes the steps with k <= k_hi (at lo its parameter replaces the step),
-    so a segment reads one expansion of Q, whose envelope never decreases
-    in e: one zero at most.  The empty prefix, read only at e = 1, gives no
-    witness, since Q's envelope there is deg Q > 0.
+    Q's lead at a window of phi is horizontal only where Q's envelope
+    around the window's fixed steps crosses zero, an event of the walk down
+    phi (``window_path``), so the prefixes are the walk's windows above
+    phi's with a horizontal Q lead.
     """
-    slots = [0] + [k for k, _ in phi.steps if k > 0] + [phi.param_index]
-    out: List[Tuple[ParamSeries, LeadingData]] = []
-    for k_hi, k_lo in zip(slots, slots[1:]):
-        within = Prefix.of(phi.mult, [(k, c) for k, c in phi.steps if k <= k_hi])
-        z = envelope_zero(expansion_points(f.q, within))
-        e = None if z is None else Fraction(*z)
-        lo, hi = 1 - Fraction(k_lo, phi.mult), 1 - Fraction(k_hi, phi.mult)
-        if e is not None and lo <= e < hi and e > phi.param_exponent:
-            w = window_at(phi, e)
-            lead = leading_data(f, w)
-            if lead.q_exp == 0 and lead.q_lead.degree > 0:
-                out.append((w, lead))
-    return out
+    return _horizontal_q_windows(window_path(f, ROOT_WINDOW, phi))
+
+
+def _horizontal_q_windows(path: Sequence[ExpansionNode]) -> List[Tuple[ParamSeries, LeadingData]]:
+    """The windows above the last node of a path whose Q lead is horizontal."""
+    return [(node.series, node.lead) for node in path[:-1] if _horizontal(node.lead)[1]]
+
+
+def theorem2_from_leads(
+    phi: ParamSeries, lead: LeadingData, prefixes: Sequence[Tuple[ParamSeries, LeadingData]]
+) -> Theorem2Certificate:
+    """The witness rule of Theorem 2 on phi's leading data and its horizontal
+    prefixes, coarsest first: the witness is the first singular prefix, or
+    the first prefix when none is singular.  Jacobian leads are read only up
+    to the first singular prefix."""
+    phi_singular = lead.jac_lead.degree > 0
+    first = prefixes[0][0] if prefixes else None
+    singular = next((w for w, wlead in prefixes if wlead.jac_lead.degree > 0), None)
+    witness = first if singular is None else singular
+    return Theorem2Certificate(phi, phi_singular, witness, singular is not None)
 
 
 def verify_theorem2(f: MapPair, phi: ParamSeries) -> Theorem2Certificate:
@@ -326,17 +326,7 @@ def verify_theorem2(f: MapPair, phi: ParamSeries) -> Theorem2Certificate:
         raise PreconditionFailed(
             "window must be dicritical with exponents (0, negative)"
         )
-    phi_singular = lead.jac_lead.degree > 0
-    witness: Optional[ParamSeries] = None
-    witness_singular = False
-    for w, wlead in horizontal_q_prefixes(f, phi):
-        if wlead.jac_lead.degree > 0:
-            witness = w
-            witness_singular = True
-            break
-        if witness is None:
-            witness = w
-    return Theorem2Certificate(phi, phi_singular, witness, witness_singular)
+    return theorem2_from_leads(phi, lead, horizontal_q_prefixes(f, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +422,10 @@ def check_lemma3(lead: LeadingData, param_index: int, sign: int = SIGMA) -> Chec
 def _horizontal_orientation(lead: LeadingData) -> Optional[int]:
     """1 when P's exponent is positive and Q is horizontal (exponent zero,
     nonconstant lead), -1 the other way round, None otherwise."""
-    if lead.p_exp > 0 and lead.q_exp == 0 and lead.q_lead.degree > 0:
+    horizontal_p, horizontal_q = _horizontal(lead)
+    if lead.p_exp > 0 and horizontal_q:
         return 1
-    if lead.q_exp > 0 and lead.p_exp == 0 and lead.p_lead.degree > 0:
+    if lead.q_exp > 0 and horizontal_p:
         return -1
     return None
 
@@ -506,13 +497,10 @@ def check_eq9(seq: AssociatedSequence) -> CheckReport:
     at every level below the last, the vanishing coordinate's lead kills the
     pinned coefficient while its exponent is still positive, and the other
     coordinate's lead kills it whenever that exponent is positive."""
-    last = seq.levels[-1].lead
-    if last.p_exp == 0 and last.p_lead.degree > 0:
-        direct = True
-    elif last.q_exp == 0 and last.q_lead.degree > 0:
-        direct = False
-    else:
+    horizontal_p, horizontal_q = _horizontal(seq.levels[-1].lead)
+    if not (horizontal_p or horizontal_q):
         raise PreconditionFailed("chain must end at a dicritical window")
+    direct = horizontal_p
     items = []
     for i, lv in enumerate(seq.levels[:-1]):
         c = lv.c if lv.c is not None else ZERO
@@ -660,7 +648,8 @@ def run_all_checks(
             items = []
             for s, lead in scan.found:
                 if lead.p_exp == 0 and lead.q_exp < 0:
-                    cert = verify_theorem2(f, s)
+                    # the dicritical node's tree path is the walk down s
+                    cert = theorem2_from_leads(s, lead, _horizontal_q_windows(paths[id(s)]))
                     items.append(
                         {
                             "ok": cert.valid(),

@@ -157,6 +157,15 @@ class TestIsRefinement:
         ok, _, _ = is_refinement(half, MINUS_X_WINDOW)
         assert not ok
 
+    @pytest.mark.parametrize(
+        "phi",
+        [series(1, [], 0), series(1, [], 2), series(1, [(0, sc(1))], 2)],
+        ids=["coarser", "same_exponent", "same_exponent_other_step"],
+    )
+    def test_exponent_not_below(self, phi):
+        # a coarser window, or another one at the same exponent
+        assert is_refinement(MINUS_X_WINDOW, phi) == (False, None, [])
+
     def test_reflexive(self):
         ok, c, mids = is_refinement(MINUS_X_WINDOW, MINUS_X_WINDOW)
         assert ok and c is None

@@ -227,6 +227,14 @@ class TestTheorem1:
         assert cert.conclusion_i_ok and cert.conclusion_ii_ok
         assert cert.C == sc(-1)
 
+    @pytest.mark.parametrize("a, b", [(0, 2), (2, -1), (-1, -1)])
+    def test_coarse_exponent_not_positive(self, a, b):
+        lead_psi = lead_of([0, 1], a, [0, 1], b, [1], 0)
+        lead_phi = lead_of([0, 2], 0, [0, 2], 0, [1], 0)
+        cert = theorem1_from_leads(lead_psi, lead_phi)
+        assert not cert.hypothesis_met and not cert.counterexample()
+        assert (cert.M, cert.conclusion_i_ok, cert.conclusion_ii_ok) == (None, None, None)
+
     def test_requires_refinement(self):
         f = corpus_map("F2")
         with pytest.raises(NotARefinement):
@@ -277,20 +285,79 @@ class TestTheorem2:
         # segment above that step; the others lie strictly inside one
         assert witnesses > at_step > 0
 
-    @pytest.mark.parametrize("name, segments", [("D12", 3), ("F2T", 1)])
-    def test_witness_search_reads_each_segment_once(self, monkeypatch, name, segments):
+    @pytest.mark.parametrize("name, reads", [("D12", 10), ("F2T", 6)])
+    def test_witness_search_reads_the_tree_path(self, monkeypatch, name, reads):
+        # in run_all_checks Theorem 2 takes its witnesses off the dicritical
+        # node's tree path: after the tree the run expands only the
+        # Jacobian, for the leads it checks, and builds no window and no
+        # leading data; a search on its own walks phi, reading P and Q once
+        # at each window above phi's
         f = normalize_monic(*parse_map({**CORPUS_TEXT, **DEGREE12_TEXT}[name]))
+        after_tree, curves, built = [False], [], []
+        inner_scan = valueset_mod.dicritical_series
+
+        def scan(*args):
+            out = inner_scan(*args)
+            after_tree[0] = True
+            return out
+
+        monkeypatch.setattr(valueset_mod, "dicritical_series", scan)
+        for module in (puiseux_mod, expansion_mod):
+            inner = module.expansion_points
+
+            def reading(g, prefix, inner=inner):
+                if after_tree[0]:
+                    curves.append(g)
+                return inner(g, prefix)
+
+            monkeypatch.setattr(module, "expansion_points", reading)
+        for module, fn in ((expansion_mod, "window_at"), (expansion_mod, "leading_data"),
+                           (valueset_mod, "leading_data")):
+            inner = getattr(module, fn)
+
+            def building(*args, inner=inner):
+                built.append(after_tree[0])
+                return inner(*args)
+
+            monkeypatch.setattr(module, fn, building)
+        run = valueset_mod.run_all_checks(f, what="theorem2")
+        assert run.checks[0].status == "pass" and after_tree[0]
+        assert curves and all(g is f.jac for g in curves)
+        assert not any(built)
         (phi,) = [s for s, lead in dicritical_series(f).found
                   if lead.p_exp == 0 and lead.q_exp < 0]
-        reads = []
-
-        def spy(g, prefix):
-            reads.append(g is f.q)
-            return expansion_points(g, prefix)
-
-        monkeypatch.setattr(valueset_mod, "expansion_points", spy)
+        curves.clear()
         assert horizontal_q_prefixes(f, phi)
-        assert reads == [True] * segments
+        assert len(curves) == reads and all(g is f.p or g is f.q for g in curves)
+
+    SINGULAR, REGULAR = up(0, 1), up(1)  # Jacobian leads
+
+    def test_witness_is_the_first_singular_prefix(self):
+        phi = series(1, [(0, sc(-1))], 2)
+        lead = lead_of([0, 1], 0, [1], -1, [1], 0)
+        unread = lead_of([0, 1], 1, [0, 1], 0, [1], 0)
+        unread._source = (None, None)  # reading its Jacobian lead raises
+        prefixes = [
+            (series(1, [], 1), lead_of([0, 1], 1, [0, 1], 0, [1], 0)),
+            (series(1, [(0, sc(-1))], 1), lead_of([0, 1], 1, [0, 1], 0, [0, 1], 0)),
+            (series(1, [(0, sc(-1))], 3), unread),
+        ]
+        cert = valueset_mod.theorem2_from_leads(phi, lead, prefixes)
+        assert cert.witness_psi == prefixes[1][0] and cert.witness_singular
+        assert cert.valid() and not cert.phi_singular
+
+    @pytest.mark.parametrize("phi_jac", [SINGULAR, REGULAR], ids=["singular_phi", "regular_phi"])
+    def test_without_a_singular_prefix_the_first_is_the_witness(self, phi_jac):
+        phi = series(1, [(0, sc(-1))], 2)
+        lead = LeadingData(up(0, 1), 0, up(1), -1, phi_jac, 0, 1)
+        prefixes = [
+            (series(1, [], 1), lead_of([0, 1], 1, [0, 1], 0, [1], 0)),
+            (series(1, [(0, sc(-1))], 1), lead_of([0, 1], 1, [0, 1], 0, [2], 0)),
+        ]
+        for given, witness in ((prefixes, prefixes[0][0]), ([], None)):
+            cert = valueset_mod.theorem2_from_leads(phi, lead, given)
+            assert cert.witness_psi == witness and not cert.witness_singular
+            assert cert.phi_singular == (phi_jac.degree > 0) == cert.valid()
 
 
 def ref_horizontal_q_prefixes(f, phi):
@@ -377,6 +444,14 @@ class TestLemma3:
     def test_no_common_zero_nonvanishing(self):
         lead = lead_of([1, 1], 1, [-1, 1], 1, [1], 4)  # jac_exp aligns lhs=rhs
         rep = check_lemma3(lead, 4, sign=1)
+        assert {"case": "vanishing_iff", "ok": True} in rep.items
+
+    def test_below_balance_makes_no_assertion(self):
+        # p_exp + q_exp = 2 lies below 2*mult - param_index + jac_exp = 3
+        lead = lead_of([0, 1], 1, [1, 1], 1, [1], 1)
+        rep = check_lemma3(lead, 0, sign=1)
+        assert rep.status == "pass"
+        assert rep.items[0] == {"case": "below_balance", "ok": True, "note": "no assertion"}
         assert {"case": "vanishing_iff", "ok": True} in rep.items
 
     def test_precondition(self):
@@ -752,9 +827,10 @@ class TestTreeChains:
                 want = chain_record(ref_path_free_sequence, ROOT_WINDOW, phi, f)
                 got = chain_record(associated_sequence, ROOT_WINDOW, phi, f, path)
                 assert got == want, (name, phi)
-                # a window missing from the path is built from phi instead
-                ends = (path[0], path[-1])
-                assert chain_record(associated_sequence, ROOT_WINDOW, phi, f, ends) == want
+                # a path must hold every node between its ends
+                if len(path) > 2:
+                    with pytest.raises(PreconditionFailed, match="path"):
+                        associated_sequence(ROOT_WINDOW, phi, f, (path[0], path[-1]))
                 assert chain_record(associated_sequence, ROOT_WINDOW, phi, f) == want
                 if got[0] == "raised":
                     census["raised"] += 1
@@ -774,6 +850,24 @@ class TestTreeChains:
                 census["off_chain"] += len(off)
         assert census == {"chains": 61, "raised": 0, "named": 11, "levels": 168, "off_chain": 20}
 
+    def test_tree_path_witnesses_match_the_walk(self):
+        # a Q lead with exponent 0 and positive degree sits at Q's envelope
+        # zero, a tree event: on every dicritical window with exponents
+        # (0, <0) the horizontal prefixes read off its tree path are the
+        # walk's and the two-prefix scan's
+        windows = witnesses = 0
+        for name, f in tree_chain_maps().items():
+            for path in valueset_mod._dicritical_paths(dicritical_series(f).tree):
+                phi, lead = path[-1].series, path[-1].lead
+                if not (lead.p_exp == 0 and lead.q_exp < 0):
+                    continue
+                got = valueset_mod._horizontal_q_windows(path)
+                assert got == horizontal_q_prefixes(f, phi), (name, phi)
+                assert got == ref_horizontal_q_prefixes(f, phi), (name, phi)
+                windows += 1
+                witnesses += len(got)
+        assert (windows, witnesses) == (22, 22)
+
     def test_path_must_join_psi_to_phi(self):
         f = corpus_map("F2")
         (path,) = valueset_mod._dicritical_paths(dicritical_series(f).tree)
@@ -781,36 +875,61 @@ class TestTreeChains:
             associated_sequence(ROOT_WINDOW, path[-2].series, f, path)
         with pytest.raises(PreconditionFailed, match="path"):
             associated_sequence(F2_PHI, path[-1].series, f, path)
+        # each node must be a child of the one before
+        assert len(path) > 2
+        with pytest.raises(PreconditionFailed, match="path"):
+            associated_sequence(ROOT_WINDOW, path[-1].series, f, (path[0], path[-1]))
 
     def test_chains_rebuild_no_window(self, monkeypatch):
-        # in run_all_checks every level is read off the tree: no window is
-        # rebuilt, no refinement checked and no leading data read again
-        inside, calls = [0], {"leading_data": 0, "window_at": 0, "is_refinement": 0}
-        for name in calls:
-            inner = getattr(expansion_mod, name)
+        # in run_all_checks the chains and Theorem 2 read every window off
+        # the tree: after it, and apart from the factorization check's branch
+        # search, no expansion is read, no hull walked, no window rebuilt, no
+        # refinement checked and no leading data read again
+        names = ("expansion_points", "hull_edges", "window_at", "leading_data", "is_refinement")
+        depth = {"run": 0, "apart": 0}
+        calls = dict.fromkeys(names, 0)
+        for module in (expansion_mod, valueset_mod):
+            for name in names:
+                if hasattr(module, name):
+                    inner = getattr(module, name)
 
-            def counting(*args, name=name, inner=inner):
-                calls[name] += inside[0] > 0
-                return inner(*args)
+                    def counting(*args, name=name, inner=inner):
+                        calls[name] += depth["run"] > 0 and not depth["apart"]
+                        return inner(*args)
 
-            monkeypatch.setattr(expansion_mod, name, counting)
-        inner_seq = valueset_mod.associated_sequence
+                    monkeypatch.setattr(module, name, counting)
+
+        def nested(name, key):
+            inner = getattr(valueset_mod, name)
+
+            def wrapper(*args):
+                depth[key] += 1
+                try:
+                    return inner(*args)
+                finally:
+                    depth[key] -= 1
+
+            monkeypatch.setattr(valueset_mod, name, wrapper)
+
+        nested("run_all_checks", "run")
+        nested("dicritical_series", "apart")
+        nested("curve_branches", "apart")
         built = []
+        inner_seq = valueset_mod.associated_sequence
 
-        def nested(*args):
-            inside[0] += 1
-            try:
-                built.append(inner_seq(*args))
-                return built[-1]
-            finally:
-                inside[0] -= 1
+        def recording(*args):
+            built.append(inner_seq(*args))
+            return built[-1]
 
-        monkeypatch.setattr(valueset_mod, "associated_sequence", nested)
+        monkeypatch.setattr(valueset_mod, "associated_sequence", recording)
         for text in NAMED_MAPS.values():
-            run_all_checks(normalize_monic(*parse_map(text)))
+            valueset_mod.run_all_checks(normalize_monic(*parse_map(text)))
         assert len(built) == 8 and calls == dict.fromkeys(calls, 0)
+        unread = ("Fraction", "Prefix", "envelope_zero", "expansion_points", "window_at")
+        assert not [name for name in unread if hasattr(valueset_mod, name)]
         # the guard sees the calls of a walk without a path
-        nested(ROOT_WINDOW, F2_PHI, corpus_map("F2"))
+        depth["run"] = 1
+        recording(ROOT_WINDOW, F2_PHI, corpus_map("F2"))
         assert all(calls.values()), calls
 
     def test_no_lead_is_root_searched_twice(self, monkeypatch):
@@ -868,10 +987,9 @@ class TestSharedWork:
         assert calls == {"expansion_tree": 1, "curve_branches": 2}
 
     def test_chains_run_no_kernel_expansion(self, monkeypatch):
-        # a level above the last reads two expansions: P and Q pinned at its
-        # slot, for its slopes; its leads are its tree node's.  After the
-        # tree both are already in their curve's table, so no chain runs the
-        # kernel, and no chain reads the Jacobian or searches a curve's roots.
+        # each level is its tree node, window and leads, so no chain reads an
+        # expansion, runs the kernel, reads the Jacobian or searches a
+        # curve's roots
         inside = {"chain": 0}
         counts = {"branches": 0, "runs": 0}
         seqs = []
@@ -944,10 +1062,9 @@ class TestSharedWork:
             run_all_checks(f)
             ran = kernel[start:]
             jac_runs.append({prefix for (g, prefix), _ in ran if g is f.jac})
-        per_level = [2 * len(seq.levels) - 2 for _, seq in seqs]
         # the sixth chain is M6's, which the branch search could not match
-        assert per_level == [2, 2, 2, 4, 2, 4]
-        assert [len(keys) for keys in reads] == per_level
+        assert [len(seq.levels) for _, seq in seqs] == [2, 2, 2, 3, 2, 3]
+        assert [len(keys) for keys in reads] == [0] * 6
         assert counts == {"branches": 0, "runs": 0}
 
         # the checks then expand the Jacobian exactly at the windows whose
