@@ -246,7 +246,7 @@ class UniPoly:
     the empty tuple and the leading coefficient is always nonzero otherwise.
     """
 
-    __slots__ = ("coeffs", "_roots")  # _roots: set by expansion.all_roots
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple):
         self.coeffs = coeffs

@@ -20,11 +20,11 @@ Three related computations live here:
   conjugate leads and roots.
 * ``associated_sequence`` / ``root_index_data`` read the maximal chain of
   windows between two series off a path of windows down the finer one,
-  and the roots tracking each level off that level's two leads, with no
-  branch search, and verify the structural side conditions.  The path is
-  the tree's down to the finer window, each level its node with the root
-  search the tree ran on its leads, or else ``window_path``, the one walk
-  down a series, which Theorem 2's witness search also reads.
+  and each level's on-slot counts off its two leads by synthetic division,
+  with no branch or root search, and verify the structural side
+  conditions.  The path is the tree's down to the finer window, each level
+  its node, or else ``window_path``, the one walk down a series, which
+  Theorem 2's witness search also reads.
 
 All three read the upper Newton hull through one reader, ``hull_edges``,
 which returns the edge slopes below a bound as integer pairs.
@@ -33,8 +33,7 @@ Root extraction over Q(i) runs on Gaussian integers: the coefficients are
 cleared of denominators once, degree <= 2 is solved in closed form, and
 above that rational candidates are checked by integer Horner sums and
 divided out in Z[i]; anything that fails to split raises or records
-ExtensionRequired rather than falling back to numerics.  Each polynomial
-keeps its own search's result, for as long as it lives.
+ExtensionRequired rather than falling back to numerics.
 """
 
 from __future__ import annotations
@@ -287,14 +286,8 @@ def all_roots(h: UniPoly) -> Tuple[List[Tuple[Scalar, int]], UniPoly]:
     The remainder is h divided by its monic linear factors (s - r)^m, so it
     keeps lc(h): a constant when h splits completely, otherwise the product
     of factors with no Gaussian-rational root (degree >= 2).  The search
-    runs on Gaussian integers and solves degree <= 2 in closed form.  Its
-    result is kept on h, so a lead that the tree and a chain both read is
-    searched once: the polynomial lives as long as the run's leads.
+    runs on Gaussian integers and solves degree <= 2 in closed form.
     """
-    memo = getattr(h, "_roots", None)
-    if memo is not None:
-        # a remainder that is h itself is kept as None: no reference cycle
-        return list(memo[0]), h if memo[1] is None else memo[1]
     if h.is_zero():
         raise PreconditionFailed("root search on the zero polynomial")
     roots: List[Tuple[Scalar, int]] = []
@@ -307,7 +300,6 @@ def all_roots(h: UniPoly) -> Tuple[List[Tuple[Scalar, int]], UniPoly]:
         roots += found
     # each root is found once, with its full multiplicity
     roots.sort(key=lambda rm: rm[0].sort_key())
-    h._roots = (tuple(roots), None if rest is h else rest)
     return roots, rest
 
 
@@ -685,8 +677,8 @@ class AssociatedSequence(NamedTuple):
     """A chain of windows from a coarse series down to a fine one.
 
     Each level holds its window, the coefficient phi pins at its slot and
-    the leading data there; ``root_index_data`` reads the roots that track
-    a level off its two leading polynomials.
+    the leading data there; ``root_index_data`` reads a level's on-slot
+    counts off its two leading polynomials.
     """
 
     levels: List[SequenceLevel]
@@ -788,11 +780,9 @@ def _has_nonzero_root(p: UniPoly) -> bool:
 
 
 class LevelIndexData(NamedTuple):
-    s_members: List[Scalar]  # coefficients a_ik of matching first-component roots
-    t_members: List[Scalar]
-    s0_count: int
+    s0_count: int  # multiplicity of the pinned coefficient in the P lead
     t0_count: int
-    pbar: UniPoly
+    pbar: UniPoly  # the monic P lead with (s - c)^s0_count divided out
     qbar: UniPoly
 
 
@@ -801,36 +791,35 @@ class RootIndexData(NamedTuple):
 
 
 def root_index_data(seq: AssociatedSequence) -> RootIndexData:
-    """Branch membership per chain level, read off the level's leads.
+    """On-slot counts per chain level, read off the level's leads.
 
     A root of a component tracks a level when it agrees with the window's
     fixed steps; its coefficient at the level slot is then a root of the
     component's leading polynomial there, and each tracking root is one
-    factor (s - a) of that lead.  So the members are the lead's roots over
-    Q(i), with multiplicity, and pbar/qbar are the monic leads with
-    (s - c)^(count at c) divided out.  A lead that does not split raises
-    ExtensionRequired.
+    factor (s - a) of that lead, so the lead's degree counts them.  The
+    on-slot count is the multiplicity of the pinned coefficient c (0 on the
+    final level, where c is None), and pbar/qbar are the monic leads with
+    (s - c) to that power divided out, both by synthetic division.  No lead
+    is split, so no level needs a root outside Q(i).
     """
     out = []
     for lv in seq.levels:
-        s_members, s0, pbar = _level_members(lv.lead.p_lead, lv.c)
-        t_members, t0, qbar = _level_members(lv.lead.q_lead, lv.c)
-        out.append(LevelIndexData(s_members, t_members, s0, t0, pbar, qbar))
+        s0, pbar = _divide_out(lv.lead.p_lead, lv.c)
+        t0, qbar = _divide_out(lv.lead.q_lead, lv.c)
+        out.append(LevelIndexData(s0, t0, pbar, qbar))
     return RootIndexData(out)
 
 
-def _level_members(
-    lead: UniPoly, c: Optional[Scalar]
-) -> Tuple[List[Scalar], int, UniPoly]:
-    """The lead's roots with multiplicity, the multiplicity of c, and the
-    monic lead with (s - c) to that power divided out."""
-    roots = roots_in_field(lead, "leading polynomial of a chain level")
-    members = [r for r, mult in roots for _ in range(mult)]
-    count = next((mult for r, mult in roots if r == c), 0)
-    bar = lead.monic().coeffs
-    for _ in range(count):  # synthetic division by s - c, exact
+def _divide_out(lead: UniPoly, c: Optional[Scalar]) -> Tuple[int, UniPoly]:
+    """The multiplicity of c as a root of the lead, and the monic lead with
+    (s - c) to that power divided out: synthetic division by s - c, repeated
+    while the remainder is zero."""
+    bar, count = lead.monic().coeffs, 0
+    while c is not None and len(bar) > 1:
         quo = [bar[-1]]
         for b in bar[-2:0:-1]:
             quo.append(b + c * quo[-1])
-        bar = quo[::-1]
-    return members, count, UniPoly(tuple(bar))
+        if not (bar[0] + c * quo[-1]).is_zero():
+            break
+        bar, count = quo[::-1], count + 1
+    return count, UniPoly(tuple(bar))

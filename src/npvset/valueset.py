@@ -338,31 +338,29 @@ def check_lemma2(seq: AssociatedSequence, data: RootIndexData) -> CheckReport:
     """Exact per-level recurrences along a chain.
 
     For each step: the leading coefficient advances by the off-slot factor
-    evaluated at the pinned coefficient; the degree equals the count of
-    tracking roots, which equals the previous on-slot count; and the
-    exponent drops by the on-slot count times the exponent gap.  All three
-    hold for each map component.
+    evaluated at the pinned coefficient; the degree, which counts the
+    tracking roots, equals the previous on-slot count; and the exponent
+    drops by the on-slot count times the exponent gap.  All three hold for
+    each map component.
     """
     items = []
     for i in range(1, len(seq.levels)):
         prev, cur = seq.levels[i - 1], seq.levels[i]
-        dprev, dcur = data.levels[i - 1], data.levels[i]
+        dprev = data.levels[i - 1]
         c_prev = prev.c if prev.c is not None else ZERO
         n_prev, m_prev = prev.series.param_index, prev.series.mult
         n_cur, m_cur = cur.series.param_index, cur.series.mult
         # the exponent recurrence times m_prev * m_cur, on integers: drop is
         # the slot's exponent drop times that product
         drop = n_cur * m_prev - n_prev * m_cur
-        s_count = len(dcur.s_members)
-        t_count = len(dcur.t_members)
         s0_prev = dprev.s0_count
         t0_prev = dprev.t0_count
         a_prev = prev.lead.p_lead.lcoeff()
         b_prev = prev.lead.q_lead.lcoeff()
         ok_a_lead = cur.lead.p_lead.lcoeff() == a_prev * dprev.pbar.evaluate(c_prev)
         ok_b_lead = cur.lead.q_lead.lcoeff() == b_prev * dprev.qbar.evaluate(c_prev)
-        ok_p_deg = cur.lead.p_lead.degree == s_count == s0_prev
-        ok_q_deg = cur.lead.q_lead.degree == t_count == t0_prev
+        ok_p_deg = cur.lead.p_lead.degree == s0_prev
+        ok_q_deg = cur.lead.q_lead.degree == t0_prev
         ok_a_exp = cur.lead.p_exp * m_prev == prev.lead.p_exp * m_cur - s0_prev * drop
         ok_b_exp = cur.lead.q_exp * m_prev == prev.lead.q_exp * m_cur - t0_prev * drop
         items.append(
@@ -460,7 +458,7 @@ def check_section5_identity(
 
 def check_lemma4(seq: AssociatedSequence, data: RootIndexData) -> CheckReport:
     """Ratio law along a hypothesis-satisfying chain: below the final level
-    both exponents stay positive, exponent and root-count ratios equal d/e,
+    both exponents stay positive, exponent and lead-degree ratios equal d/e,
     on-slot count ratios equal d/e, and the off-slot factors satisfy
     pbar^e = qbar^d."""
     top = seq.levels[0].lead
@@ -473,7 +471,7 @@ def check_lemma4(seq: AssociatedSequence, data: RootIndexData) -> CheckReport:
         a_i, b_i = lv.lead.p_exp, lv.lead.q_exp
         ok_pos = a_i > 0 and b_i > 0
         dl = data.levels[i]
-        s_i, t_i = len(dl.s_members), len(dl.t_members)
+        s_i, t_i = lv.lead.p_lead.degree, lv.lead.q_lead.degree
         s0_i, t0_i = dl.s0_count, dl.t0_count
         pbar, qbar = dl.pbar, dl.qbar
         ok_ratio = a_i * e == b_i * d and s_i * e == t_i * d
@@ -619,13 +617,9 @@ def run_all_checks(
     nodes = list(scan.tree.walk())
     paths = {id(path[-1].series): path for path in _dicritical_paths(scan.tree)}
     chains: List[Tuple[ParamSeries, AssociatedSequence, RootIndexData]] = []
-    chain_skips: List[dict] = []
     for s, _lead in scan.found:
-        try:
-            seq = associated_sequence(ROOT_WINDOW, s, f, paths[id(s)])
-            chains.append((s, seq, root_index_data(seq)))
-        except ExtensionRequired as exc:
-            chain_skips.append({"series": repr(s), "reason": str(exc)})
+        seq = associated_sequence(ROOT_WINDOW, s, f, paths[id(s)])
+        chains.append((s, seq, root_index_data(seq)))
 
     checks: List[CheckReport] = []
     for name in wanted:
@@ -661,7 +655,7 @@ def run_all_checks(
             checks.append(CheckReport.combine("theorem2", items))
         elif name == "lemma2":
             reports = [check_lemma2(seq, rid) for _s, seq, rid in chains]
-            checks.append(_merge_reports("lemma2", reports, chain_skips))
+            checks.append(_merge_reports("lemma2", reports))
         elif name == "lemma3":
             checks.append(_window_check(
                 "lemma3", nodes, _positive_constant_jacobian, check_lemma3, SIGMA
@@ -671,7 +665,7 @@ def run_all_checks(
                 check_lemma4(seq, rid) for _s, seq, rid in chains
                 if _positive_constant_jacobian(seq.levels[0].lead)
             ]
-            merged = _merge_reports("lemma4", reports, [])
+            merged = _merge_reports("lemma4", reports)
             merged.data["hypothesis_vacuous_chains"] = len(chains) - len(reports)
             checks.append(merged)
         elif name == "eq4":
@@ -683,7 +677,7 @@ def run_all_checks(
                 )
         elif name == "eq9":
             reports = [check_eq9(seq) for _s, seq, _rid in chains]
-            checks.append(_merge_reports("eq9", reports, chain_skips))
+            checks.append(_merge_reports("eq9", reports))
         elif name == "section5":
             checks.append(_window_check(
                 "section5", nodes, _horizontal_orientation, check_section5_identity, SIGMA_PRIME
@@ -700,7 +694,7 @@ def run_all_checks(
                 rep = check_newton_factorization(g, brs)
                 items.append({"component": label, "ok": rep.status != "fail"})
             checks.append(CheckReport.combine("factorization", items))
-    return VerificationRun(checks, scan.unresolved + chain_skips)
+    return VerificationRun(checks, scan.unresolved)
 
 
 def _dicritical_paths(
@@ -724,16 +718,11 @@ def _window_check(name, nodes, hypothesis, checker, sign) -> CheckReport:
     return CheckReport.combine(name, items, {"sign": sign, "non_vacuous": len(items)})
 
 
-def _merge_reports(
-    name: str, reports: List[CheckReport], skips: List[dict]
-) -> CheckReport:
+def _merge_reports(name: str, reports: List[CheckReport]) -> CheckReport:
     items = []
     for idx, rep in enumerate(reports):
         for it in rep.items:
             entry = dict(it)
             entry["chain"] = idx
             items.append(entry)
-    merged = CheckReport.combine(name, items, {"chains": len(reports)})
-    if skips:
-        merged.data["skipped_chains"] = len(skips)
-    return merged
+    return CheckReport.combine(name, items, {"chains": len(reports)})

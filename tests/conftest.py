@@ -41,6 +41,10 @@ STRESS_TEXT = {
 }
 M9_TEXT = "(x*y^2+x+y)^3; x*y+y^2+x^2*y^3"
 
+# one chain, whose final Q lead -3*s^3 - 2*s has the factor 3*s^2 + 2 with
+# no root in Q(i)
+UNSPLIT_LEAD_TEXT = "2*x+i*x^2*y; -2*x+5*x^3+3*x^3*y"
+
 # degree-12 maps; each curve's branch search meets deep simple roots
 DEGREE12_TEXT = {
     "D12": "x^4*y^8+x*y^2+y; x^3*y^5+x",
@@ -49,6 +53,25 @@ DEGREE12_TEXT = {
     "C12": "(x*y^3+x+y)^3; x*y^2+y^3+x^2*y^4",
     "Z12": "(x*y-1)^3*y^3+x; (x*y-1)*y^2-y",
 }
+
+
+COEFFS_TEXT = ["1", "-1", "2", "3", "5", "-2", "i", "(1+i)"]
+
+
+def random_map_text(rng, max_degree: int = 4) -> str:
+    """A map in the input grammar: 2-4 terms per component, total degree 2
+    to max_degree, coefficients drawn from COEFFS_TEXT by the seeded rng."""
+    deg = rng.randint(2, max_degree)
+    comps = []
+    for _ in range(2):
+        terms = set()
+        while len(terms) < rng.randint(2, 4):
+            a = rng.randint(0, deg)
+            b = rng.randint(0, deg - a)
+            if a + b:
+                terms.add((a, b))
+        comps.append("+".join(f"{rng.choice(COEFFS_TEXT)}*x^{a}*y^{b}" for a, b in sorted(terms)))
+    return "; ".join(comps)
 
 
 def corpus_map(name: str) -> MapPair:

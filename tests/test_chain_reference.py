@@ -8,10 +8,11 @@ slot (``ref_branches_for_matching``), compared each root with phi
 read the members of each level off the roots; ``associated_sequence`` also
 expanded P and Q twice per level (the segment scan of the upper level and
 the leading data of the lower one).  The chain builder now reads each
-level off the support points along phi and each level's members off its
-two leads.  Both are compared on every (ancestor, descendant) pair of
-expansion-tree nodes of the corpus and stress maps, and on hand-built
-chains, among them the verification failure.  The reference's level
+level off the support points along phi and each level's on-slot counts
+off its two leads, by synthetic division with no root search.  Both are
+compared on every (ancestor, descendant) pair of expansion-tree nodes of
+the corpus and stress maps, and on hand-built chains, among them the
+verification failure.  The reference's level
 records keep only the fields the chain builder records: the exponents
 ``n`` and ``m`` repeated the window's own, and the quiet-segment flag
 ``s3_ok`` held on every level, so the comparison asserts the check itself.
@@ -32,6 +33,7 @@ from npvset.errors import ExtensionRequired, NotARefinement, VerificationFailure
 from npvset.expansion import (
     LevelIndexData,
     SequenceLevel,
+    all_roots,
     associated_sequence,
     curve_branches,
     expansion_tree,
@@ -279,20 +281,37 @@ def ref_coeff_at(u: ConcreteBranch, e: Fraction) -> Optional[Scalar]:
 
 def chain_outcome(build, index, psi, phi, f):
     """Levels and index data of one chain, or the exception raised, as
-    tuples of the fields the chain builder records.
+    tuples of the fields the chain builder records, with the levels and
+    their index records (None when raised).
 
-    The index data leaves out ``factor_ok``: the members are now the
-    leads' own roots, so the lead is rebuilt from them by construction.
-    The reference's ``a_lead`` and ``b_lead`` are the leads' leading
-    coefficients, compared with the leads.
+    The index data leaves out the reference's members, ``factor_ok``,
+    ``a_lead`` and ``b_lead``.  The chain builder lists no members;
+    ``members_are_lead_roots`` checks the reference's against the leads'
+    own roots, so each lead is rebuilt from its members, and ``a_lead`` and
+    ``b_lead`` are the leads' leading coefficients, compared with the leads.
     """
     try:
         seq = build(psi, phi, f)
         data = index(seq)
     except Exception as exc:  # compared by type and message
-        return ("raised", type(exc), str(exc))
+        return ("raised", type(exc), str(exc)), None
     levels = [_fields(lv, SequenceLevel) for lv in seq.levels]
-    return (levels, [_fields(d, LevelIndexData) for d in data])
+    fields = (levels, [_fields(d, LevelIndexData) for d in data])
+    return fields, list(zip(seq.levels, data))
+
+
+def members_are_lead_roots(records) -> int:
+    """Check that each level's members, the tracking roots' coefficients at
+    its slot, are the roots of its lead with multiplicity, wherever the lead
+    splits over Q(i); return the number of leads compared."""
+    compared = 0
+    for lv, d in records:
+        for lead, members in ((lv.lead.p_lead, d.s_members), (lv.lead.q_lead, d.t_members)):
+            roots, rest = all_roots(lead)
+            if rest.is_constant():
+                assert members == [r for r, mult in roots for _ in range(mult)], lv.series
+                compared += 1
+    return compared
 
 
 def _fields(record, kind) -> tuple:
@@ -317,21 +336,23 @@ def tree_pairs(f):
 def test_chain_matches_reference_on_every_tree_pair():
     census = {"equal": 0, "resolved": 0, "both_raise": 0}
     lemma2, eq9 = [], []
-    quiet_levels = 0
+    quiet_levels = split_leads = 0
     for name, text in MAPS.items():
         f = normalize_monic(*parse_map(text))
         for psi, phi in tree_pairs(f):
-            got = chain_outcome(
+            got, _ = chain_outcome(
                 associated_sequence, lambda seq: root_index_data(seq).levels,
                 psi, phi, f,
             )
-            want = chain_outcome(
+            want, ref_records = chain_outcome(
                 ref_associated_sequence,
                 lambda seq: ref_root_index_data(seq, f),
                 psi,
                 phi,
                 f,
             )
+            if ref_records is not None:
+                split_leads += members_are_lead_roots(ref_records)
             if got[0] != "raised":
                 # no polygon edge lies strictly between two levels, because
                 # the next level is the largest slope below the current one
@@ -356,14 +377,18 @@ def test_chain_matches_reference_on_every_tree_pair():
             if is_dicritical(seq.levels[-1].lead):
                 eq9.append(check_eq9(seq).status)
     # the census pins the comparison's reach: the reference raises on 32
-    # pairs; 24 of them need a field extension only for roots that no
-    # level's lead holds, so the chain is now checked, and 8 for a level's
-    # own lead; none reaches a verification failure.  The 241 chains built
-    # have 223 levels above their last
-    assert census == {"equal": 217, "resolved": 24, "both_raise": 8}
-    assert quiet_levels == 223
-    assert sorted(lemma2) == ["pass"] * 16 + ["vacuous"] * 8
+    # pairs, each needing a field extension for roots that no check reads:
+    # 24 for roots that no level's lead holds, 8 for a level's own lead,
+    # whose on-slot counts synthetic division reads without splitting it.
+    # So every chain is checked, and none reaches a verification failure.
+    # The 249 chains built have 227 levels above their last
+    assert census == {"equal": 217, "resolved": 32, "both_raise": 0}
+    assert quiet_levels == 227
+    assert sorted(lemma2) == ["pass"] * 20 + ["vacuous"] * 12
     assert sorted(eq9) == ["pass"] * 3 + ["vacuous"]
+    # the reference resolves 217 chains, and each of their 836 leads splits
+    # into the members it lists
+    assert split_leads == 836
 
 
 F2_FINAL = ParamSeries(2, ((0, sc(-1)),), 4)  # -x + s*x^(-1), not in lowest terms
@@ -389,11 +414,11 @@ PHI_3 = series(1, [(1, sc(3))], 2)  # 3 + s*x^(-1)
 )
 def test_hand_built_chains_match_reference(text, phi, outcome):
     f = normalize_monic(*parse_map(text))
-    got = chain_outcome(
+    got, _ = chain_outcome(
         associated_sequence, lambda seq: root_index_data(seq).levels,
         ROOT_WINDOW, phi, f,
     )
-    want = chain_outcome(
+    want, ref_records = chain_outcome(
         ref_associated_sequence,
         lambda seq: ref_root_index_data(seq, f),
         ROOT_WINDOW,
@@ -401,6 +426,8 @@ def test_hand_built_chains_match_reference(text, phi, outcome):
         f,
     )
     assert got == want
+    if ref_records is not None:
+        members_are_lead_roots(ref_records)
     if isinstance(outcome, str):
         assert got == ("raised", VerificationFailure, outcome)
     else:

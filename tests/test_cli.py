@@ -6,6 +6,7 @@ import gc
 import json
 import math
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -31,7 +32,7 @@ from npvset.cli import (
 from npvset.errors import EngineError, ParseError, PreconditionFailed, VerificationFailure
 from npvset.oracle import DEFAULT_SEED
 
-from conftest import CORPUS_TEXT, DEGREE12_TEXT, STRESS_TEXT
+from conftest import CORPUS_TEXT, DEGREE12_TEXT, STRESS_TEXT, UNSPLIT_LEAD_TEXT, random_map_text
 
 
 def run_cli(args):
@@ -257,6 +258,14 @@ class TestExitCodes:
 M9 = "(x*y^2+x+y)^3; x*y+y^2+x^2*y^3"
 
 
+def child_env() -> dict:
+    """The environment of a child interpreter that imports this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_m9_verify_under_memory_ceiling():
     # 2^21*i appears as a coefficient: divisor enumeration must stay small
     ceiling = 2 * 2**30
@@ -264,15 +273,10 @@ def test_m9_verify_under_memory_ceiling():
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (ceiling, ceiling))
 
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         [sys.executable, "-m", "npvset.cli", "--map", M9, "verify",
          "--format", "json"],
-        capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120,
+        capture_output=True, text=True, env=child_env(), preexec_fn=limit, timeout=120,
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     checks = json.loads(proc.stdout)["checks"]
@@ -291,11 +295,6 @@ def run_cli_process(text, command, *extra, address_space=None):
     """One CLI run with a JSON report in a fresh interpreter, with a 20 s
     deadline; ``extra`` follows the command, and ``address_space`` caps the
     child's RLIMIT_AS in bytes."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
@@ -303,7 +302,7 @@ def run_cli_process(text, command, *extra, address_space=None):
     return subprocess.run(
         [sys.executable, "-m", "npvset.cli", "--map", text, command, *extra,
          "--format", "json"],
-        capture_output=True, text=True, env=env, timeout=20,
+        capture_output=True, text=True, env=child_env(), timeout=20,
         preexec_fn=None if address_space is None else limit,
     )
 
@@ -351,13 +350,10 @@ def test_a_reader_closing_the_pipe_ends_the_output_quietly():
     # M4's branches to index 400 make a report of about 186 KB, more than a
     # pipe holds, so the writer meets the closed pipe; it exits with the
     # run's own code and writes nothing to stderr
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.Popen(
         [sys.executable, "-m", "npvset.cli", "--map", STRESS_TEXT["M4"], "branches",
          "--which", "P", "--depth", "400", "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
     )
     try:
         assert proc.stdout.read(10) == b'{\n  "check'
@@ -395,6 +391,69 @@ def test_chains_past_unsplit_roots_are_checked(text):
     assert [statuses[c] for c in ("lemma2", "eq9", "theorem1")] == ["pass"] * 3
     assert not any("skipped_chains" in c["data"] for c in report["checks"])
     assert [u["status"] for u in report["unresolved"]] == ["extension_required"]
+
+
+def test_chain_with_an_unsplit_lead_is_checked(capsys):
+    # the one chain's final Q lead has the factor 3s^2 + 2, with no root in
+    # Q(i); the checks read only its degree, so the chain is checked and the
+    # run is exact
+    code = main(["--map", UNSPLIT_LEAD_TEXT, "verify", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert [by_name[c]["status"] for c in ("lemma2", "eq9")] == ["pass", "pass"]
+    assert by_name["lemma2"]["data"] == by_name["eq9"]["data"] == {"chains": 1}
+    assert report["unresolved"] == []
+
+
+# Runs every map of a list through valueset and verify in one interpreter,
+# with the address space capped at 2 GiB and a 10 s alarm per run; prints
+# [text, command, exit code] per run as JSON, and a traceback on stderr for
+# any run that raises or outlives its alarm
+SWEEP_CHILD = """
+import contextlib, io, json, resource, signal, sys, traceback
+from npvset.cli import main
+
+class Deadline(Exception):
+    pass
+
+def expire(signum, frame):
+    raise Deadline("the run outlived its alarm")
+
+resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+signal.signal(signal.SIGALRM, expire)
+runs = []
+for text in json.loads(sys.argv[1]):
+    for command in ("valueset", "verify"):
+        code = None
+        signal.alarm(10)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["--map", text, command, "--format", "json"])
+        except Exception:
+            traceback.print_exc()
+        finally:
+            signal.alarm(0)
+        runs.append([text, command, code])
+print(json.dumps(runs))
+"""
+
+
+def test_random_maps_end_in_time_and_memory():
+    # 40 seeded maps of degree <= 6: each run ends in an exact answer, a
+    # lower bound or an input error, never in a traceback; the share that
+    # ends exact is not asserted
+    rng = random.Random(11)
+    texts = [random_map_text(rng, max_degree=6) for _ in range(40)]
+    proc = subprocess.run(
+        [sys.executable, "-c", SWEEP_CHILD, json.dumps(texts)],
+        capture_output=True, text=True, env=child_env(), timeout=900,
+    )
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert len(runs) == 2 * len(texts)
+    odd = [entry for entry in runs if entry[2] not in (EXIT_OK, EXIT_INPUT, EXIT_UNRESOLVED)]
+    assert not odd, odd
 
 
 def test_out_of_memory_is_an_internal_failure():

@@ -15,7 +15,9 @@ from npvset.algebra import ONE, BiPoly, Scalar, UniPoly, bipoly, normalize_monic
 from npvset.cli import config_from_args, render, run
 from npvset.errors import ExtensionRequired, PreconditionFailed
 from npvset.expansion import (
+    AssociatedSequence,
     Caps,
+    SequenceLevel,
     all_roots,
     associated_sequence,
     curve_branches,
@@ -33,7 +35,15 @@ from npvset.puiseux import (
     substitute,
 )
 
-from conftest import CORPUS_TEXT, DEGREE12_TEXT, M9_TEXT, corpus_map, sc, up
+from conftest import (
+    CORPUS_TEXT,
+    DEGREE12_TEXT,
+    M9_TEXT,
+    UNSPLIT_LEAD_TEXT,
+    corpus_map,
+    sc,
+    up,
+)
 
 STRESS_TEXT = {
     "M4": "x+y^3+x*y^2; x*y+y^4",
@@ -643,13 +653,19 @@ class TestAssociatedSequence:
 
     @pytest.mark.parametrize("name", sorted(STRESS_TEXT))
     def test_trivial_chain_at_the_root(self, name):
-        # phi's slot is the top exponent 1: the one level's members are the
-        # roots of the top forms, every root of P and Q once
+        # phi's slot is the top exponent 1: the one level's leads are the top
+        # forms, which split into every root of P and Q once; the final level
+        # pins nothing, so no root is on its slot
         f = normalize_monic(*parse_map(STRESS_TEXT[name]))
         seq = associated_sequence(ROOT_WINDOW, ROOT_WINDOW, f)
         assert seq.K == 0 and seq.levels[0].series == ROOT_WINDOW
+        lead = seq.levels[0].lead
+        for g, deg in ((lead.p_lead, f.deg_p), (lead.q_lead, f.deg_q)):
+            roots, rest = all_roots(g)
+            assert g.degree == sum(m for _, m in roots) == deg and rest.is_constant()
         [level] = root_index_data(seq).levels
-        assert len(level.s_members) == f.deg_p and len(level.t_members) == f.deg_q
+        assert (level.s0_count, level.t0_count) == (0, 0)
+        assert (level.pbar, level.qbar) == (lead.p_lead.monic(), lead.q_lead.monic())
 
     def test_f2t_horizontal_prefix_endpoint(self):
         f = corpus_map("F2T")
@@ -680,12 +696,14 @@ class TestRootIndexData:
         seq = associated_sequence(ROOT_WINDOW, phi, f)
         data = root_index_data(seq)
         lv0, lv1 = data.levels
-        assert lv0.s_members == [sc(-1)] and lv0.s0_count == 1
-        assert lv0.t_members == [sc(-1), sc(0)] and lv0.t0_count == 1
-        lead0 = seq.levels[0].lead
+        lead0, lead1 = seq.levels[0].lead, seq.levels[1].lead
+        assert all_roots(lead0.p_lead) == ([(sc(-1), 1)], up(1)) and lv0.s0_count == 1
+        assert all_roots(lead0.q_lead) == ([(sc(-1), 1), (sc(0), 1)], up(1))
+        assert lv0.t0_count == 1
         assert lead0.p_lead.lcoeff() == sc(1) and lead0.q_lead.lcoeff() == sc(1)
         assert lv0.pbar == up(1) and lv0.qbar == up(0, 1)
-        assert lv1.s_members == [sc(0)] and lv1.t_members == [sc(0)]
+        assert all_roots(lead1.p_lead)[0] == all_roots(lead1.q_lead)[0] == [(sc(0), 1)]
+        assert (lv1.s0_count, lv1.t0_count) == (0, 0)
 
     def test_degrees_match_counts(self):
         f = corpus_map("F3p")
@@ -693,5 +711,51 @@ class TestRootIndexData:
         seq = associated_sequence(ROOT_WINDOW, phi, f)
         data = root_index_data(seq)
         for lv, d in zip(seq.levels, data.levels):
-            assert lv.lead.p_lead.degree == len(d.s_members)
-            assert lv.lead.q_lead.degree == len(d.t_members)
+            # each lead splits, and its degree counts its roots; the on-slot
+            # count is the pinned coefficient's multiplicity
+            for g, count, bar in ((lv.lead.p_lead, d.s0_count, d.pbar),
+                                  (lv.lead.q_lead, d.t0_count, d.qbar)):
+                roots, rest = all_roots(g)
+                assert rest.is_constant() and g.degree == sum(m for _, m in roots)
+                assert count == sum(m for r, m in roots if r == lv.c)
+                assert bar.degree == g.degree - count and bar.lcoeff() == sc(1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(gaussian_roots, st.integers(0, 4), st.integers(0, 4), st.data())
+    def test_division_matches_divmod(self, c, m_p, m_q, data):
+        # leads lc * (s - c)^m * g with g(c) != 0; the Q lead has the factor
+        # s^2 + 2, so it never splits over Q(i)
+        lin = UniPoly.make([-c, ONE])
+        cofactor = leads([sc(0, 2)]).filter(lambda g: not g.evaluate(c).is_zero())
+        p_lead = data.draw(cofactor) * lin ** m_p
+        q_lead = data.draw(cofactor) * up(2, 0, 1) * lin ** m_q
+        lead = LeadingData(p_lead, 1, q_lead, 1, up(1), 0, 1)
+        seq = AssociatedSequence(
+            [SequenceLevel(ROOT_WINDOW, c, lead), SequenceLevel(ROOT_WINDOW, None, lead)]
+        )
+        pinned, final = root_index_data(seq).levels
+        for g, m, count, bar in ((p_lead, m_p, pinned.s0_count, pinned.pbar),
+                                 (q_lead, m_q, pinned.t0_count, pinned.qbar)):
+            quo, rem = g.monic().divmod(lin ** m)
+            assert (count, bar) == (m, quo) and rem.is_zero()
+            assert not bar.evaluate(c).is_zero()
+        # the final level pins nothing
+        assert final == (0, 0, p_lead.monic(), q_lead.monic())
+
+    def test_no_root_search(self, monkeypatch):
+        # the chain's final Q lead does not split, and no lead is searched
+        chains = []
+        for text in (CORPUS_TEXT["F2"], CORPUS_TEXT["F3p"], UNSPLIT_LEAD_TEXT):
+            f = normalize_monic(*parse_map(text))
+            for node in expansion_tree(f).walk():
+                if node.status == "dicritical":
+                    chains.append(associated_sequence(ROOT_WINDOW, node.series, f))
+
+        def forbidden(*args):
+            raise AssertionError("root search in root_index_data")
+
+        monkeypatch.setattr(expansion_mod, "all_roots", forbidden)
+        monkeypatch.setattr(expansion_mod, "roots_in_field", forbidden)
+        final_q = chains[-1].levels[-1].lead.q_lead
+        assert final_q == up(0, -2, 0, -3)
+        assert [len(root_index_data(seq).levels) for seq in chains] == [2, 2, 2]

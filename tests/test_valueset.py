@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from npvset.algebra import BiPoly, MapPair, ONE, UniPoly, ZERO, bipoly, normalize_monic
 from npvset.classify import delta
-from npvset.errors import ExtensionRequired, NotARefinement, PreconditionFailed, VerificationFailure
+from npvset.errors import NotARefinement, PreconditionFailed, VerificationFailure
 from npvset.expansion import (
     AssociatedSequence,
-    all_roots,
     hull_edges,
     Caps,
     LevelIndexData,
@@ -62,7 +61,8 @@ import npvset.puiseux as puiseux_mod
 import npvset.valueset as valueset_mod
 
 from conftest import (
-    CORPUS_TEXT, DEGREE12_TEXT, M9_TEXT, STRESS_TEXT, compose, corpus_map, sc, up,
+    CORPUS_TEXT, DEGREE12_TEXT, M9_TEXT, STRESS_TEXT, compose, corpus_map, random_map_text,
+    sc, up,
 )
 
 
@@ -516,28 +516,26 @@ class TestSection5:
         assert {"case": "degree_correspondence", "ok": True} in rep.items
 
 
-def synthetic_chain(a0, b0, s_count, t_count, s0=None, t0=None):
-    """Two-level chain with fabricated exponents and root counts."""
+def synthetic_chain(a0, b0, s_count, t_count):
+    """Two-level chain with fabricated exponents and lead degrees: the top
+    leads are (s - 1)^s_count and (s - 1)^t_count, with 1 pinned."""
     w0 = series(1, [], 0)
     w1 = series(1, [], 2)
     c0 = sc(1)
-    pbar = up(1)
-    qbar = up(1)
-    lead0 = lead_of([0, 0, 1], a0, [0, 0, 1], b0, [1], 0)
+    lead0 = LeadingData(up(-1, 1) ** s_count, a0, up(-1, 1) ** t_count, b0, up(1), 0, 1)
     lead1 = lead_of([0, 1], 0, [0, 1], 0, [1], 0)
     lv0 = SequenceLevel(w0, c0, lead0)
     lv1 = SequenceLevel(w1, None, lead1)
     seq = AssociatedSequence([lv0, lv1])
-    s0 = s_count if s0 is None else s0
-    t0 = t_count if t0 is None else t0
-    d0 = LevelIndexData([c0] * s_count, [c0] * t_count, s0, t0, pbar, qbar)
-    d1 = LevelIndexData([sc(0)], [sc(0)], 0, 0, up(1), up(1))
+    d0 = LevelIndexData(s_count, t_count, up(1), up(1))
+    d1 = LevelIndexData(0, 0, up(0, 1), up(0, 1))
     return seq, RootIndexData([d0, d1])
 
 
 class TestLemma4:
     def test_synthetic_balanced(self):
         seq, data = synthetic_chain(2, 2, 2, 2)
+        assert root_index_data(seq) == data  # the fabricated counts are the leads' own
         rep = check_lemma4(seq, data)
         assert rep.status == "pass"
 
@@ -754,50 +752,33 @@ def ref_path_free_sequence(psi, phi, f):
     return AssociatedSequence(levels)
 
 
-def ref_level_members(lead, c):
-    """A level's members with (s - c)^count divided out by long division."""
-    roots, rest = all_roots(lead)
-    if rest.degree >= 1:
-        raise ExtensionRequired(rest, "leading polynomial of a chain level")
-    count = next((mult for r, mult in roots if r == c), 0)
-    bar = lead.monic()
-    if count:
-        bar, _ = bar.divmod(UniPoly.make([-c, ONE]) ** count)
-    return [r for r, mult in roots for _ in range(mult)], count, bar
+def ref_level_count(lead, c):
+    """The multiplicity of c as a root of a level's lead and the monic lead
+    with (s - c) to that power divided out, by long division."""
+    count, bar = 0, lead.monic()
+    while c is not None:
+        quo, rem = bar.divmod(UniPoly.make([-c, ONE]))
+        if not rem.is_zero():
+            break
+        count, bar = count + 1, quo
+    return count, bar
 
 
 def chain_record(build, *args):
     """Levels and index data of one chain as plain tuples, or the exception."""
     try:
         seq = build(*args)
-        members = []
+        want = []
         for lv in seq.levels:
-            s_members, s0, pbar = ref_level_members(lv.lead.p_lead, lv.c)
-            t_members, t0, qbar = ref_level_members(lv.lead.q_lead, lv.c)
-            members.append((s_members, t_members, s0, t0, pbar, qbar))
+            (s0, pbar), (t0, qbar) = (
+                ref_level_count(g, lv.c) for g in (lv.lead.p_lead, lv.lead.q_lead)
+            )
+            want.append((s0, t0, pbar, qbar))
         data = [tuple(d) for d in root_index_data(seq).levels]
-    except (ExtensionRequired, VerificationFailure) as exc:
+    except VerificationFailure as exc:
         return ("raised", type(exc), str(exc))
-    assert data == members  # synthetic division against long division
+    assert data == want  # synthetic division against long division
     return [tuple(lv) for lv in seq.levels], data
-
-
-COEFFS_TEXT = ["1", "-1", "2", "3", "5", "-2", "i", "(1+i)"]
-
-
-def random_map_text(rng):
-    """2-4 terms per component, total degree 2 to 4, Gaussian coefficients."""
-    deg = rng.randint(2, 4)
-    comps = []
-    for _ in range(2):
-        terms = set()
-        while len(terms) < rng.randint(2, 4):
-            a = rng.randint(0, deg)
-            b = rng.randint(0, deg - a)
-            if a + b:
-                terms.add((a, b))
-        comps.append("+".join(f"{rng.choice(COEFFS_TEXT)}*x^{a}*y^{b}" for a, b in sorted(terms)))
-    return "; ".join(comps)
 
 
 NAMED_MAPS = {
@@ -933,13 +914,15 @@ class TestTreeChains:
         assert all(calls.values()), calls
 
     def test_no_lead_is_root_searched_twice(self, monkeypatch):
-        # each polynomial keeps its search's result, so the chains read the
-        # searches the tree ran on the same lead objects
+        # the tree searches each node's leads once, and the chains search
+        # none: a level's counts come from synthetic division
         stack, calls, searched = [], [], []
+        in_chain = {"depth": 0, "calls": 0, "entered": 0}
         inner_all, inner_int = expansion_mod.all_roots, expansion_mod._integer_roots
 
         def all_roots(h):
             calls.append(h)  # kept alive, so ids are not reused
+            in_chain["calls"] += in_chain["depth"] > 0
             stack.append(h)
             try:
                 return inner_all(h)
@@ -950,8 +933,23 @@ class TestTreeChains:
             searched.append(stack[-1])
             return inner_int(h)
 
+        def chain_step(name):
+            inner = getattr(valueset_mod, name)
+
+            def wrapper(*args):
+                in_chain["depth"] += 1
+                in_chain["entered"] += 1
+                try:
+                    return inner(*args)
+                finally:
+                    in_chain["depth"] -= 1
+
+            monkeypatch.setattr(valueset_mod, name, wrapper)
+
         monkeypatch.setattr(expansion_mod, "all_roots", all_roots)
         monkeypatch.setattr(expansion_mod, "_integer_roots", integer_roots)
+        chain_step("associated_sequence")
+        chain_step("root_index_data")
         repeats = 0
         for text in NAMED_MAPS.values():
             calls.clear()
@@ -960,7 +958,9 @@ class TestTreeChains:
             ids = [id(h) for h in searched]
             assert len(set(ids)) == len(ids), text
             repeats += len(calls) - len({id(h) for h in calls})
-        assert repeats == 28  # chain levels reading the tree's searches
+        assert repeats == 0
+        # the guard saw the 8 chains of the named maps, each built and read
+        assert in_chain == {"depth": 0, "calls": 0, "entered": 16}
 
 
 class TestSharedWork:
